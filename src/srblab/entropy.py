@@ -133,9 +133,10 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     throughout, so depth is limited only by orbit length; non-affine
     branches switch from interval endpoints to a derivative update once
     the cylinder is narrower than 1e-6 times the base interval.  The
-    switch must happen well above the 1e-14 inversion tolerance: one more
-    pullback can shrink the interval by the full branch slope, and
-    colliding endpoints would zero out the tracked width.
+    switch must happen well above float resolution, where the inverse
+    branches stop resolving the endpoints: one more pullback can shrink
+    the interval by the full branch slope, and colliding endpoints would
+    zero out the tracked width.
 
     The orbit is iterated with a low-order bit refresh keyed on the bit
     pattern of ``x`` (see :func:`srblab.rng.dither`), so the itinerary is

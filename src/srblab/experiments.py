@@ -37,12 +37,17 @@ def default_induction(m: MapSystem) -> Interval | None:
 
     Circle and tent families return to the left half of their domain; the
     quadratic family uses ``[0, sqrt(2))``, whose first-return branches
-    keep their derivatives away from zero.
+    keep their derivatives away from zero.  Linear circle maps of degree
+    ``d >= 3`` induce on the whole circle instead (``d`` full branches with
+    return time one): orbits that avoid ``[0, 1/2)`` branch like
+    ``(d - 1)^k``, so no first-return tower over it stays small.
     """
     if m.dimension != 1:
         return None
     if m.family == "quadratic":
         return Interval(0.0, math.sqrt(2.0))
+    if m.family == "circle_linear" and m.d >= 3:
+        return m.domain
     return Interval(0.0, 0.5)
 
 

@@ -31,6 +31,29 @@ NEAR_CRITICAL_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
 
 
+# Compensated arithmetic: a value is carried as an unevaluated sum hi + lo
+# of two floats (double-double), so that orbit points close to a critical
+# value or to a repelling fixed point keep the digits that plain floats
+# round away.  Dekker's splitter makes the products error-free without FMA.
+_SPLIT = 134217729.0  # 2^27 + 1
+
+
+def _two_sum(a, b):
+    """``a + b`` as ``(s, e)`` with ``s + e`` exact."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_square(a):
+    """``a * a`` as ``(p, e)`` with ``p + e`` exact."""
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * a
+    return p, ((ah * ah - p) + 2.0 * ah * al) + al * al
+
+
 def wrap_unit(x: float) -> float:
     """Reduce a real number to [0, 1), sending an exact 1.0 to 0.0."""
     y = x - math.floor(x)
@@ -137,6 +160,28 @@ class MapSystem:
     def branch_dlift(self, i: int, x):
         raise NotImplementedError
 
+    def branch_inverse(self, i: int, y):
+        """Inverse of :meth:`branch_lift` on branch ``i``, vectorised over ``y``.
+
+        Points of the image of branch ``i`` go back into the branch;
+        composed along an itinerary, these give the inverse branches of a
+        first-return tower without any root bracketing.
+        """
+        raise NotImplementedError
+
+    def branch_lift_dd(self, i: int, hi, lo):
+        """:meth:`branch_lift` of the double-double ``hi + lo``, as ``(hi, lo)``.
+
+        The default carries ``lo`` to first order, which suffices on
+        branches whose derivative stays away from zero.
+        """
+        return self.branch_lift(i, hi), self.branch_dlift(i, hi) * lo
+
+    def branch_inverse_dd(self, i: int, hi, lo):
+        """:meth:`branch_inverse` of the double-double ``hi + lo``, as ``(hi, lo)``."""
+        x = self.branch_inverse(i, hi)
+        return x, lo / self.branch_dlift(i, x)
+
     def branch_containing(self, y: float) -> int:
         """Index of the branch whose interior or closure holds ``y``."""
         for i in range(self.n_branches):
@@ -208,6 +253,9 @@ class LinearCircleMap(MapSystem):
     def branch_dlift(self, i, x):
         return np.full(np.shape(x), float(self.d))
 
+    def branch_inverse(self, i, y):
+        return (np.asarray(y, dtype=float) + i) / self.d
+
 
 class DoublingMap(LinearCircleMap):
     """The doubling map, i.e. the linear circle map with d = 2."""
@@ -271,6 +319,28 @@ class PerturbedDoublingMap(MapSystem):
     def branch_dlift(self, i, x):
         return self.df_batch(x)
 
+    def branch_inverse(self, i, y):
+        # Newton on the increasing lift (derivative >= 2 - t > 0), started
+        # from the doubling inverse, which is exact at t = 0.  A step that
+        # leaves the bracket kept around the root falls back to bisection;
+        # once every step is below 1e-12, one last Newton step polishes
+        # the roots to rounding level (quadratic convergence).
+        target = np.asarray(y, dtype=float) + i
+        lo = np.full(target.shape, 0.5 * i)
+        hi = np.full(target.shape, 0.5 * (i + 1))
+        x = 0.5 * target
+        for _ in range(100):
+            r = self._lift(x) - target
+            lo = np.where(r < 0, x, lo)
+            hi = np.where(r > 0, x, hi)
+            nxt = x - r / self.df_batch(x)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            converged = np.all(np.abs(nxt - x) <= 1e-12)
+            x = nxt
+            if converged:
+                break
+        return x - (self._lift(x) - target) / self.df_batch(x)
+
 
 class TentMap(MapSystem):
     """Tent map ``x -> s min(x, 1 - x)`` on [0, 1], slope ``1 < s <= 2``."""
@@ -315,6 +385,10 @@ class TentMap(MapSystem):
     def branch_dlift(self, i, x):
         s = self.slope if i == 0 else -self.slope
         return np.full(np.shape(x), s)
+
+    def branch_inverse(self, i, y):
+        y = np.asarray(y, dtype=float)
+        return y / self.slope if i == 0 else 1.0 - y / self.slope
 
 
 class QuadraticMap(MapSystem):
@@ -376,6 +450,29 @@ class QuadraticMap(MapSystem):
 
     def branch_dlift(self, i, x):
         return -2.0 * np.asarray(x, dtype=float)
+
+    def branch_inverse(self, i, y):
+        root = np.sqrt(np.maximum(self.a - np.asarray(y, dtype=float), 0.0))
+        return -root if i == 0 else root
+
+    # Error-free transformations, good to the double-double rounding: near
+    # the critical value a the plain lift and inverse lose the digits of
+    # x^2 that sit below ulp(a).
+    def branch_lift_dd(self, i, hi, lo):
+        p, e = _two_square(hi)
+        yh, t = _two_sum(self.a, -p)
+        return _two_sum(yh, t - e - lo * (2.0 * hi + lo))
+
+    def branch_inverse_dd(self, i, hi, lo):
+        uh, t = _two_sum(self.a, -hi)
+        uh, ul = _two_sum(uh, t - lo)
+        root = np.sqrt(np.maximum(uh + ul, 0.0))
+        p, e = _two_square(root)
+        # one Newton step on root^2 = uh + ul, with the residual taken exactly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = np.where(root > 0, (((uh - p) - e) + ul) / (2.0 * root), 0.0)
+        xh, xl = _two_sum(root, corr)
+        return (-xh, -xl) if i == 0 else (xh, xl)
 
 
 class VianaMap(MapSystem):

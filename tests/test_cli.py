@@ -1,5 +1,6 @@
 """Command-line entry points, exit codes and emitted artifacts."""
 
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,20 @@ def test_entropy_subcommand(tmp_path):
     assert out.returncode == 0, out.stderr
     assert os.path.exists(tmp_path / "out" / "entropy.csv")
     assert "h_abramov" in out.stdout
+
+
+def test_entropy_on_circle_linear_degree_three_runs_every_route(tmp_path):
+    # default settings: the tower is the whole circle, three full branches
+    path = write_cfg(tmp_path, family="circle_linear", map_params={"d": 3},
+                     out_dir=str(tmp_path / "out"), bins=256, sample_size=4,
+                     n_iters=2000, smb_depth=16, seed=1)
+    out = run_cli("entropy", "--config", path)
+    assert out.returncode == 0, out.stderr
+    _, header, rows = sl.read_csv(str(tmp_path / "out" / "entropy.csv"))
+    col = header.index("estimate")
+    estimates = {r[0]: float(r[col]) for r in rows}
+    for method in ("lyapunov", "pesin", "induced", "abramov", "smb"):
+        assert estimates[method] == pytest.approx(math.log(3.0), abs=1e-9)
 
 
 def test_induce_subcommand(tmp_path):

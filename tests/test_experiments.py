@@ -51,6 +51,9 @@ class TestBuildHelpers:
         ("doubling", {}, 0.0, 0.5),
         ("tent", {"slope": 2.0}, 0.0, 0.5),
         ("quadratic", {"a": 2.0}, 0.0, float(np.sqrt(2.0))),
+        ("circle_linear", {"d": 2}, 0.0, 0.5),
+        ("circle_linear", {"d": 3}, 0.0, 1.0),
+        ("circle_linear", {"d": 7}, 0.0, 1.0),
     ])
     def test_default_induction_intervals(self, family, params, lo, hi):
         m = sl.make_map(family, **params)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srblab as sl
 
@@ -141,3 +143,54 @@ def test_misiurewicz_parameter_lands_on_repelling_orbit():
             break
         x = a0 - x * x
     assert abs((a0 - x * x) - x) < 1e-6
+
+
+# -- inverse branches ------------------------------------------------------
+
+_FAMILY_STRATEGIES = st.one_of(
+    st.floats(1.0, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
+    st.floats(1.0, 2.0, exclude_min=True).map(lambda a: sl.make_map("quadratic", a=a)),
+    st.floats(0.0, 1.9).map(lambda t: sl.make_map("circle_perturbed", t=t)),
+    st.integers(2, 7).map(lambda d: sl.make_map("circle_linear", d=d)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_FAMILY_STRATEGIES, u=st.floats(0.0, 1.0), branch=st.integers(0, 6))
+def test_branch_inverse_undoes_the_branch(m, u, branch):
+    i = branch % m.n_branches
+    lo, hi = m.branch_bounds(i)
+    x = lo + u * (hi - lo)
+    y = m.branch_lift(i, np.array([x]))
+    back = float(m.branch_inverse(i, y)[0])
+    # a plain lift rounds at ulp(y), so a critical point caps the recovery
+    # at eps / |Df(x)|; every other branch point comes back to 1e-12
+    slack = 1e-15 / max(abs(float(m.branch_dlift(i, np.array([x]))[0])), 1e-300)
+    assert abs(back - x) <= 1e-12 + slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(1.0, 2.0, exclude_min=True),
+       x=st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+       scale=st.integers(0, 12))
+def test_compensated_quadratic_branches_round_trip_near_the_critical_point(a, x, scale):
+    m = sl.make_map("quadratic", a=a)
+    x = x * 10.0 ** -scale  # x^2 stays clear of underflow
+    i = 0 if x < 0 else 1
+    hi, lo = m.branch_lift_dd(i, np.array([x]), np.zeros(1))
+    # the double-double image keeps the digits of x^2 that a - x^2 rounds away
+    back = sum(m.branch_inverse_dd(i, hi, lo))[0]
+    assert abs(back - x) <= 4e-16 * abs(x)
+
+
+def test_closed_form_inverse_branches():
+    m = sl.make_map("circle_linear", d=3)
+    assert list(m.branch_inverse(2, np.array([0.0, 0.5]))) == [2 / 3, 2.5 / 3]
+    tent = sl.make_map("tent", slope=2.0)
+    assert list(tent.branch_inverse(1, np.array([0.0, 1.0]))) == [1.0, 0.5]
+    quad = sl.make_map("quadratic", a=2.0)
+    assert list(quad.branch_inverse(0, np.array([-2.0, 1.0]))) == [-2.0, -1.0]
+    # at t = 0 Newton starts on the exact doubling inverse and stays there
+    flat = sl.make_map("circle_perturbed", t=0.0)
+    ys = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_array_equal(flat.branch_inverse(1, ys), (ys + 1) / 2)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srblab as sl
 from srblab.measures import postcritical_grid
@@ -156,6 +158,14 @@ class TestUlamMatrixExactOracles:
     def test_rows_are_stochastic_up_to_the_deficit(self, tower_k3):
         op = sl.ulam_matrix(tower_k3, 16)
         sums = np.asarray(_dense(op)).sum(axis=1)
+        np.testing.assert_allclose(sums + op.row_deficit, 1.0, atol=1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(bins=st.integers(1, 700))
+    def test_quadratic_tower_rows_are_stochastic_up_to_the_deficit(self, tower_quadratic,
+                                                                   bins):
+        op = sl.ulam_matrix(tower_quadratic, bins)
+        sums = np.asarray(op.matrix.sum(axis=1)).ravel()
         np.testing.assert_allclose(sums + op.row_deficit, 1.0, atol=1e-12)
 
     def test_bins_must_be_positive(self, tower_k3):

@@ -113,6 +113,29 @@ class TestNumericTowers:
             sl.trivial_tower(viana_map)
 
 
+class TestDeepAndSmoothTowers:
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.4])
+    def test_perturbed_circle_towers_verify_and_mix(self, t):
+        m = sl.make_map("circle_perturbed", t=t)
+        F = sl.first_return_map(m, sl.Interval(0.0, 0.5), tau_max=20)
+        rep = sl.verify_axioms(F)
+        assert rep.markov_defect <= 1e-8
+        assert rep.all_ok
+        # branch images are lifted, so no endpoint wraps to the far side of 1
+        for c in F.cells:
+            ends = sorted(F.branch_value_batch(c, np.array([c.lo, c.hi])))
+            assert ends == pytest.approx([0.0, 0.5], abs=1e-8)
+        mu = sl.stationary_density(sl.ulam_matrix(F, 1024), max_iters=2000)
+        assert mu.mass == pytest.approx(1.0)
+
+    def test_quadratic_tower_verifies_at_depth_18(self, quadratic_map):
+        F = sl.first_return_map(quadratic_map, sl.Interval(0.0, ROOT2), tau_max=18)
+        assert len(F.cells) == 2584
+        rep = sl.verify_axioms(F)
+        assert rep.markov_defect <= 1e-9
+        assert rep.all_ok
+
+
 class TestTowerEvaluation:
     def test_cell_index_matches_cells(self, tower_tent2, tower_doubling12):
         F = tower_tent2
@@ -153,7 +176,28 @@ class TestTowerEvaluation:
             x = F.branch_invert(c, y)
             assert c.lo - 1e-9 <= x <= c.hi + 1e-9
             fx, _ = F.apply(min(max(x, c.lo), c.hi))
-            assert fx == pytest.approx(y, abs=1e-7)
+            # these cells start within 0.03 of the critical point, so their
+            # orbits pass the critical value 2 and then linger by the fixed
+            # point -2: a float64 orbit there is good to about 1e-10
+            assert fx == pytest.approx(y, abs=1e-9)
+
+    @pytest.mark.parametrize("tower", ["tower_doubling12", "tower_tent2", "tower_quadratic",
+                                       "tower_circle3"])
+    def test_itineraries_follow_the_base_orbit(self, tower, request):
+        F = request.getfixturevalue(tower)
+        for c in F.cells:
+            assert len(c.itinerary) == c.tau
+            x = 0.5 * (c.lo + c.hi)
+            for i in c.itinerary:
+                assert F.base.branch_containing(x) == i
+                x = F.base.f_scalar(x)
+
+    def test_non_affine_cells_need_their_itinerary(self, tower_quadratic):
+        F = tower_quadratic
+        c = F.cells[0]
+        bare = sl.Cell(lo=c.lo, hi=c.hi, tau=c.tau, orientation=c.orientation)
+        with pytest.raises(sl.ConstructionError, match="itinerary"):
+            sl.InducedMarkovMap(F.base, F.delta, [bare], F.tau_max, provenance="numeric")
 
 
 class TestKac:
