@@ -3,17 +3,22 @@
 Four independent routes to the metric entropy of an expanding map:
 
 * ``entropy_lyapunov`` — sum of positive Lyapunov exponents averaged over
-  random orbits (with Monte Carlo standard error);
+  random orbits (with Monte Carlo standard error), all orbits advanced in
+  lockstep by one batched kernel (``entropy_lyapunov_fast`` is the same
+  function under its older name);
 * ``entropy_pesin`` — quadrature of ``log |det Df|`` against a stationary
   density of the map itself;
 * ``entropy_induced`` / ``entropy_abramov`` — quadrature of ``log |DF|``
   against a tower-stationary density, rescaled by the mean return time;
 * ``entropy_smb`` — cylinder-counting along a single tower orbit.
 
-``entropy_report`` runs all of them on one system and records their
-pairwise discrepancies; the three ``*_check`` functions probe the
-identities that make the routes agree (orbit-exponent quotient, Jacobian
-transfer under spreading, and the linear-in-return-time Jacobian bound).
+Quadrature points and bin slivers come from the stratification in
+:mod:`srblab.measures`.  ``entropy_report`` runs all of them on one
+system, solving each operator and integrating each density once, and
+records their pairwise discrepancies; the three ``*_check`` functions
+probe the identities that make the routes agree (orbit-exponent
+quotient, Jacobian transfer under spreading, and the
+linear-in-return-time Jacobian bound).
 """
 
 from __future__ import annotations
@@ -26,14 +31,11 @@ import numpy as np
 from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
-from .measures import (Grid1D, Grid2D, GridDensity, interval_measure,
+from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, interval_measure,
                        one_step_ulam, spread_measure, stationary_density,
-                       ulam_matrix)
+                       stratified_points, ulam_matrix)
 from .rng import dither, stream
-from .towers import InducedMarkovMap, kac_mass, verify_axioms
-
-_STRATA = 16
-_STRATA_OFFSETS = (np.arange(_STRATA) + 0.5) / _STRATA
+from .towers import InducedMarkovMap, kac_breakdown, kac_mass, verify_axioms
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -73,21 +75,19 @@ def entropy_induced(F: InducedMarkovMap, mu_F: GridDensity) -> float:
     if not isinstance(grid, Grid1D) or abs(grid.lo - F.delta.lo) > 1e-9 \
             or abs(grid.hi - F.delta.hi) > 1e-9:
         raise ArgumentError("tower density grid does not match the base interval")
+    owner, idx, a, b = bin_slivers(grid, [c.lo for c in F.cells], [c.hi for c in F.cells])
+    first = np.searchsorted(owner, np.arange(len(F.cells) + 1)).tolist()
+    pts = stratified_points(a, b - a)
+    weights = mu_F.values[idx] * (b - a)
     total = 0.0
-    edges = grid.edges
-    for cell in F.cells:
+    for k, cell in enumerate(F.cells):
         if cell.slope is not None:
             total += interval_measure(mu_F, cell.lo, cell.hi) * math.log(abs(cell.slope))
             continue
-        i0 = max(int(np.searchsorted(edges, cell.lo, side="right")) - 1, 0)
-        i1 = min(int(np.searchsorted(edges, cell.hi, side="left")), grid.n)
-        for i in range(i0, i1):
-            a, b = max(cell.lo, edges[i]), min(cell.hi, edges[i + 1])
-            if b - a <= 1e-15:
-                continue
-            pts = a + (b - a) * _STRATA_OFFSETS
-            logj = F.branch_log_jacobian_batch(cell, pts)
-            total += mu_F.values[i] * (b - a) * float(logj.mean())
+        rows = slice(first[k], first[k + 1])
+        logj = F.branch_log_jacobian_batch(cell, pts[rows].ravel()).reshape(-1, _STRATA)
+        for term in (weights[rows] * logj.mean(axis=1)).tolist():
+            total += term  # sliver by sliver: the sum keeps its order
     return total
 
 
@@ -97,12 +97,18 @@ def entropy_truncation_bound(F: InducedMarkovMap, mu_F: GridDensity,
 
     Uses the linear majorant ``log |DF| <= C tau`` with the censoring time
     ``tau_max + 1`` standing in for the unknown return times, i.e.
-    ``mu_F(deficit) * (tau_max + 1) * C``.
+    ``mu_F(deficit) * (tau_max + 1) * C``, whose first two factors are the
+    censored part of :func:`~srblab.towers.kac_breakdown`.
+
+    Raises
+    ------
+    ArgumentError
+        If ``mu_F`` is not a unit-mass density on the tower's base interval.
     """
+    _, censored = kac_breakdown(F, mu_F)
     if C is None:
         C = majorant_check(F).C
-    covered = sum(interval_measure(mu_F, c.lo, c.hi) for c in F.cells)
-    return max(1.0 - covered, 0.0) * (F.tau_max + 1) * abs(C)
+    return censored * abs(C)
 
 
 def entropy_abramov(F: InducedMarkovMap, mu_F: GridDensity, mass: float) -> float:
@@ -203,6 +209,19 @@ def _log_det_batch(m: MapSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.log(np.maximum(det, NEAR_CRITICAL_FLOOR)), clipped
 
 
+def _bin_log_det(m: MapSystem, grid: Grid1D,
+                 strata: int = _STRATA) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-bin stratified means of clipped ``log |Df|`` on a 1D grid.
+
+    Returns the per-bin means, the per-bin fractions of clipped points and
+    the largest sampled ``|log |Df||``.
+    """
+    pts = stratified_points(grid.edges[:-1], grid.widths, strata).ravel()
+    logs, clipped = _log_det_batch(m, pts)
+    return (logs.reshape(grid.n, strata).mean(axis=1),
+            clipped.reshape(grid.n, strata).mean(axis=1), float(np.abs(logs).max()))
+
+
 def entropy_pesin(m: MapSystem, mu_f: GridDensity,
                   return_clip: bool = False) -> float | tuple[float, float]:
     """Quadrature of ``log |det Df|`` against a unit-mass ambient density.
@@ -215,10 +234,7 @@ def entropy_pesin(m: MapSystem, mu_f: GridDensity,
     _require_unit_mass(mu_f, "ambient density")
     grid = mu_f.grid
     if isinstance(grid, Grid1D):
-        pts = (grid.edges[:-1, None] + grid.widths[:, None] * _STRATA_OFFSETS[None, :]).ravel()
-        logs, clipped = _log_det_batch(m, pts)
-        logs = logs.reshape(grid.n, _STRATA).mean(axis=1)
-        clip_frac = clipped.reshape(grid.n, _STRATA).mean(axis=1)
+        logs, clip_frac, _ = _bin_log_det(m, grid)
     else:
         side = 4
         off = (np.arange(side) + 0.5) / side
@@ -252,9 +268,18 @@ def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
 
     Orbits start at Lebesgue-random points drawn from per-slot RNG
     streams (slot ``i`` uses ``stream(seed, 11, i)``), so the result does
-    not depend on how slots are scheduled.  Orbits that come within the
-    near-critical floor of the critical set are restarted from a fresh
-    draw of their own stream, up to ``retry_budget`` times.
+    not depend on how slots are scheduled.  All slots advance in lockstep
+    through ``f_batch``, each summing its own ``log |f'|`` in orbit order;
+    on the cylinder the triangular cocycle keeps the fibre line invariant,
+    so the fibre sum ``log |2 x|`` is averaged and the base exponent
+    ``log d`` added.  A slot that comes within the near-critical
+    floor of the critical set restarts from a fresh draw of its own
+    stream, up to ``retry_budget`` times, and the finished slots wait
+    while it catches up.
+
+    ``entropy_lyapunov_fast`` is a second name bound to this same function
+    object: the stage tracer of ``perfbench/tracer.py`` wraps the
+    estimator under that name.
 
     Returns
     -------
@@ -267,61 +292,14 @@ def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
     """
     if sample_size < 1 or n < 1:
         raise ArgumentError("sample_size and n must be at least 1")
-    values = np.empty(sample_size)
-    for i in range(sample_size):
-        rng = stream(seed, 11, i)
-        for attempt in range(retry_budget + 1):
-            x = m.sample_uniform(rng, 1)[0]
-            try:
-                values[i] = _orbit_positive_exponents(m, x, n)
-                break
-            except NearCriticalError:
-                if attempt == retry_budget:
-                    raise
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(sample_size)) if sample_size > 1 else 0.0
-    return mean, se
-
-
-def _orbit_positive_exponents(m: MapSystem, x, n: int) -> float:
-    """Sum of positive finite-time exponents along one orbit (scalar start)."""
+    rngs = [stream(seed, 11, i) for i in range(sample_size)]
     if m.dimension == 1:
-        total = 0.0
-        y = float(x)
-        for _ in range(n):
-            d = abs(m.df_scalar(y))
-            if d < NEAR_CRITICAL_FLOOR:
-                raise NearCriticalError(d)
-            total += math.log(d)
-            y = m.f_scalar(y)
-        lam = total / n
-        return lam if lam > 0 else 0.0
-    # skew product: the fibre line is invariant under the triangular
-    # cocycle, so the exponents are the averaged logs of the diagonal
-    theta, xi = float(x[0]), float(x[1])
-    total_fibre = 0.0
-    for _ in range(n):
-        d = abs(2.0 * xi)
-        if d < NEAR_CRITICAL_FLOOR:
-            raise NearCriticalError(d)
-        total_fibre += math.log(d)
-        theta, xi = m.f_scalar((theta, xi))
-    lam_fibre = total_fibre / n
-    lam_base = math.log(m.d)
-    return max(lam_base, 0.0) + max(lam_fibre, 0.0)
-
-
-def _orbit_positive_exponents_batch(m: MapSystem, xs: np.ndarray, n: int,
-                                    rngs, retry_budget: int) -> np.ndarray:
-    """Vectorised orbit driver with per-slot restarts on near-critical hits.
-
-    Restarted slots lag behind the rest, so finished slots stop
-    accumulating while the stragglers catch up.
-    """
-    sums = np.zeros(xs.shape[0])
-    steps = np.zeros(xs.shape[0], dtype=int)
-    retries = np.zeros(xs.shape[0], dtype=int)
-    pts = xs.copy()
+        pts = np.array([m.sample_uniform(r, 1)[0] for r in rngs])
+    else:
+        pts = np.vstack([m.sample_uniform(r, 1) for r in rngs])
+    sums = np.zeros(sample_size)
+    steps = np.zeros(sample_size, dtype=int)
+    retries = np.zeros(sample_size, dtype=int)
     while True:
         active = steps < n
         if not active.any():
@@ -343,27 +321,15 @@ def _orbit_positive_exponents_batch(m: MapSystem, xs: np.ndarray, n: int,
         sums[active] += np.log(d[active])
         steps[active] += 1
         pts = m.f_batch(pts)
-    lam = sums / n
-    if m.dimension == 1:
-        return np.maximum(lam, 0.0)
-    return np.maximum(lam, 0.0) + max(math.log(m.d), 0.0)
-
-
-def entropy_lyapunov_fast(m: MapSystem, sample_size: int, n: int, seed: int = 0,
-                          retry_budget: int = 8) -> tuple[float, float]:
-    """Vectorised variant of :func:`entropy_lyapunov` (same streams, same
-    result, orbits advanced in lockstep)."""
-    if sample_size < 1 or n < 1:
-        raise ArgumentError("sample_size and n must be at least 1")
-    rngs = [stream(seed, 11, i) for i in range(sample_size)]
-    if m.dimension == 1:
-        xs = np.array([m.sample_uniform(r, 1)[0] for r in rngs])
-    else:
-        xs = np.vstack([m.sample_uniform(r, 1) for r in rngs])
-    values = _orbit_positive_exponents_batch(m, xs, n, rngs, retry_budget)
+    values = np.maximum(sums / n, 0.0)
+    if m.dimension != 1:
+        values += max(math.log(m.d), 0.0)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(sample_size)) if sample_size > 1 else 0.0
     return mean, se
+
+
+entropy_lyapunov_fast = entropy_lyapunov
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +434,17 @@ def jacobian_transfer_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     """
     if spread.cap is None or spread.cap < F.tau_max:
         raise ArgumentError("spread cap does not match the tower cap")
+    if not isinstance(spread.grid, Grid1D):
+        raise ArgumentError("transfer quadrature expects a 1D density")
     lhs = entropy_induced(F, mu_F)
-    rhs16, sup_log = _integrate_log_det(m, spread, _STRATA)
-    rhs8, _ = _integrate_log_det(m, spread, _STRATA // 2)
+    logs16, _, sup_log = _bin_log_det(m, spread.grid)
+    logs8, _, _ = _bin_log_det(m, spread.grid, _STRATA // 2)
+    rhs16 = float((spread.bin_measures * logs16).sum())
+    rhs8 = float((spread.bin_measures * logs8).sum())
     deficit_term = spread.truncation_bound * (spread.cap + 1) * sup_log
     bound = deficit_term + 2.0 * abs(rhs16 - rhs8) + 1e-9
     gap = abs(lhs - rhs16)
     return TransferCheck(lhs, rhs16, gap, bound)
-
-
-def _integrate_log_det(m: MapSystem, density: GridDensity, strata: int) -> tuple[float, float]:
-    """Quadrature of clipped ``log |det Df|`` against a 1D density; also
-    returns the largest sampled ``|log det|``."""
-    grid = density.grid
-    if not isinstance(grid, Grid1D):
-        raise ArgumentError("transfer quadrature expects a 1D density")
-    offs = (np.arange(strata) + 0.5) / strata
-    pts = (grid.edges[:-1, None] + grid.widths[:, None] * offs[None, :]).ravel()
-    logs, _ = _log_det_batch(m, pts)
-    per_bin = logs.reshape(grid.n, strata).mean(axis=1)
-    value = float((density.bin_measures * per_bin).sum())
-    return value, float(np.abs(logs).max())
 
 
 @dataclass(frozen=True)
@@ -547,6 +503,8 @@ class EntropyReport:
 
     Estimator fields are NaN when a route is unavailable (no tower for
     cylinder maps, for instance); the reason is kept in ``errors``.
+    ``density`` is the one-step stationary density behind ``h_pesin``
+    (None when its solve failed).
     """
 
     family: str
@@ -566,6 +524,7 @@ class EntropyReport:
     n_orbits: int = 0
     n_iters: int = 0
     tau_cap: int = 0
+    density: GridDensity | None = None
     discrepancies: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
 
@@ -589,21 +548,22 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
 
     Tower-based routes need a verified induced map ``F`` (towers that
     were not yet verified are verified here); ambient routes run for any
-    map.  Per-route failures are recorded in ``report.errors`` instead of
-    aborting the whole report.
+    map.  Each operator is solved once and each density integrated once:
+    ``h_abramov`` is ``h_induced / kac``, and the one-step density is
+    returned on the report.  Per-route failures are recorded in
+    ``report.errors`` instead of aborting the whole report.
     """
     rep = EntropyReport(m.family, dict(m.params), bins=bins, n_orbits=n_orbits,
                         n_iters=n_iters, tau_cap=F.tau_max if F is not None else 0)
     try:
-        rep.h_lyapunov, rep.lyapunov_se = entropy_lyapunov_fast(
+        rep.h_lyapunov, rep.lyapunov_se = entropy_lyapunov(
             m, n_orbits, n_iters, seed=seed, retry_budget=retry_budget)
     except SrbLabError as exc:
         rep.errors["h_lyapunov"] = str(exc)
     try:
-        op = one_step_ulam(m, bins)
-        mu_f = stationary_density(op, mode=ulam_mode, tol=ulam_tol,
-                                  max_iters=ulam_max_iters)
-        rep.h_pesin, rep.pesin_clip_mass = entropy_pesin(m, mu_f, return_clip=True)
+        rep.density = stationary_density(one_step_ulam(m, bins), mode=ulam_mode,
+                                         tol=ulam_tol, max_iters=ulam_max_iters)
+        rep.h_pesin, rep.pesin_clip_mass = entropy_pesin(m, rep.density, return_clip=True)
     except SrbLabError as exc:
         rep.errors["h_pesin"] = str(exc)
 
@@ -618,7 +578,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
             rep.kac = kac_mass(F, mu_F)
             spread = spread_measure(m, F, mu_F, bins, j_cap)
             rep.spread_mass = spread.mass
-            rep.h_abramov = entropy_abramov(F, mu_F, rep.kac)
+            rep.h_abramov = rep.h_induced / rep.kac  # kac >= 1: a censored mean return time
             rep.truncation_bound = entropy_truncation_bound(F, mu_F)
         except SrbLabError as exc:
             rep.errors["h_induced"] = str(exc)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +28,8 @@ from .orbits import TailParams, TailProfile, fit_tail_decay, tail_profile
 from .reporting import (emit_svg, read_csv, write_density_csv, write_entropy_csv,
                         write_sweep_csv, write_tail_csv, write_tower_csv)
 from .rng import stream
-from .towers import InducedMarkovMap, first_return_map, verify_axioms
+from .towers import (InducedMarkovMap, first_return_map, return_time_l1_distance,
+                     verify_axioms)
 
 
 def default_induction(m: MapSystem) -> Interval | None:
@@ -220,10 +220,6 @@ class SweepTable:
     svg_path: str = ""
 
 
-_ROW_FIELDS = ("h_lyapunov", "lyapunov_se", "h_pesin", "h_induced", "h_abramov",
-               "kac_mass", "kappa", "distortion")
-
-
 def _sweep_row(payload: tuple[str, int, float]) -> dict:
     """Compute one sweep row (pure function of config text, index, value)."""
     text, index, value = payload
@@ -238,9 +234,7 @@ def _sweep_row(payload: tuple[str, int, float]) -> dict:
             ver = verify_axioms(F)
             row["kappa"] = ver.kappa
             row["distortion"] = ver.distortion
-            row["cells"] = [(c.lo, c.hi, c.tau) for c in F.cells]
-            row["delta"] = (F.delta.lo, F.delta.hi)
-            row["tau_cap"] = F.tau_max
+            row["tower"] = F
         rep = entropy_report(
             m, F, bins=cfg.bins, n_orbits=cfg.sample_size, n_iters=cfg.n_iters,
             smb_depth=cfg.smb_depth, seed=_row_seed(cfg.seed, index),
@@ -252,40 +246,11 @@ def _sweep_row(payload: tuple[str, int, float]) -> dict:
         row["h_induced"] = rep.h_induced
         row["h_abramov"] = rep.h_abramov
         row["kac_mass"] = rep.kac
-        if m.dimension == 1:
-            op = one_step_ulam(m, cfg.bins)
-            mu = stationary_density(op, mode=cfg.ulam_mode, tol=cfg.ulam_tol,
-                                    max_iters=cfg.ulam_max_iters)
-            row["density"] = mu
+        if m.dimension == 1 and rep.density is not None:
+            row["density"] = rep.density
     except SrbLabError as exc:
         row = {"index": index, "parameter": value, "error": str(exc)}
     return row
-
-
-def _tau_l1(cells_a, cells_b, delta, censor) -> float:
-    """L1 distance of two censored return-time step functions."""
-    points = {delta[0], delta[1]}
-    for cells in (cells_a, cells_b):
-        for lo, hi, _ in cells:
-            points.add(lo)
-            points.add(hi)
-    pts = sorted(points)
-    los_a = [c[0] for c in cells_a]
-    los_b = [c[0] for c in cells_b]
-
-    def tau_at(cells, los, x):
-        i = bisect_right(los, x) - 1
-        if 0 <= i < len(cells) and cells[i][0] <= x < cells[i][1]:
-            return cells[i][2]
-        return censor
-
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b <= a:
-            continue
-        mid = 0.5 * (a + b)
-        total += abs(tau_at(cells_a, los_a, mid) - tau_at(cells_b, los_b, mid)) * (b - a)
-    return total
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
@@ -325,10 +290,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
                 mu, mu_prev = row.get("density"), prev.get("density")
                 if mu is not None and mu_prev is not None and mu.grid == mu_prev.grid:
                     row["density_l1_prev"] = l1_distance(mu, mu_prev)
-                if "cells" in row and "cells" in prev and row.get("delta") == prev.get("delta"):
-                    censor = max(row["tau_cap"], prev["tau_cap"]) + 1
-                    row["tau_l1_prev"] = _tau_l1(prev["cells"], row["cells"],
-                                                 row["delta"], censor)
+                F, F_prev = row.get("tower"), prev.get("tower")
+                if F is not None and F_prev is not None and F.delta == F_prev.delta:
+                    row["tau_l1_prev"] = return_time_l1_distance(F_prev, F)
             prev = row
 
     table = SweepTable(config.family, config.sweep_parameter, config.seed,

@@ -13,6 +13,13 @@ induced map sum to one minus the local mass deficit.  Stationary
 densities are found by power or Cesaro iteration started from Lebesgue —
 never by dense factorisation, so towers with thousands of bins stay
 cheap.
+
+Integrals and transports over 1D bins share one stratification: an
+interval is cut into its slivers with :func:`bin_slivers`, and each
+sliver or bin is sampled at the ``_STRATA`` midpoints of
+:func:`stratified_points`.  ``spread_measure`` here, and the Pesin,
+induced and Jacobian-transfer quadratures of :mod:`srblab.entropy`, all
+use them.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .errors import ArgumentError, ConvergenceError
 from .maps import MapSystem
 
 _STRATA = 16
-_STRATA_OFFSETS = (np.arange(_STRATA) + 0.5) / _STRATA
 
 # One-step meshes of maps with a critical set: bin widths near each of the
 # first three postcritical points shrink like (distance in bins)^2.  The
@@ -288,6 +294,33 @@ def interval_measure(density: GridDensity, lo: float, hi: float) -> float:
         return cum[i] + density.values[i] * (x - edges[i])
 
     return max(cdf(hi) - cdf(lo), 0.0)
+
+
+def stratified_points(starts: np.ndarray, lengths: np.ndarray,
+                      strata: int = _STRATA) -> np.ndarray:
+    """Midpoints of ``strata`` equal parts of each interval, shape ``(k, strata)``."""
+    offsets = (np.arange(strata) + 0.5) / strata
+    return np.asarray(starts)[:, None] + np.asarray(lengths)[:, None] * offsets[None, :]
+
+
+def bin_slivers(grid: Grid1D, los, his) -> tuple[np.ndarray, ...]:
+    """Intersections of intervals ``[los[k], his[k]]`` with the bins of a 1D grid.
+
+    Returns ``(interval index, bin index, starts, ends)`` of every sliver,
+    interval by interval and in grid order within an interval; slivers
+    no longer than 1e-15 are dropped.
+    """
+    edges = grid.edges
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    i0 = np.maximum(np.searchsorted(edges, los, side="right") - 1, 0)
+    i1 = np.minimum(np.searchsorted(edges, his, side="left"), grid.n)
+    counts = np.maximum(i1 - i0, 0)
+    owner = np.repeat(np.arange(los.size), counts)
+    idx = i0[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    starts = np.maximum(edges[idx], los[owner])
+    ends = np.minimum(edges[idx + 1], his[owner])
+    keep = ends - starts > 1e-15
+    return owner[keep], idx[keep], starts[keep], ends[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +606,9 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | N
     still unaccounted for beyond the cap is attached as
     ``truncation_bound``.
 
-    Each sliver of each bin is transported through 16 stratified sample
-    points, deterministically, so results are reproducible bit for bit.
+    Each sliver of each bin is transported through ``_STRATA`` (16)
+    stratified sample points, deterministically, so results are
+    reproducible bit for bit.
     """
     if j_cap is None:
         j_cap = F.tau_max
@@ -588,48 +622,29 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | N
         raise ArgumentError("tower density grid does not match the induction interval")
 
     grid = Grid1D(m.domain.lo, m.domain.hi, bins)
-    edges = mgrid.edges
-
-    starts, lens, weights, taus = [], [], [], []
-
-    def emit(lo, hi, tau):
-        if hi - lo <= 1e-15:
-            return
-        i0 = int(np.searchsorted(edges, lo, side="right")) - 1
-        i1 = int(np.searchsorted(edges, hi, side="left"))
-        i0, i1 = max(i0, 0), min(i1, mgrid.n)
-        for i in range(i0, i1):
-            a = max(lo, edges[i])
-            b = min(hi, edges[i + 1])
-            if b - a <= 1e-15:
-                continue
-            starts.append(a)
-            lens.append(b - a)
-            weights.append(mu_F.values[i] * (b - a))
-            taus.append(tau)
-
     censor = F.tau_max + 1
+    pieces = []  # (lo, hi, return time) of the cells and the deficit gaps, in order
     cursor = F.delta.lo
     for cell in F.cells:
         if cell.lo - cursor > 1e-15:
-            emit(cursor, cell.lo, censor)  # deficit gap
-        emit(cell.lo, cell.hi, cell.tau)
+            pieces.append((cursor, cell.lo, censor))
+        pieces.append((cell.lo, cell.hi, cell.tau))
         cursor = max(cursor, cell.hi)
     if F.delta.hi - cursor > 1e-15:
-        emit(cursor, F.delta.hi, censor)
+        pieces.append((cursor, F.delta.hi, censor))
 
-    starts = np.asarray(starts)
-    lens = np.asarray(lens)
-    weights = np.asarray(weights)
-    taus = np.asarray(taus, dtype=int)
-
-    pts = (starts[:, None] + lens[:, None] * _STRATA_OFFSETS[None, :]).ravel()
+    los, his, taus = zip(*pieces)
+    owner, idx, starts, ends = bin_slivers(mgrid, los, his)
+    lens = ends - starts
+    weights = mu_F.values[idx] * lens
+    taus = np.asarray(taus)[owner]
+    pts = stratified_points(starts, lens).ravel()
     w = np.repeat(weights / _STRATA, _STRATA)
     t = np.repeat(taus, _STRATA)
 
     acc = np.zeros(grid.n)
     censored_mass = float(weights[taus == censor].sum())
-    max_steps = min(int(t.max()) if t.size else 0, j_cap + 1)
+    max_steps = min(int(t.max()), j_cap + 1)
     for j in range(max_steps):
         active = t > j
         if not active.any():

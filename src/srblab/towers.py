@@ -22,7 +22,6 @@ each branch is Lipschitz in the image distance (bounded distortion).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import exp, log
 
@@ -127,8 +126,7 @@ class InducedMarkovMap:
         self.partial_mass = float(partial_mass)
         covered = sum(c.width for c in cells)
         self.deficit = max(delta.width - covered, 0.0)
-        self._los = [c.lo for c in cells]
-        self._los_arr = np.array(self._los)
+        self._los_arr = np.array([c.lo for c in cells])
         self._his_arr = np.array([c.hi for c in cells])
         self._tau_arr = np.array([c.tau for c in cells], dtype=int)
         if cells and all(c.slope is not None for c in cells):
@@ -143,7 +141,7 @@ class InducedMarkovMap:
 
     def cell_index(self, x: float) -> int | None:
         """Index of the cell containing ``x``, or ``None`` (deficit)."""
-        i = bisect_right(self._los, x) - 1
+        i = int(np.searchsorted(self._los_arr, x, side="right")) - 1
         if i < 0:
             return None
         c = self.cells[i]
@@ -153,12 +151,6 @@ class InducedMarkovMap:
         """Return time at ``x``; censored to ``tau_max + 1`` in the deficit."""
         i = self.cell_index(x)
         return self.cells[i].tau if i is not None else self.tau_max + 1
-
-    def tau_values(self) -> np.ndarray:
-        return np.array([c.tau for c in self.cells], dtype=int)
-
-    def cell_widths(self) -> np.ndarray:
-        return np.array([c.width for c in self.cells])
 
     # -- branch evaluation ---------------------------------------------------
 

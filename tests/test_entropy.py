@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srblab as sl
+from srblab.rng import stream
 
 LOG2 = math.log(2.0)
 
@@ -80,10 +83,15 @@ class TestLyapunovEstimator:
         assert se > 0.0
 
     def test_fast_path_matches_the_reference(self, doubling_map, quadratic_map):
+        # reference: one scalar orbit per slot, from the same stream starts
+        assert sl.entropy_lyapunov_fast is sl.entropy_lyapunov
         for m in (doubling_map, quadratic_map):
-            a = sl.entropy_lyapunov(m, 8, 2000, seed=5)
-            b = sl.entropy_lyapunov_fast(m, 8, 2000, seed=5)
-            assert a == b
+            values = np.array([
+                max(sl.lyapunov_exponents(m, m.sample_uniform(stream(5, 11, i), 1)[0],
+                                          2000)[0], 0.0)
+                for i in range(8)])
+            reference = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(8)))
+            assert sl.entropy_lyapunov(m, 8, 2000, seed=5) == reference
 
     def test_seed_controls_the_sample(self, quadratic_map):
         a = sl.entropy_lyapunov(quadratic_map, 8, 2000, seed=1)
@@ -145,6 +153,14 @@ class TestTruncationBound:
 
     def test_nearly_zero_for_a_resolved_tower(self, tower_tent2, mu_tent2):
         assert sl.entropy_truncation_bound(tower_tent2, mu_tent2) < 1e-4
+
+    def test_rejects_a_density_off_the_base_interval(self):
+        F = sl.first_return_map(sl.make_map("tent", slope=1.8), sl.Interval(0.0, 0.5), 20)
+        unit = sl.lebesgue_density(sl.Grid1D(0.0, 1.0, 64))
+        with pytest.raises(sl.ArgumentError):
+            sl.kac_mass(F, unit)
+        with pytest.raises(sl.ArgumentError):
+            sl.entropy_truncation_bound(F, unit)
 
 
 class TestMajorant:
@@ -224,6 +240,18 @@ class TestEntropyReport:
         assert rep.h_pesin == pytest.approx(LOG2, abs=1e-8)
         assert math.isnan(rep.h_induced)
         assert math.isnan(rep.h_smb)
+
+    @settings(max_examples=10, deadline=None)
+    @given(m=st.one_of(
+        st.floats(1.5, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
+        st.floats(0.0, 0.4).map(lambda t: sl.make_map("circle_perturbed", t=t)),
+        st.just(sl.make_map("quadratic"))),
+        bins=st.integers(8, 256))
+    def test_report_returns_its_one_step_density(self, m, bins):
+        rep = sl.entropy_report(m, None, bins=bins, n_orbits=2, n_iters=10)
+        solved = sl.stationary_density(sl.one_step_ulam(m, bins))
+        assert rep.density.grid == solved.grid
+        assert rep.density.values.tobytes() == solved.values.tobytes()
 
     def test_discrepancies_cover_the_estimator_pairs(self, doubling_map, tower_doubling20):
         rep = sl.entropy_report(doubling_map, tower_doubling20, bins=512,

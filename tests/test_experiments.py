@@ -189,6 +189,26 @@ class TestSweep:
         digest2 = hashlib.sha256(open(t2.csv_path, "rb").read()).hexdigest()
         assert digest1 == digest2
 
+    def test_a_failed_pesin_solve_leaves_the_other_routes(self, tmp_path):
+        # at the Misiurewicz parameter the one-step operator has an eigenvalue
+        # near -1, so its power solve stalls; only h_pesin may go blank
+        cfg = sl.ExperimentConfig(family="quadratic",
+                                  map_params={"a": sl.misiurewicz_parameter()},
+                                  sweep_parameter="a", sweep_from=sl.misiurewicz_parameter(),
+                                  sweep_to=1.6, sweep_steps=2, bins=256,
+                                  ulam_max_iters=3000, tau_max=8, sample_size=4,
+                                  n_iters=2000, seed=0, out_dir=str(tmp_path))
+        row = sl.run_sweep(cfg).rows[0]
+        assert row["error"] is None
+        assert math.isnan(row["h_pesin"])
+        assert "density" not in row
+        assert row["h_lyapunov"] == pytest.approx(0.34, abs=0.02)
+        assert math.isfinite(row["kappa"]) and math.isfinite(row["distortion"])
+        comments, header, rows = sl.read_csv(str(tmp_path / "sweep.csv"))
+        cells = dict(zip(header, rows[0]))
+        assert cells["h_pesin"] == "" and cells["error"] == ""
+        assert cells["h_lyapunov"] and cells["kappa"] and cells["distortion"]
+
     def test_sweep_requires_a_parameter(self, tmp_path):
         cfg = sl.ExperimentConfig(family="tent", out_dir=str(tmp_path))
         with pytest.raises(sl.ConfigError):

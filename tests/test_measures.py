@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
-from srblab.measures import postcritical_grid
+from srblab.measures import bin_slivers, postcritical_grid
 
 
 def _dense(op):
@@ -246,6 +246,28 @@ class TestSpreadMeasure:
         spread = sl.spread_measure(tent2_map, tower_tent2, mu_tent2, 4096)
         kac = sl.kac_mass(tower_tent2, mu_tent2)
         assert spread.mass == pytest.approx(kac, abs=1e-10)
+
+    def test_bin_slivers_cut_intervals_at_bin_edges(self):
+        grid = sl.Grid1D(0.0, 1.0, 4)
+        owner, idx, a, b = bin_slivers(grid, [0.1, 0.5, 0.6, 0.9],
+                                       [0.6, 0.5, 0.6 + 1e-16, 1.0])
+        assert owner.tolist() == [0, 0, 0, 3]
+        assert idx.tolist() == [0, 1, 2, 3]
+        assert a.tolist() == [0.1, 0.25, 0.5, 0.9]
+        assert b.tolist() == [0.25, 0.5, 0.6, 1.0]
+        assert all(x.size == 0 for x in bin_slivers(grid, [], []))
+
+    @settings(max_examples=10, deadline=None)
+    @given(m=st.one_of(
+        st.floats(1.5, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
+        st.floats(0.0, 0.4).map(lambda t: sl.make_map("circle_perturbed", t=t))),
+        bins=st.integers(8, 128))
+    def test_spread_mass_equals_kac_mass_across_families(self, m, bins):
+        # the slivers spread_measure transports weigh what kac_mass weighs
+        F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 10)
+        mu_F = sl.stationary_density(sl.ulam_matrix(F, bins))
+        spread = sl.spread_measure(m, F, mu_F, bins)
+        assert spread.mass == pytest.approx(sl.kac_mass(F, mu_F), abs=1e-9)
 
     def test_normalized_spread_of_tent2_is_nearly_flat(self, tent2_map, tower_tent2, mu_tent2):
         spread, mass = sl.normalize(sl.spread_measure(tent2_map, tower_tent2, mu_tent2, 4096))
