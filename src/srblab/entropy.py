@@ -35,7 +35,8 @@ from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, interval_measu
                        one_step_ulam, spread_measure, stationary_density,
                        stratified_points, ulam_matrix)
 from .rng import dither, stream
-from .towers import InducedMarkovMap, kac_breakdown, kac_mass, verify_axioms
+from .towers import (InducedMarkovMap, _pad, _walk, cell_samples, kac_breakdown, kac_mass,
+                     verify_axioms)
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -47,11 +48,6 @@ def _require_verified(F: InducedMarkovMap) -> None:
             "tower failed axiom verification; refusing to integrate against it")
 
 
-def _require_unit_mass(mu: GridDensity, what: str) -> None:
-    if abs(mu.mass - 1.0) > 1e-8:
-        raise ArgumentError(f"{what} must have unit mass, got {mu.mass!r}")
-
-
 # ---------------------------------------------------------------------------
 # tower-side estimators
 
@@ -59,9 +55,9 @@ def _require_unit_mass(mu: GridDensity, what: str) -> None:
 def entropy_induced(F: InducedMarkovMap, mu_F: GridDensity) -> float:
     """Integral of ``log |DF|`` against a stationary tower density.
 
-    Affine branches contribute ``mu_F(cell) * log |slope|`` exactly; other
-    branches are integrated with 16 stratified quadrature points per
-    cell/bin sliver.  Deficit mass is excluded (use
+    Affine towers contribute ``mu_F(cell) * log |slope|`` exactly; other
+    towers are integrated with 16 stratified quadrature points per
+    cell/bin sliver, in one walk.  Deficit mass is excluded (use
     :func:`entropy_truncation_bound` for the matching error bound).
 
     Raises
@@ -70,24 +66,17 @@ def entropy_induced(F: InducedMarkovMap, mu_F: GridDensity) -> float:
         If the tower was never verified or failed verification.
     """
     _require_verified(F)
-    _require_unit_mass(mu_F, "tower density")
-    grid = mu_F.grid
-    if not isinstance(grid, Grid1D) or abs(grid.lo - F.delta.lo) > 1e-9 \
-            or abs(grid.hi - F.delta.hi) > 1e-9:
-        raise ArgumentError("tower density grid does not match the base interval")
-    owner, idx, a, b = bin_slivers(grid, [c.lo for c in F.cells], [c.hi for c in F.cells])
-    first = np.searchsorted(owner, np.arange(len(F.cells) + 1)).tolist()
-    pts = stratified_points(a, b - a)
-    weights = mu_F.values[idx] * (b - a)
+    F.check_density(mu_F)
+    if F.affine:
+        terms = interval_measure(mu_F, F._los_arr, F._his_arr) * F._log_slope_arr
+    else:
+        owner, idx, a, b = bin_slivers(mu_F.grid, F._los_arr, F._his_arr)
+        pts = stratified_points(a, b - a).ravel()
+        logj = F.evaluate(np.repeat(owner, _STRATA), pts, jacobian=True)[1]
+        terms = mu_F.values[idx] * (b - a) * logj.reshape(-1, _STRATA).mean(axis=1)
     total = 0.0
-    for k, cell in enumerate(F.cells):
-        if cell.slope is not None:
-            total += interval_measure(mu_F, cell.lo, cell.hi) * math.log(abs(cell.slope))
-            continue
-        rows = slice(first[k], first[k + 1])
-        logj = F.branch_log_jacobian_batch(cell, pts[rows].ravel()).reshape(-1, _STRATA)
-        for term in (weights[rows] * logj.mean(axis=1)).tolist():
-            total += term  # sliver by sliver: the sum keeps its order
+    for term in terms.tolist():
+        total += term  # term by term: the sum keeps its order
     return total
 
 
@@ -159,36 +148,39 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     if n < 1:
         raise ArgumentError("cylinder depth n must be at least 1")
     drng = stream(int(np.float64(x).view(np.uint64)), 29)
-    itinerary = []
+    cells = []
     y = x
     for k in range(n):
         i = F.cell_index(y)
         if i is None:
             raise CensoredOrbitError(k)
-        itinerary.append(F.cells[i])
+        cells.append(i)
         y, _ = F.apply(y)
         y = dither(y, drng, F.delta.lo, F.delta.hi)
-    if all(c.slope is not None for c in itinerary):
-        log_mass = -sum(math.log(abs(c.slope)) for c in itinerary)
-        return -log_mass / n
-    lo, hi = F.delta.lo, F.delta.hi
-    width = hi - lo
-    switch = 1e-6 * width
+    if F.affine:
+        return sum(math.log(abs(F.cells[i].slope)) for i in cells) / n
+    flat = [b for i in cells for b in F.cells[i].itinerary]
+    bounds = np.cumsum([0] + [F.cells[i].tau for i in cells])
+
+    def tails(k):
+        # row j < k runs through the itineraries of cells j, ..., k-1, so one
+        # walk pulls points back through every tail of the first k cells
+        return _pad([flat[bounds[j]:bounds[k]] for j in range(k)])
+
+    ends = _walk(F.base, tails(n), np.repeat(np.arange(n), 2),
+                 np.tile([F.delta.lo, F.delta.hi], n), inverse=True).reshape(n, 2)
+    widths = ends.max(axis=1) - ends.min(axis=1)
+    narrow = np.flatnonzero(widths < 1e-6 * F.delta.width)
+    # past the switch point the cylinder is tracked by its midpoint and
+    # the derivatives of the remaining branches there
+    k = int(narrow[-1]) if narrow.size else 0
+    width = float(widths[k])
+    anchors = _walk(F.base, tails(k), np.arange(k),
+                    np.full(k, 0.5 * (ends[k, 0] + ends[k, 1])), inverse=True)
     log_extra = 0.0  # log of the width shrinkage past the switch point
-    anchored = False
-    anchor = 0.5 * (lo + hi)
-    for c in reversed(itinerary):
-        if not anchored:
-            lo2 = F.branch_invert(c, lo if c.orientation > 0 else hi)
-            hi2 = F.branch_invert(c, hi if c.orientation > 0 else lo)
-            lo, hi = min(lo2, hi2), max(lo2, hi2)
-            width = hi - lo
-            if width < switch:
-                anchored = True
-                anchor = 0.5 * (lo + hi)
-        else:
-            anchor = F.branch_invert(c, anchor)
-            log_extra -= float(F.branch_log_jacobian_batch(c, np.array([anchor]))[0])
+    _, logj, _ = F.evaluate(np.array(cells[:k], dtype=int), anchors, jacobian=True)
+    for term in logj[::-1].tolist():
+        log_extra -= term
     if not width > 0.0:
         raise ConstructionError("tracked cylinder collapsed below float resolution")
     log_mass = math.log(width) + log_extra - math.log(F.delta.width)
@@ -231,7 +223,8 @@ def entropy_pesin(m: MapSystem, mu_f: GridDensity,
     the floor ``log(1e-15)``; pass ``return_clip=True`` to also get the
     total density mass whose integrand was clipped.
     """
-    _require_unit_mass(mu_f, "ambient density")
+    if abs(mu_f.mass - 1.0) > 1e-8:
+        raise ArgumentError(f"ambient density must have unit mass, got {mu_f.mass!r}")
     grid = mu_f.grid
     if isinstance(grid, Grid1D):
         logs, clip_frac, _ = _bin_log_det(m, grid)
@@ -473,24 +466,23 @@ def majorant_check(F: InducedMarkovMap, samples_per_cell: int = 64,
     m = F.base
     dense = np.linspace(m.domain.lo, m.domain.hi, grid_samples)
     sup_det = float(np.abs(m.df_batch(dense)).max())
-    cell_samples = []
-    for cell in F.cells:
-        xs = np.linspace(cell.lo, cell.hi, samples_per_cell)
-        ys = xs.copy()
-        for _ in range(cell.tau):
+    top = np.empty(len(F.cells))  # largest sampled log |DF| of each cell
+    for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), samples_per_cell)):
+        top[cells] = np.maximum.reduceat(F.evaluate(rows, xs, jacobian=True)[1], first)
+        ys, taus = xs, F._tau_arr[rows]
+        for j in range(int(taus.max())):
+            ys, taus = ys[taus > j], taus[taus > j]
             sup_det = max(sup_det, float(np.abs(m.df_batch(ys)).max()))
             ys = m.f_batch(ys)
-        cell_samples.append(xs)
     C = math.log(sup_det)
     if C <= 0:
         raise ArgumentError("sampled derivative supremum is not expanding")
-    worst, worst_cell = -math.inf, 0
-    for ci, (cell, xs) in enumerate(zip(F.cells, cell_samples)):
-        logj = F.branch_log_jacobian_batch(cell, xs)
-        r = float((logj / (C * cell.tau)).max())
-        if r > worst:
-            worst, worst_cell = r, ci
-    return MajorantCheck(C, worst, worst_cell)
+    # dividing by C * tau > 0 keeps the order of a cell's samples, so the
+    # ratio of its largest log-Jacobian is its largest ratio; the -inf
+    # stands for a tower without cells
+    ratios = np.append(top / (C * F._tau_arr), -math.inf)
+    worst_cell = int(np.argmax(ratios))
+    return MajorantCheck(C, float(ratios[worst_cell]), worst_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         row["tau_l1_prev"] = None
         if row["error"] is None:
             if prev is None:
-                row["density_l1_prev"] = 0.0
-                row["tau_l1_prev"] = 0.0
+                row["density_l1_prev"] = 0.0 if row.get("density") is not None else None
+                row["tau_l1_prev"] = 0.0 if row.get("tower") is not None else None
             else:
                 mu, mu_prev = row.get("density"), prev.get("density")
                 if mu is not None and mu_prev is not None and mu.grid == mu_prev.grid:

@@ -323,21 +323,22 @@ class PerturbedDoublingMap(MapSystem):
         # Newton on the increasing lift (derivative >= 2 - t > 0), started
         # from the doubling inverse, which is exact at t = 0.  A step that
         # leaves the bracket kept around the root falls back to bisection;
-        # once every step is below 1e-12, one last Newton step polishes
-        # the roots to rounding level (quadratic convergence).
+        # each element stops after its own step below 1e-12 (so no other
+        # element of the call moves its root), and one last Newton step
+        # polishes the roots to rounding level (quadratic convergence).
         target = np.asarray(y, dtype=float) + i
         lo = np.full(target.shape, 0.5 * i)
         hi = np.full(target.shape, 0.5 * (i + 1))
         x = 0.5 * target
+        live = np.ones(target.shape, dtype=bool)
         for _ in range(100):
             r = self._lift(x) - target
             lo = np.where(r < 0, x, lo)
             hi = np.where(r > 0, x, hi)
             nxt = x - r / self.df_batch(x)
             nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-            converged = np.all(np.abs(nxt - x) <= 1e-12)
-            x = nxt
-            if converged:
+            x, live = np.where(live, nxt, x), live & (np.abs(nxt - x) > 1e-12)
+            if not live.any():
                 break
         return x - (self._lift(x) - target) / self.df_batch(x)
 

@@ -25,6 +25,7 @@ use them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -279,21 +280,19 @@ def density_bounds_check(density: GridDensity, ratio_cap: float = 100.0) -> Boun
     return BoundsCheck(vmin, imin, vmax, imax, ratio_cap, bool(ok))
 
 
-def interval_measure(density: GridDensity, lo: float, hi: float) -> float:
-    """Mass the density assigns to ``[lo, hi]`` (1D grids)."""
+def interval_measure(density: GridDensity, lo, hi):
+    """Mass the density assigns to ``[lo, hi]`` (1D grids); arrays of ends
+    share one cumulative sum and one grid search."""
     grid = density.grid
     if not isinstance(grid, Grid1D):
         raise ArgumentError("interval_measure needs a 1D density")
     edges = grid.edges
     cum = np.concatenate([[0.0], np.cumsum(density.bin_measures)])
-
-    def cdf(x):
-        x = min(max(x, grid.lo), grid.hi)
-        i = min(int(np.searchsorted(edges, x, side="right")) - 1, grid.n - 1)
-        i = max(i, 0)
-        return cum[i] + density.values[i] * (x - edges[i])
-
-    return max(cdf(hi) - cdf(lo), 0.0)
+    x = np.clip(np.array([lo, hi], dtype=float), grid.lo, grid.hi)
+    i = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, grid.n - 1)
+    cdf = cum[i] + density.values[i] * (x - edges[i])
+    mass = np.maximum(cdf[1] - cdf[0], 0.0)
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def stratified_points(starts: np.ndarray, lengths: np.ndarray,
@@ -353,7 +352,7 @@ def _atoms_for_piece(edges: np.ndarray, xlo: float, xhi: float,
     bin edges; ``value_fn(points)`` evaluates the piece map.  Returns
     (starts, ends, image midpoint values).
     """
-    ia, ib = float(value_fn(np.array([xlo]))[0]), float(value_fn(np.array([xhi]))[0])
+    ia, ib = value_fn(np.array([xlo, xhi])).tolist()
     ylo, yhi = (ia, ib) if ia <= ib else (ib, ia)
     inner_targets = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
     if inner_targets.size:
@@ -417,17 +416,9 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
         raise ArgumentError("ulam_matrix needs at least one bin")
     grid = Grid1D(F.delta.lo, F.delta.hi, bins)
 
-    def pieces():
-        for cell in F.cells:
-            def value_fn(xs, cell=cell):
-                return F.branch_value_batch(cell, xs)
-
-            def invert_edges(ts, cell=cell):
-                return F.branch_invert_batch(cell, ts)
-
-            yield cell.lo, cell.hi, value_fn, invert_edges
-
-    return _assemble_rows(grid, pieces(), f"tower[{F.base.family}] {bins} bins")
+    pieces = ((cell.lo, cell.hi, partial(F.evaluate, i), partial(F.invert, i))
+              for i, cell in enumerate(F.cells))
+    return _assemble_rows(grid, pieces, f"tower[{F.base.family}] {bins} bins")
 
 
 def postcritical_grid(m: MapSystem, bins: int) -> Grid1D:
@@ -487,19 +478,9 @@ def one_step_ulam(m: MapSystem, bins: int, samples_per_bin: int = 256) -> UlamOp
     if m.dimension == 1:
         grid = postcritical_grid(m, bins)
 
-        def pieces():
-            for i in range(m.n_branches):
-                blo, bhi = m.branch_bounds(i)
-
-                def value_fn(xs, i=i):
-                    return np.asarray(m.branch_lift(i, xs), dtype=float)
-
-                def invert_edges(ts, i=i):
-                    return m.branch_inverse(i, ts)
-
-                yield blo, bhi, value_fn, invert_edges
-
-        return _assemble_rows(grid, pieces(), f"{m.family} one-step {bins} bins")
+        pieces = ((*m.branch_bounds(i), partial(m.branch_lift, i), partial(m.branch_inverse, i))
+                  for i in range(m.n_branches))
+        return _assemble_rows(grid, pieces, f"{m.family} one-step {bins} bins")
 
     # 2D: stratified per-bin sampling
     side = int(round(samples_per_bin ** 0.5))
@@ -614,13 +595,7 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | N
         j_cap = F.tau_max
     if j_cap < F.tau_max:
         raise ArgumentError(f"spread cap {j_cap} below the tower cap {F.tau_max}")
-    if abs(mu_F.mass - 1.0) > 1e-8:
-        raise ArgumentError("spread_measure expects a unit-mass tower density")
-    mgrid = mu_F.grid
-    if not isinstance(mgrid, Grid1D) or abs(mgrid.lo - F.delta.lo) > 1e-9 \
-            or abs(mgrid.hi - F.delta.hi) > 1e-9:
-        raise ArgumentError("tower density grid does not match the induction interval")
-
+    F.check_density(mu_F)
     grid = Grid1D(m.domain.lo, m.domain.hi, bins)
     censor = F.tau_max + 1
     pieces = []  # (lo, hi, return time) of the cells and the deficit gaps, in order
@@ -634,7 +609,7 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | N
         pieces.append((cursor, F.delta.hi, censor))
 
     los, his, taus = zip(*pieces)
-    owner, idx, starts, ends = bin_slivers(mgrid, los, his)
+    owner, idx, starts, ends = bin_slivers(mu_F.grid, los, his)
     lens = ends - starts
     weights = mu_F.values[idx] * lens
     taus = np.asarray(taus)[owner]

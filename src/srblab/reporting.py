@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .measures import Grid1D, Grid2D, GridDensity
+from .towers import cell_samples
 
 
 def format_real(x) -> str:
@@ -118,11 +119,13 @@ def write_tower_csv(path: str, F, samples_per_cell: int = 64) -> None:
             f"axioms_ok = {rep.all_ok}",
         ]
     header = ["cell_index", "left", "right", "tau", "deriv_min", "deriv_max"]
-    rows = []
-    for i, cell in enumerate(F.cells):
-        xs = np.linspace(cell.lo, cell.hi, samples_per_cell)
-        d = np.abs(F.branch_derivative_batch(cell, xs))
-        rows.append([i, cell.lo, cell.hi, cell.tau, float(d.min()), float(d.max())])
+    low, high = np.empty(len(F.cells)), np.empty(len(F.cells))
+    for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), samples_per_cell)):
+        d = np.abs(F.evaluate(rows, xs, jacobian=True)[2])
+        low[cells] = np.minimum.reduceat(d, first)
+        high[cells] = np.maximum.reduceat(d, first)
+    rows = [[i, cell.lo, cell.hi, cell.tau, lo, hi]
+            for i, (cell, lo, hi) in enumerate(zip(F.cells, low.tolist(), high.tolist()))]
     write_csv(path, comments, header, rows)
 
 

@@ -4,15 +4,19 @@ An induced map collects the monotone branches of first returns to a base
 interval ``delta``: each cell ``[lo, hi)`` returns after ``tau`` steps and
 is mapped by ``f^tau`` onto ``delta``.  Every cell carries its
 itinerary, the base branches its points visit before they return.
-Branch values and derivatives step through the continuous lifts of those
-base branches, so the last step never wraps mod 1, and branch inverses
-compose the base map's inverse branches along the reversed itinerary,
-with no bisection.  Cell endpoints and the images checked by
-:func:`verify_axioms` are carried in compensated (double-double)
-arithmetic: a float orbit that passes near a critical value keeps only
-``ulp * |DF|`` of the image, 1e-6 on depth-18 quadratic cells.  Cells of
-piecewise-affine maps also carry their accumulated affine data, and use
-it.
+
+One walk, :func:`_walk`, evaluates every branch of a non-affine tower.  It
+steps points through the base branches of their cells' itineraries:
+forward through the continuous lifts, so the last step never wraps mod 1,
+accumulating ``log |DF|`` and ``DF``, or back through the inverse branches,
+so nothing is found by bisection.  Points of many cells go in one call,
+with one mask per base branch and step; the points of one cell step
+without masks, which keeps the Ulam assembly as fast as plain composition
+while it goes cell by cell to hold its memory at one cell's slivers.  Cell
+endpoints and the images checked by :func:`verify_axioms` take compensated
+(double-double) steps: a float orbit that passes near a critical value
+keeps only ``ulp * |DF|`` of the image, 1e-6 on depth-18 quadratic cells.
+Towers of piecewise-affine maps use their cells' exact affine data.
 
 The three axioms checked by :func:`verify_axioms` are: every branch is a
 bijection onto the base interval (full Markov returns), the inverse
@@ -32,6 +36,7 @@ from .maps import Interval, MapSystem
 from .measures import GridDensity, Grid1D, interval_measure
 
 _MAX_SEGMENTS = 200_000
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,11 @@ class InducedMarkovMap:
         without covering it (non-Markov partial returns).
     provenance : str
         ``"exact"``, ``"numeric"`` or ``"trivial"``.
+    affine : bool
+        Whether every cell carries exact affine data.
+    itineraries : numpy.ndarray or None
+        The cells' itineraries as the rows of one matrix, ``-1`` after
+        ``tau``; ``None`` for affine towers.
     """
 
     def __init__(self, base: MapSystem, delta: Interval, cells: list[Cell],
@@ -110,8 +120,9 @@ class InducedMarkovMap:
         if base.dimension != 1:
             raise ConstructionError("towers are built over one-dimensional maps")
         cells = sorted(cells, key=lambda c: c.lo)
+        self.affine = bool(cells) and all(c.slope is not None for c in cells)
         for c in cells:
-            if c.slope is None and len(c.itinerary) != c.tau:
+            if not self.affine and len(c.itinerary) != c.tau:
                 raise ConstructionError(
                     f"non-affine cell [{c.lo}, {c.hi}) needs an itinerary of length {c.tau}")
         for a, b in zip(cells, cells[1:]):
@@ -129,12 +140,11 @@ class InducedMarkovMap:
         self._los_arr = np.array([c.lo for c in cells])
         self._his_arr = np.array([c.hi for c in cells])
         self._tau_arr = np.array([c.tau for c in cells], dtype=int)
-        if cells and all(c.slope is not None for c in cells):
+        self.itineraries = None if self.affine else _pad([c.itinerary for c in cells])
+        if self.affine:
             self._slope_arr = np.array([c.slope for c in cells])
             self._icpt_arr = np.array([c.intercept for c in cells])
-        else:
-            self._slope_arr = None
-            self._icpt_arr = None
+            self._log_slope_arr = np.array([log(abs(c.slope)) for c in cells])
         self.verification: VerificationReport | None = None
 
     # -- lookup ------------------------------------------------------------
@@ -147,59 +157,41 @@ class InducedMarkovMap:
         c = self.cells[i]
         return i if c.lo <= x < c.hi else None
 
-    def return_time(self, x: float) -> int:
-        """Return time at ``x``; censored to ``tau_max + 1`` in the deficit."""
-        i = self.cell_index(x)
-        return self.cells[i].tau if i is not None else self.tau_max + 1
+    def cell_index_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Cell indices of many points; deficit points get -1."""
+        xs = np.asarray(xs, dtype=float)
+        if not self.cells:
+            return np.full(xs.shape, -1, dtype=int)
+        idx = np.searchsorted(self._los_arr, xs, side="right") - 1
+        clipped = np.clip(idx, 0, len(self.cells) - 1)
+        ok = (idx >= 0) & (xs >= self._los_arr[clipped]) & (xs < self._his_arr[clipped])
+        return np.where(ok, clipped, -1)
 
     # -- branch evaluation ---------------------------------------------------
 
-    def branch_value_batch(self, cell: Cell, xs: np.ndarray) -> np.ndarray:
-        """Images ``F(x)`` under the branch through ``cell``."""
+    def evaluate(self, cells, xs: np.ndarray, jacobian: bool = False):
+        """Branch images ``F(x)`` of points ``xs[k]`` of cells ``cells[k]`` (one
+        index for all points); with ``jacobian``, ``(F(x), log |DF|, DF)``."""
         xs = np.asarray(xs, dtype=float)
-        if cell.slope is not None:
-            return cell.slope * xs + cell.intercept
-        for i in cell.itinerary:
-            xs = self.base.branch_lift(i, xs)
-        return xs
+        if not self.affine:
+            return self._walk_cells(cells, xs, jacobian=jacobian)
+        slope = self._slope_arr[cells]
+        ys = slope * xs + self._icpt_arr[cells]
+        if not jacobian:
+            return ys
+        return ys, np.full(xs.shape, self._log_slope_arr[cells]), np.full(xs.shape, slope)
 
-    def branch_value(self, cell: Cell, x: float) -> float:
-        return float(self.branch_value_batch(cell, np.array([x]))[0])
-
-    def branch_log_jacobian_batch(self, cell: Cell, xs: np.ndarray) -> np.ndarray:
-        """``log |DF|`` along the branch (sum of per-step log derivatives)."""
-        xs = np.asarray(xs, dtype=float)
-        if cell.slope is not None:
-            return np.full(xs.shape, log(abs(cell.slope)))
-        out = np.zeros(xs.shape)
-        for i in cell.itinerary:
-            d = np.abs(self.base.branch_dlift(i, xs))
-            out += np.log(np.maximum(d, 1e-300))
-            xs = self.base.branch_lift(i, xs)
-        return out
-
-    def branch_derivative_batch(self, cell: Cell, xs: np.ndarray) -> np.ndarray:
-        """Signed derivative ``DF`` along the branch."""
-        xs = np.asarray(xs, dtype=float)
-        if cell.slope is not None:
-            return np.full(xs.shape, cell.slope)
-        out = np.ones(xs.shape)
-        for i in cell.itinerary:
-            out *= self.base.branch_dlift(i, xs)
-            xs = self.base.branch_lift(i, xs)
-        return out
-
-    def branch_invert_batch(self, cell: Cell, ys: np.ndarray) -> np.ndarray:
-        """Preimages in ``cell`` of points of the base interval."""
+    def invert(self, cells, ys: np.ndarray) -> np.ndarray:
+        """Preimages of ``ys[k]`` in cells ``cells[k]``, indexed as in :meth:`evaluate`."""
         ys = np.asarray(ys, dtype=float)
-        if cell.slope is not None:
-            return (ys - cell.intercept) / cell.slope
-        for i in reversed(cell.itinerary):
-            ys = self.base.branch_inverse(i, ys)
-        return ys
+        if not self.affine:
+            return self._walk_cells(cells, ys, inverse=True)
+        return (ys - self._icpt_arr[cells]) / self._slope_arr[cells]
 
-    def branch_invert(self, cell: Cell, y: float) -> float:
-        return float(self.branch_invert_batch(cell, np.array([y]))[0])
+    def _walk_cells(self, cells, xs, **kw):
+        if isinstance(cells, (int, np.integer)):
+            return _walk(self.base, self.cells[cells].itinerary, None, xs, **kw)
+        return _walk(self.base, self.itineraries, cells, xs, **kw)
 
     def apply(self, x: float) -> tuple[float, int]:
         """One tower step: ``(F(x), tau(x))``.
@@ -212,20 +204,9 @@ class InducedMarkovMap:
         i = self.cell_index(x)
         if i is None:
             raise ArgumentError(f"point {x} lies in the tower deficit region")
-        c = self.cells[i]
-        y = self.branch_value(c, x)
-        lo, hi = self.delta.lo, self.delta.hi
-        return min(max(y, lo), np.nextafter(hi, lo)), c.tau
-
-    def cell_index_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Cell indices of many points; deficit points get -1."""
-        xs = np.asarray(xs, dtype=float)
-        if not self.cells:
-            return np.full(xs.shape, -1, dtype=int)
-        idx = np.searchsorted(self._los_arr, xs, side="right") - 1
-        clipped = np.clip(idx, 0, len(self.cells) - 1)
-        ok = (idx >= 0) & (xs >= self._los_arr[clipped]) & (xs < self._his_arr[clipped])
-        return np.where(ok, clipped, -1)
+        y = self.evaluate(i, [x])[0]
+        return float(np.clip(y, self.delta.lo, np.nextafter(self.delta.hi, self.delta.lo))), \
+            self.cells[i].tau
 
     def apply_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One tower step for many points.
@@ -238,17 +219,9 @@ class InducedMarkovMap:
         valid = idx >= 0
         ys = xs.copy()
         taus = np.zeros(xs.shape, dtype=int)
-        if self._slope_arr is not None:
-            iv = idx[valid]
-            ys[valid] = self._slope_arr[iv] * xs[valid] + self._icpt_arr[iv]
-            taus[valid] = self._tau_arr[iv]
-        else:
-            for ci in np.unique(idx[valid]):
-                sel = idx == ci
-                ys[sel] = self.branch_value_batch(self.cells[ci], xs[sel])
-                taus[sel] = self.cells[ci].tau
-        hi_in = np.nextafter(self.delta.hi, self.delta.lo)
-        ys[valid] = np.clip(ys[valid], self.delta.lo, hi_in)
+        ys[valid] = np.clip(self.evaluate(idx[valid], xs[valid]), self.delta.lo,
+                            np.nextafter(self.delta.hi, self.delta.lo))
+        taus[valid] = self._tau_arr[idx[valid]]
         return ys, taus, valid
 
     def log_jacobian_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,13 +230,17 @@ class InducedMarkovMap:
         idx = self.cell_index_batch(xs)
         valid = idx >= 0
         out = np.zeros(xs.shape)
-        if self._slope_arr is not None:
-            out[valid] = np.log(np.abs(self._slope_arr[idx[valid]]))
-        else:
-            for ci in np.unique(idx[valid]):
-                sel = idx == ci
-                out[sel] = self.branch_log_jacobian_batch(self.cells[ci], xs[sel])
+        out[valid] = self.evaluate(idx[valid], xs[valid], jacobian=True)[1]
         return out, valid
+
+    def check_density(self, mu: GridDensity) -> None:
+        """Raise :class:`ArgumentError` unless ``mu`` is a unit-mass density
+        on a grid over the base interval."""
+        grid = mu.grid
+        if not isinstance(grid, Grid1D) or abs(grid.lo - self.delta.lo) > 1e-9 \
+                or abs(grid.hi - self.delta.hi) > 1e-9 or abs(mu.mass - 1.0) > 1e-8:
+            raise ArgumentError(f"a tower density must have unit mass on the base interval; "
+                                f"got mass {mu.mass!r} on {grid!r}")
 
     def __repr__(self):
         return (f"InducedMarkovMap({self.base.family}, delta=[{self.delta.lo:g}, "
@@ -310,8 +287,7 @@ def trivial_tower(m: MapSystem) -> InducedMarkovMap:
     cells = []
     for i in range(m.n_branches):
         blo, bhi = m.branch_bounds(i)
-        ia = float(m.branch_lift(i, np.array([blo]))[0])
-        ib = float(m.branch_lift(i, np.array([bhi]))[0])
+        ia, ib = m.branch_lift(i, np.array([blo, bhi])).tolist()
         ylo, yhi = (ia, ib) if ia <= ib else (ib, ia)
         if abs(ylo - lo) > 1e-9 or abs(yhi - hi) > 1e-9:
             raise ConstructionError(
@@ -325,44 +301,80 @@ def trivial_tower(m: MapSystem) -> InducedMarkovMap:
     return InducedMarkovMap(m, Interval(lo, hi), cells, 1, "trivial")
 
 
-def _compensated_chain(m: MapSystem, itineraries, xs, inverse: bool = False) -> np.ndarray:
-    """Carry each row of ``xs`` along its itinerary in double-double arithmetic.
-
-    Row ``r`` goes through the base branches of ``itineraries[r]`` (their
-    inverse branches, last entry first, with ``inverse``) using
-    ``branch_lift_dd``/``branch_inverse_dd``, and is rounded to floats at
-    the end.  Cell endpoints and their images near a critical value keep
-    their digits this way.
-    """
-    hi = np.array(xs, dtype=float)
-    lo = np.zeros(hi.shape)
-    steps = np.full((len(itineraries), max(map(len, itineraries), default=0)), -1)
+def _pad(itineraries) -> np.ndarray:
+    """Itineraries as the rows of one integer matrix, ``-1`` after their ends."""
+    top = max((max(it) for it in itineraries if it), default=0)
+    steps = np.full((len(itineraries), max(map(len, itineraries), default=0)), -1,
+                    dtype=np.min_scalar_type(-top - 1))
     for r, itinerary in enumerate(itineraries):
-        steps[r, :len(itinerary)] = itinerary[::-1] if inverse else itinerary
-    step = m.branch_inverse_dd if inverse else m.branch_lift_dd
-    for column in steps.T:
-        for i in range(m.n_branches):
-            rows = column == i
-            if rows.any():
-                hi[rows], lo[rows] = step(i, hi[rows], lo[rows])
-    return hi + lo
+        steps[r, :len(itinerary)] = itinerary
+    return steps
+
+
+def _walk(m: MapSystem, steps, rows, xs, inverse: bool = False,
+          dd: bool = False, jacobian: bool = False):
+    """Step points through the base branches of itineraries.
+
+    Point ``k`` follows row ``rows[k]`` of the padded matrix ``steps``
+    (``-1`` after its end); with ``rows`` None every point follows the one
+    itinerary ``steps``, with no masks.  Steps are ``branch_lift``, or with
+    ``inverse`` ``branch_inverse`` from the last entry back, in
+    double-double arithmetic with ``dd`` (``branch_lift_dd``,
+    ``branch_inverse_dd``).  Returns the images; with ``jacobian`` (forward
+    walks) also ``log |DF|`` and ``DF``, accumulated step by step.
+    """
+    if rows is None:
+        columns = steps[::-1] if inverse else steps
+    else:
+        columns = range(steps.shape[1])
+        if inverse:
+            last = (steps >= 0).sum(axis=1)[rows] - 1
+    if dd:
+        step = m.branch_inverse_dd if inverse else m.branch_lift_dd
+    else:
+        step = m.branch_inverse if inverse else m.branch_lift
+    # one row rebinds its points at every step; masked rows write into a copy
+    hi = np.asarray(xs, dtype=float) if rows is None else np.array(xs, dtype=float)
+    lo = np.zeros(hi.shape) if dd else None
+    logj, deriv = (np.zeros(hi.shape), np.ones(hi.shape)) if jacobian else (None, None)
+    for column in columns:
+        if rows is None:
+            groups = ((column, ...),)
+        else:
+            if inverse:
+                branch = np.where(last >= column, steps[rows, last - column], -1)
+            else:
+                branch = steps[rows, column]
+            groups = [(i, sel) for i in range(m.n_branches) if (sel := branch == i).any()]
+        for i, sel in groups:
+            x = hi if rows is None else hi[sel]
+            if jacobian:
+                d = m.branch_dlift(i, x)
+                logj[sel] += np.log(np.maximum(np.abs(d), 1e-300))
+                deriv[sel] *= d
+            if rows is None:  # every point moves: rebind, no copy back
+                hi, lo = step(i, x, lo) if dd else (step(i, x), None)
+            elif dd:
+                hi[sel], lo[sel] = step(i, x, lo[sel])
+            else:
+                hi[sel] = step(i, x)
+    out = hi + lo if dd else hi
+    return (out, logj, deriv) if jacobian else out
 
 
 def _pull_back(m: MapSystem, seg, targets: np.ndarray) -> np.ndarray:
     """Preimages of ``targets`` under ``f^k`` restricted to a monotone segment.
 
     Affine segments invert their accumulated affine map.  Otherwise the
-    inverse branches of the segment's itinerary are composed, and targets
-    at or beyond an end of the image go to the matching segment end.
+    segment's itinerary is walked back, and targets at or beyond an end
+    of the image go to the matching segment end.
     """
     xl, xh, yl, yh, orient, slope, itinerary = seg
     if slope is not None:
         # f^k on the segment is x -> slope*x + c with either endpoint pinning c
         c = (yl - slope * xl) if slope > 0 else (yh - slope * xl)
         return (targets - c) / slope
-    xs = targets
-    for i in reversed(itinerary):
-        xs = m.branch_inverse(i, xs)
+    xs = _walk(m, itinerary, None, targets, inverse=True)
     xs = np.where(targets <= yl, xl if orient > 0 else xh, xs)
     return np.where(targets >= yh, xh if orient > 0 else xl, xs)
 
@@ -458,9 +470,9 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
         if not segments:
             break
     if returns:
-        ends = _compensated_chain(m, [r[2] for r in returns],
-                                  np.tile([dlo, dhi], (len(returns), 1)), inverse=True)
-        for (k, orient, itinerary), (cl, ch) in zip(returns, ends):
+        ends = _walk(m, _pad([r[2] for r in returns]), np.repeat(np.arange(len(returns)), 2),
+                     np.tile([dlo, dhi], len(returns)), inverse=True, dd=True)
+        for (k, orient, itinerary), (cl, ch) in zip(returns, ends.reshape(-1, 2)):
             clo, chi = (cl, ch) if cl <= ch else (ch, cl)
             if chi - clo > 1e-15:
                 cells.append(Cell(float(clo), float(chi), k, orient, itinerary=itinerary))
@@ -469,6 +481,30 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
 
 # ---------------------------------------------------------------------------
 # axiom verification
+
+
+def cell_samples(F: InducedMarkovMap, counts: np.ndarray):
+    """``np.linspace(lo, hi, counts[c])`` of every cell ``c`` (``counts >= 2``).
+
+    Yields ``(cells, first, rows, xs)`` per block of whole cells: their
+    indices, the offset of each one's first sample, the cell of each
+    sample and the samples.  Blocks of about ``_BLOCK`` samples bound the
+    memory of deep towers.
+    """
+    if not F.cells:
+        return
+    counts = np.asarray(counts, dtype=int)
+    ends = np.cumsum(counts)
+    bounds = np.flatnonzero(np.diff((ends - 1) // _BLOCK)) + 1
+    for cells in np.split(np.arange(len(F.cells)), bounds):
+        n = counts[cells]
+        first = np.cumsum(n) - n
+        rows = np.repeat(cells, n)
+        los, his = F._los_arr[cells], F._his_arr[cells]
+        k = np.arange(rows.size) - np.repeat(first, n)
+        xs = k * np.repeat((his - los) / (n - 1), n) + np.repeat(los, n)
+        xs[first + n - 1] = his
+        yield cells, first, rows, xs
 
 
 def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
@@ -500,39 +536,30 @@ def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
         onto_tol = 1e-6 * F.delta.width
     diameter = F.base.domain.width
 
-    # endpoint images of non-affine cells, in compensated arithmetic: a
-    # plain forward orbit through the critical value loses ~ulp * |DF|
-    curved = [c for c in F.cells if c.slope is None]
-    images = iter(_compensated_chain(F.base, [c.itinerary for c in curved],
-                                     [(c.lo, c.hi) for c in curved]))
-    defect, defect_cell = 0.0, 0
-    kappa, kappa_cell = 0.0, 0
-    distortion, distortion_cell = 0.0, 0
-    for ci, cell in enumerate(F.cells):
-        n = max(samples_per_cell, int(np.ceil(cell.width / 1e-4)))
-        xs = np.linspace(cell.lo, cell.hi, n)
-        if cell.slope is None:
-            ia, ib = next(images)
-        else:
-            ia = F.branch_value(cell, cell.lo)
-            ib = F.branch_value(cell, cell.hi)
-        ylo, yhi = (ia, ib) if ia <= ib else (ib, ia)
-        d = max(abs(ylo - F.delta.lo), abs(yhi - F.delta.hi))
-        if d > defect:
-            defect, defect_cell = d, ci
-        logj = F.branch_log_jacobian_batch(cell, xs)
-        kap = float(np.exp(-logj.min()))
-        if kap > kappa:
-            kappa, kappa_cell = kap, ci
-        if cell.slope is None:
-            imgs = F.branch_value_batch(cell, xs)
-            sep = np.abs(np.diff(imgs))
-            usable = sep > 1e-9
-            if usable.any():
-                ratios = np.abs(np.diff(logj))[usable] / sep[usable]
-                r = float(ratios.max())
-                if r > distortion:
-                    distortion, distortion_cell = r, ci
+    n = len(F.cells)
+    ends = np.column_stack([F._los_arr, F._his_arr]).ravel()
+    if F.affine:
+        images = F.evaluate(np.arange(n).repeat(2), ends)
+    else:
+        # in compensated arithmetic: a plain forward orbit through the
+        # critical value loses ~ulp * |DF|
+        images = _walk(F.base, F.itineraries, np.arange(n).repeat(2), ends, dd=True)
+    images = images.reshape(-1, 2)
+    defects = np.maximum(np.abs(images.min(axis=1) - F.delta.lo),
+                         np.abs(images.max(axis=1) - F.delta.hi))
+    kappas, distortions = np.empty(n), np.empty(n)
+    counts = np.maximum(samples_per_cell, np.ceil((F._his_arr - F._los_arr) / 1e-4).astype(int))
+    for cells, first, rows, xs in cell_samples(F, counts):
+        imgs, logj, _ = F.evaluate(rows, xs, jacobian=True)
+        kappas[cells] = np.exp(-np.minimum.reduceat(logj, first))
+        # neighbouring samples of one cell; affine cells give ratio 0
+        sep = np.abs(np.diff(imgs))
+        usable = (rows[1:] == rows[:-1]) & (sep > 1e-9)
+        ratios = np.divide(np.abs(np.diff(logj)), sep, out=np.zeros(sep.shape), where=usable)
+        distortions[cells] = np.maximum.reduceat(ratios, first)
+    # each worst value with the first cell that has it
+    (defect, defect_cell), (kappa, kappa_cell), (distortion, distortion_cell) = (
+        (float(v.max()), int(v.argmax())) for v in (defects, kappas, distortions))
     if kappa >= 1.0:
         multiplier = float("inf")
         comparison = float("inf")
@@ -601,17 +628,11 @@ def kac_breakdown(F: InducedMarkovMap, mu: GridDensity) -> tuple[float, float]:
     ``mu`` must be a unit-mass density on the base interval.  The deficit
     region is weighed with the censoring time ``tau_max + 1``.
     """
-    grid = mu.grid
-    if not isinstance(grid, Grid1D) or abs(grid.lo - F.delta.lo) > 1e-9 \
-            or abs(grid.hi - F.delta.hi) > 1e-9:
-        raise ArgumentError("density grid does not match the tower base interval")
-    if abs(mu.mass - 1.0) > 1e-8:
-        raise ArgumentError("kac mass expects a unit-mass density")
+    F.check_density(mu)
     covered = 0.0
     covered_measure = 0.0
-    for c in F.cells:
-        w = interval_measure(mu, c.lo, c.hi)
-        covered += c.tau * w
+    for tau, w in zip(F._tau_arr.tolist(), interval_measure(mu, F._los_arr, F._his_arr).tolist()):
+        covered += tau * w
         covered_measure += w
     censored = (F.tau_max + 1) * max(1.0 - covered_measure, 0.0)
     return covered, censored

@@ -202,12 +202,31 @@ class TestSweep:
         assert row["error"] is None
         assert math.isnan(row["h_pesin"])
         assert "density" not in row
+        # the first row is at distance 0 from its own tower, and has no
+        # density to be at any distance from
+        assert row["density_l1_prev"] is None
+        assert row["tau_l1_prev"] == 0.0
         assert row["h_lyapunov"] == pytest.approx(0.34, abs=0.02)
         assert math.isfinite(row["kappa"]) and math.isfinite(row["distortion"])
         comments, header, rows = sl.read_csv(str(tmp_path / "sweep.csv"))
         cells = dict(zip(header, rows[0]))
         assert cells["h_pesin"] == "" and cells["error"] == ""
+        assert cells["density_l1_prev"] == "" and cells["tau_l1_prev"] != ""
         assert cells["h_lyapunov"] and cells["kappa"] and cells["distortion"]
+
+    def test_rows_without_a_density_or_tower_read_no_distance(self, tmp_path):
+        # cylinder maps have neither a 1D density nor a tower
+        cfg = sl.ExperimentConfig(family="viana", map_params={"alpha": 0.01},
+                                  sweep_parameter="alpha", sweep_from=0.01,
+                                  sweep_to=0.02, sweep_steps=2, bins=64,
+                                  sample_size=4, n_iters=2000, seed=0,
+                                  out_dir=str(tmp_path))
+        table = sl.run_sweep(cfg)
+        assert [r["error"] for r in table.rows] == [None, None]
+        comments, header, rows = sl.read_csv(table.csv_path)
+        for r in rows:
+            cells = dict(zip(header, r))
+            assert cells["density_l1_prev"] == "" and cells["tau_l1_prev"] == ""
 
     def test_sweep_requires_a_parameter(self, tmp_path):
         cfg = sl.ExperimentConfig(family="tent", out_dir=str(tmp_path))

@@ -169,6 +169,18 @@ def test_branch_inverse_undoes_the_branch(m, u, branch):
     assert abs(back - x) <= 1e-12 + slack
 
 
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.0, 1.9), seed=st.integers(0, 2 ** 32 - 1), branch=st.integers(0, 1))
+def test_perturbed_inverse_of_a_point_does_not_depend_on_its_batch(t, seed, branch):
+    # Newton stops element by element, so the other points of a call
+    # cannot add iterations to this one
+    m = sl.make_map("circle_perturbed", t=t)
+    ys = np.random.default_rng(seed).uniform(0.0, 1.0, 32)
+    batch = m.branch_inverse(branch, ys)
+    for k in range(ys.size):
+        assert m.branch_inverse(branch, ys[k:k + 1])[0] == batch[k]
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(1.0, 2.0, exclude_min=True),
        x=st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100),

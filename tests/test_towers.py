@@ -5,10 +5,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import srblab as sl
 
 ROOT2 = float(np.sqrt(2.0))
+
+
+def _quadratic_tower(a):
+    # [0, p) with p the positive fixed point has return cells for every a
+    p = (math.sqrt(1.0 + 4.0 * a) - 1.0) / 2.0
+    return sl.first_return_map(sl.make_map("quadratic", a=a), sl.Interval(0.0, p), 10)
+
+
+_TOWERS = st.one_of(
+    st.floats(1.5, 2.0, exclude_min=True).map(
+        lambda s: sl.first_return_map(sl.make_map("tent", slope=s), sl.Interval(0.0, 0.5), 12)),
+    st.floats(1.2, 2.0, exclude_min=True).map(_quadratic_tower),
+    st.floats(0.0, 0.4).map(
+        lambda t: sl.first_return_map(sl.make_map("circle_perturbed", t=t),
+                                      sl.Interval(0.0, 0.5), 8)),
+)
 
 
 class TestExactDoublingTower:
@@ -63,8 +81,8 @@ class TestNumericTowers:
 
     def test_tent2_branches_are_onto(self, tower_tent2):
         F = tower_tent2
-        for c in F.cells[:8]:
-            ends = sorted([F.branch_value(c, c.lo), F.branch_value(c, c.hi)])
+        for i, c in enumerate(F.cells[:8]):
+            ends = sorted(F.evaluate(i, [c.lo, c.hi]))
             assert ends[0] == pytest.approx(F.delta.lo, abs=1e-9)
             assert ends[1] == pytest.approx(F.delta.hi, abs=1e-9)
 
@@ -122,8 +140,8 @@ class TestDeepAndSmoothTowers:
         assert rep.markov_defect <= 1e-8
         assert rep.all_ok
         # branch images are lifted, so no endpoint wraps to the far side of 1
-        for c in F.cells:
-            ends = sorted(F.branch_value_batch(c, np.array([c.lo, c.hi])))
+        for i, c in enumerate(F.cells):
+            ends = sorted(F.evaluate(i, [c.lo, c.hi]))
             assert ends == pytest.approx([0.0, 0.5], abs=1e-8)
         mu = sl.stationary_density(sl.ulam_matrix(F, 1024), max_iters=2000)
         assert mu.mass == pytest.approx(1.0)
@@ -164,16 +182,16 @@ class TestTowerEvaluation:
 
     def test_log_jacobian_batch_matches_slopes(self, tower_doubling12):
         F = tower_doubling12
-        for c in F.cells[:6]:
+        for i, c in enumerate(F.cells[:6]):
             x = np.array([0.5 * (c.lo + c.hi)])
-            lj = F.branch_log_jacobian_batch(c, x)[0]
+            lj = F.evaluate(i, x, jacobian=True)[1][0]
             assert lj == pytest.approx(math.log(abs(c.slope)), abs=1e-12)
 
     def test_branch_invert_is_a_right_inverse(self, tower_quadratic):
         F = tower_quadratic
-        for c in F.cells[:10]:
+        for i, c in enumerate(F.cells[:10]):
             y = 0.3 * F.delta.lo + 0.7 * F.delta.hi
-            x = F.branch_invert(c, y)
+            x = float(F.invert(i, [y])[0])
             assert c.lo - 1e-9 <= x <= c.hi + 1e-9
             fx, _ = F.apply(min(max(x, c.lo), c.hi))
             # these cells start within 0.03 of the critical point, so their
@@ -191,6 +209,25 @@ class TestTowerEvaluation:
             for i in c.itinerary:
                 assert F.base.branch_containing(x) == i
                 x = F.base.f_scalar(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(F=_TOWERS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_call_for_many_cells_matches_cell_by_cell(self, F, seed):
+        # many cells go through the masked walk, one cell's points through
+        # its own itinerary without masks: the bits must agree
+        assume(F.cells)
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, len(F.cells), 96)
+        los = np.array([F.cells[c].lo for c in cells])
+        his = np.array([F.cells[c].hi for c in cells])
+        xs = los + rng.uniform(0.0, 1.0, cells.size) * (his - los)
+        ys = F.delta.lo + rng.uniform(0.0, 1.0, cells.size) * F.delta.width
+        together = F.evaluate(cells, xs, jacobian=True) + (F.invert(cells, ys),)
+        for c in np.unique(cells):
+            sel = cells == c
+            alone = F.evaluate(int(c), xs[sel], jacobian=True) + (F.invert(int(c), ys[sel]),)
+            for got, want in zip(together, alone):  # values, log |DF|, DF, inverses
+                np.testing.assert_array_equal(got[sel], want)
 
     def test_non_affine_cells_need_their_itinerary(self, tower_quadratic):
         F = tower_quadratic
