@@ -12,6 +12,14 @@ Four independent routes to the metric entropy of an expanding map:
   against a tower-stationary density, rescaled by the mean return time;
 * ``entropy_smb`` — cylinder-counting along a single tower orbit.
 
+The base-map orbit loops, ``entropy_lyapunov`` and the base loop of
+``lyapunov_quotient_check``, step in blocks: up to 256 steps of every
+orbit go into one (steps, orbits) buffer, with one map call per step, and
+the log-derivatives of the whole block take one call each.  The block is
+summed row by row, so every orbit sum keeps its order and the numbers
+match a per-step loop bit for bit.  Tower orbits take one itinerary walk
+per step, which yields the images and ``log |DF|`` together.
+
 Quadrature points and bin slivers come from the stratification in
 :mod:`srblab.measures`.  ``entropy_report`` runs all of them on one
 system, solving each operator and integrating each density once, and
@@ -35,8 +43,23 @@ from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, interval_measu
                        one_step_ulam, spread_measure, stationary_density,
                        stratified_points, ulam_matrix)
 from .rng import dither, stream
-from .towers import (InducedMarkovMap, _pad, _walk, cell_samples, kac_breakdown, kac_mass,
-                     verify_axioms)
+from .towers import InducedMarkovMap, cell_samples, kac_breakdown, kac_mass, verify_axioms
+
+#: Orbit steps an orbit loop buffers before it takes their log-derivatives.
+_BLOCK_STEPS = 256
+#: Cap on steps x orbits of one buffered block (512 KiB of float64).
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _orbit_block(step, x: np.ndarray, steps: int) -> np.ndarray:
+    """Rows ``x, step(x), ..., step^k(x)`` of the orbits ``x``, one call of
+    ``step`` per row, for ``k`` up to ``steps`` and the block length."""
+    k = min(steps, max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // len(x))))
+    buf = np.empty((k + 1,) + x.shape)
+    buf[0] = x
+    for j in range(k):
+        buf[j + 1] = step(buf[j])
+    return buf
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -159,24 +182,22 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
         y = dither(y, drng, F.delta.lo, F.delta.hi)
     if F.affine:
         return sum(math.log(abs(F.cells[i].slope)) for i in cells) / n
-    flat = [b for i in cells for b in F.cells[i].itinerary]
-    bounds = np.cumsum([0] + [F.cells[i].tau for i in cells])
 
-    def tails(k):
-        # row j < k runs through the itineraries of cells j, ..., k-1, so one
-        # walk pulls points back through every tail of the first k cells
-        return _pad([flat[bounds[j]:bounds[k]] for j in range(k)])
+    def pull_back(ys, k):
+        # row j: ``ys`` pulled back through cells k-1, ..., j, one cell at a time
+        rows = np.empty((k,) + ys.shape)
+        for j in range(k - 1, -1, -1):
+            ys = rows[j] = F.invert(cells[j], ys)
+        return rows
 
-    ends = _walk(F.base, tails(n), np.repeat(np.arange(n), 2),
-                 np.tile([F.delta.lo, F.delta.hi], n), inverse=True).reshape(n, 2)
+    ends = pull_back(np.array([F.delta.lo, F.delta.hi]), n)
     widths = ends.max(axis=1) - ends.min(axis=1)
     narrow = np.flatnonzero(widths < 1e-6 * F.delta.width)
     # past the switch point the cylinder is tracked by its midpoint and
     # the derivatives of the remaining branches there
     k = int(narrow[-1]) if narrow.size else 0
     width = float(widths[k])
-    anchors = _walk(F.base, tails(k), np.arange(k),
-                    np.full(k, 0.5 * (ends[k, 0] + ends[k, 1])), inverse=True)
+    anchors = pull_back(np.array([0.5 * (ends[k, 0] + ends[k, 1])]), k)[:, 0]
     log_extra = 0.0  # log of the width shrinkage past the switch point
     _, logj, _ = F.evaluate(np.array(cells[:k], dtype=int), anchors, jacobian=True)
     for term in logj[::-1].tolist():
@@ -261,14 +282,23 @@ def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
 
     Orbits start at Lebesgue-random points drawn from per-slot RNG
     streams (slot ``i`` uses ``stream(seed, 11, i)``), so the result does
-    not depend on how slots are scheduled.  All slots advance in lockstep
-    through ``f_batch``, each summing its own ``log |f'|`` in orbit order;
-    on the cylinder the triangular cocycle keeps the fibre line invariant,
-    so the fibre sum ``log |2 x|`` is averaged and the base exponent
-    ``log d`` added.  A slot that comes within the near-critical
-    floor of the critical set restarts from a fresh draw of its own
-    stream, up to ``retry_budget`` times, and the finished slots wait
-    while it catches up.
+    not depend on how slots are scheduled.  On the cylinder the triangular
+    cocycle keeps the fibre line invariant, so the fibre sum ``log |2 x|``
+    is averaged and the base exponent ``log d`` added.
+
+    The unfinished slots advance together in blocks of up to 256 steps
+    (fewer when steps x slots would pass 2^16): ``f_batch`` fills a
+    (steps, slots) buffer one row per step (a (steps, slots, 2) buffer on
+    the cylinder), and the derivative, the near-critical test and the
+    logarithm then run once on the whole block.  The log rows are added
+    to the sums one at a time, so each slot sums its own ``log |f'|`` in
+    orbit order.  A slot whose step comes within the near-critical floor
+    of the critical set adds nothing from that step on; it drops its
+    partial sum and restarts from a fresh draw of its own stream, up to
+    ``retry_budget`` times, catching up in the next blocks while the
+    finished slots wait.  Because every slot draws only from its own
+    stream, a restart moves no other slot's orbit and the result equals
+    that of one scalar orbit per slot.
 
     ``entropy_lyapunov_fast`` is a second name bound to this same function
     object: the stage tracer of ``perfbench/tracer.py`` wraps the
@@ -286,34 +316,36 @@ def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
     if sample_size < 1 or n < 1:
         raise ArgumentError("sample_size and n must be at least 1")
     rngs = [stream(seed, 11, i) for i in range(sample_size)]
-    if m.dimension == 1:
-        pts = np.array([m.sample_uniform(r, 1)[0] for r in rngs])
-    else:
-        pts = np.vstack([m.sample_uniform(r, 1) for r in rngs])
+    pts = np.array([m.sample_uniform(r, 1)[0] for r in rngs])
     sums = np.zeros(sample_size)
     steps = np.zeros(sample_size, dtype=int)
     retries = np.zeros(sample_size, dtype=int)
-    while True:
-        active = steps < n
-        if not active.any():
-            break
+    while (live := np.flatnonzero(steps < n)).size:
+        left = n - steps[live]
+        # row j holds the live slots' points after j more steps
+        buf = _orbit_block(m.f_batch, pts[live], int(left.max()))
+        k = len(buf) - 1
+        pts[live] = buf[k]
         if m.dimension == 1:
-            d = np.abs(m.df_batch(pts))
+            d = np.abs(m.df_batch(buf[:k]))
         else:
-            d = np.abs(2.0 * pts[:, 1])
-        bad = (d < NEAR_CRITICAL_FLOOR) & active
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                retries[i] += 1
-                if retries[i] > retry_budget:
-                    raise NearCriticalError(float(d[i]))
-                pts[i] = m.sample_uniform(rngs[i], 1)[0]
-                sums[i] = 0.0
-                steps[i] = 0
-            continue
-        sums[active] += np.log(d[active])
-        steps[active] += 1
-        pts = m.f_batch(pts)
+            d = np.abs(2.0 * buf[:k, :, 1])
+        rows = np.arange(k)[:, None]
+        bad = (d < NEAR_CRITICAL_FLOOR) & (rows < left)
+        first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
+        # rows past a slot's end or first bad step add log 1 = 0, exactly
+        logs = np.log(np.where(rows < np.minimum(first_bad, left), d, 1.0))
+        # accumulate adds one row at a time: every sum keeps its orbit order
+        sums[live] = np.add.accumulate(np.vstack([sums[live], logs]))[-1]
+        steps[live] += np.minimum(left, k)
+        for j in np.flatnonzero(first_bad < k):
+            i = live[j]
+            retries[i] += 1
+            if retries[i] > retry_budget:
+                raise NearCriticalError(float(d[first_bad[j], j]))
+            pts[i] = m.sample_uniform(rngs[i], 1)[0]
+            sums[i] = 0.0
+            steps[i] = 0
     values = np.maximum(sums / n, 0.0)
     if m.dimension != 1:
         values += max(math.log(m.d), 0.0)
@@ -353,9 +385,12 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     ``lambda_F`` is the Birkhoff average of ``log |DF|`` over ``sample``
     tower orbits of ``n`` steps (slot ``i`` draws from
     ``stream(seed, 13, i)``; deficit landings are replaced by a fresh
-    uniform draw from the same stream).  The mean return time comes from
-    the censored Kac integral of ``mu_F``, and ``lambda_f`` is measured
-    independently along base-map orbits of matching length.
+    uniform draw from the same stream).  Each tower step is one
+    itinerary walk, giving the images and ``log |DF|`` of all orbits.
+    The mean return time comes from the censored Kac integral of
+    ``mu_F``, and ``lambda_f`` is measured independently along base-map
+    orbits of matching length, whose log-derivatives are taken a block of
+    steps at a time.
 
     Raises
     ------
@@ -369,29 +404,38 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     drng = stream(seed, 13, sample)
     lo, hi = F.delta.lo, F.delta.hi
     pts = np.array([r.uniform(lo, hi) for r in rngs])
+    top = np.nextafter(hi, lo)  # images are clipped into [lo, hi)
     total_logj = 0.0
     base_steps = 0
     for _ in range(n):
-        logj, valid = F.log_jacobian_batch(pts)
-        while not valid.all():
-            for i in np.flatnonzero(~valid):
+        idx = F.cell_index_batch(pts)
+        while (missed := np.flatnonzero(idx < 0)).size:
+            for i in missed:
                 pts[i] = rngs[i].uniform(lo, hi)
-            logj, valid = F.log_jacobian_batch(pts)
+            idx = F.cell_index_batch(pts)
+        # one walk gives the images and log |DF| of every point
+        ys, logj, _ = F.evaluate(idx, pts, jacobian=True)
         total_logj += float(logj.sum())
-        ys, taus, _ = F.apply_batch(pts)
-        base_steps += int(taus.sum())
-        pts = dither(ys, drng, lo, hi)
+        base_steps += int(F._tau_arr[idx].sum())
+        pts = dither(np.clip(ys, lo, top), drng, lo, hi)
     lambda_F = total_logj / (sample * n)
     mean_return = kac_mass(F, mu_F)
     quotient = lambda_F / mean_return
-    # independent base-map measurement of matching orbit length
+    # independent base-map measurement of matching orbit length, dithered
+    # step by step and differentiated a block at a time
     n_base = max(base_steps // sample, 1)
-    base_pts = np.array([r.uniform(m.domain.lo, m.domain.hi) for r in rngs])
+    dlo, dhi = m.domain.lo, m.domain.hi
+    base_pts = np.array([r.uniform(dlo, dhi) for r in rngs])
     base_sum = 0.0
-    for _ in range(n_base):
-        d = np.abs(m.df_batch(base_pts))
-        base_sum += float(np.log(np.maximum(d, NEAR_CRITICAL_FLOOR)).sum())
-        base_pts = dither(m.f_batch(base_pts), drng, m.domain.lo, m.domain.hi)
+    done = 0
+    while done < n_base:
+        buf = _orbit_block(lambda p: dither(m.f_batch(p), drng, dlo, dhi), base_pts,
+                           n_base - done)
+        done += len(buf) - 1
+        base_pts = buf[-1]
+        logs = np.log(np.maximum(np.abs(m.df_batch(buf[:-1])), NEAR_CRITICAL_FLOOR))
+        for term in logs.sum(axis=1).tolist():
+            base_sum += term  # row by row: the sum keeps its orbit order
     lambda_f = base_sum / (sample * n_base)
     return QuotientCheck(lambda_F, mean_return, quotient, lambda_f)
 

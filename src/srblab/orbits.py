@@ -7,7 +7,9 @@ the horizon; the recurrence time is the analogous index for the running
 average of ``-log dist_delta(., C)`` against the budget ``2 epsilon``,
 where ``dist_delta`` is the distance to the critical set truncated to 1
 outside a ``delta``-neighbourhood.  Points that fail at the horizon are
-censored and reported as ``n_max + 1``.
+censored and reported as ``n_max + 1``.  One walk of each orbit yields
+both summands, so a tail profile, ``expansion_time`` and
+``recurrence_time`` call the map once per step.
 """
 
 from __future__ import annotations
@@ -148,9 +150,16 @@ class TailProfile:
     seed: int
 
 
-def _inverse_norm_logs(m: MapSystem, pts: np.ndarray, n_max: int) -> np.ndarray:
-    """Matrix of ``log |Df^-1|`` summands along orbits; shape (npts, n_max)."""
-    out = np.empty((pts.shape[0], n_max))
+def _summand_logs(m: MapSystem, pts: np.ndarray, delta: float,
+                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of ``log |Df^-1|`` and ``-log dist_delta(., C)`` summands along
+    the orbits of ``pts``, from one walk; shape (npts, n_max) each.
+
+    The second matrix is zeros for maps without a critical set.
+    """
+    # one row per step, so every step writes contiguous memory
+    inverse_norm = np.empty((n_max, pts.shape[0]))
+    truncated_dist = np.zeros_like(inverse_norm)
     cur = pts.copy()
     for j in range(n_max):
         if m.dimension == 1:
@@ -158,24 +167,13 @@ def _inverse_norm_logs(m: MapSystem, pts: np.ndarray, n_max: int) -> np.ndarray:
         else:
             a, c, e = m.jac_entries_batch(cur)
             _, d = _op_norms_2x2_lower(a, c, e)
-        out[:, j] = -np.log(np.maximum(d, _LOG_CLAMP))
+        inverse_norm[j] = -np.log(np.maximum(d, _LOG_CLAMP))
+        if m.has_critical_set:
+            dist = m.crit_dist_batch(cur)
+            truncated_dist[j] = -np.log(np.where(dist < delta,
+                                                 np.maximum(dist, _LOG_CLAMP), 1.0))
         cur = m.f_batch(cur)
-    return out
-
-
-def _truncated_dist_logs(m: MapSystem, pts: np.ndarray, delta: float, n_max: int) -> np.ndarray:
-    """Matrix of ``-log dist_delta(., C)`` summands; zeros without critical set."""
-    npts = pts.shape[0]
-    if not m.has_critical_set:
-        return np.zeros((npts, n_max))
-    out = np.empty((npts, n_max))
-    cur = pts.copy()
-    for j in range(n_max):
-        dist = m.crit_dist_batch(cur)
-        trunc = np.where(dist < delta, np.maximum(dist, _LOG_CLAMP), 1.0)
-        out[:, j] = -np.log(trunc)
-        cur = m.f_batch(cur)
-    return out
+    return inverse_norm.T, truncated_dist.T
 
 
 def _settle_times(summands: np.ndarray, budget_per_step: float) -> np.ndarray:
@@ -209,8 +207,8 @@ def expansion_time(m: MapSystem, x, lam: float, n_max: int) -> int:
     if n_max < 1:
         raise ArgumentError("expansion horizon must be >= 1")
     m.check_point(x)
-    pts = np.asarray([x], dtype=float)
-    logs = _inverse_norm_logs(m, pts, n_max)
+    # any delta will do: only the expansion summands are read
+    logs, _ = _summand_logs(m, np.asarray([x], dtype=float), 1.0, n_max)
     return int(_settle_times(logs, -0.5 * lam)[0])
 
 
@@ -226,8 +224,7 @@ def recurrence_time(m: MapSystem, x, delta: float, eps: float, n_max: int) -> in
     if n_max < 1:
         raise ArgumentError("recurrence horizon must be >= 1")
     m.check_point(x)
-    pts = np.asarray([x], dtype=float)
-    logs = _truncated_dist_logs(m, pts, delta, n_max)
+    _, logs = _summand_logs(m, np.asarray([x], dtype=float), delta, n_max)
     return int(_settle_times(logs, 2.0 * eps)[0])
 
 
@@ -248,9 +245,8 @@ def tail_profile(m: MapSystem, params: TailParams, seed: int = 0) -> TailProfile
     for i in range(npts):
         pts[i] = m.sample_uniform(stream(seed, i), 1)[0]
 
-    exp_logs = _inverse_norm_logs(m, pts, params.n_max)
+    exp_logs, rec_logs = _summand_logs(m, pts, params.delta, params.n_max)
     texp = _settle_times(exp_logs, -0.5 * params.lam)
-    rec_logs = _truncated_dist_logs(m, pts, params.delta, params.n_max)
     trec = _settle_times(rec_logs, 2.0 * params.eps)
 
     ns = np.arange(1, params.n_max + 1)

@@ -224,15 +224,6 @@ class InducedMarkovMap:
         taus[valid] = self._tau_arr[idx[valid]]
         return ys, taus, valid
 
-    def log_jacobian_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``log |DF|`` for many points; returns ``(values, valid)``."""
-        xs = np.asarray(xs, dtype=float)
-        idx = self.cell_index_batch(xs)
-        valid = idx >= 0
-        out = np.zeros(xs.shape)
-        out[valid] = self.evaluate(idx[valid], xs[valid], jacobian=True)[1]
-        return out, valid
-
     def check_density(self, mu: GridDensity) -> None:
         """Raise :class:`ArgumentError` unless ``mu`` is a unit-mass density
         on a grid over the base interval."""

@@ -109,17 +109,21 @@ def test_04_quotient_matches_base_exponent(doubling_map, tower_doubling20,
                                            mu_tent2):
     """Tower exponent over the mean return time reproduces the base-map
     exponent on the doubling and tent towers."""
-    gaps = {}
+    gaps, exponents = {}, {}
     for m, F, mu in [(doubling_map, tower_doubling20, mu_doubling20),
                      (tent2_map, tower_tent2, mu_tent2)]:
         qc = sl.lyapunov_quotient_check(m, F, mu, sample=32, n=20_000, seed=0)
         gaps[m.family] = abs(qc.quotient - qc.lambda_f)
+        exponents[m.family] = (qc.lambda_F, qc.lambda_f)
     worst = max(gaps.values())
 
     ok = worst <= 1e-3
     _verdict(ok, "acceptance 4 (exponent quotient)",
              ", ".join(f"{k}: |quotient-lambda_f|={v:.2e}" for k, v in gaps.items()))
     assert worst <= 1e-3
+    # pinned by regression: reorganising the orbit loops must not move a bit
+    assert exponents == {"doubling": (1.385239477754479, 0.6931471805593586),
+                         "tent": (1.3866940037911906, 0.6931471805593575)}
 
 
 def test_05_transfer_identity_on_all_towers(doubling_map, tower_doubling12,

@@ -65,6 +65,51 @@ class TestPesin:
             sl.entropy_pesin(tent2_map, heavy)
 
 
+class _Countdown(sl.MapSystem):
+    """Test double: ``x -> x - 2^-10`` with derivative ``1 + x``, critical on
+    ``x < 0``.  A draw ``u >= 0`` reaches the critical set at step
+    ``floor(1024 u) + 1``, so near-critical steps fall at every offset of an
+    orbit block; a fifth of the draws start on it."""
+
+    family = "countdown"
+    domain = sl.Interval(-0.25, 1.0)
+
+    def f_scalar(self, x):
+        return x - 2.0 ** -10
+
+    def f_batch(self, x):
+        return x - 2.0 ** -10
+
+    def df_scalar(self, x):
+        return 1.0 + x if x >= 0 else 0.0
+
+    def df_batch(self, x):
+        return np.where(x >= 0, 1.0 + x, 0.0)
+
+    def crit_dist_scalar(self, x):
+        return self.df_scalar(x)
+
+
+def _per_slot_reference(m, sample_size, n, seed, retry_budget=8):
+    """One scalar orbit per slot from its stream; near-critical orbits are
+    redrawn from the same stream."""
+    values = []
+    for i in range(sample_size):
+        rng = stream(seed, 11, i)
+        for _ in range(retry_budget + 1):
+            try:
+                lam = sl.lyapunov_exponents(m, m.sample_uniform(rng, 1)[0], n)[0]
+            except sl.NearCriticalError:
+                continue
+            values.append(max(lam, 0.0))
+            break
+        else:
+            raise AssertionError(f"slot {i} exhausted the retry budget")
+    values = np.array(values)
+    se = float(values.std(ddof=1) / math.sqrt(sample_size)) if sample_size > 1 else 0.0
+    return float(values.mean()), se
+
+
 class TestLyapunovEstimator:
     @pytest.mark.parametrize("slope", [1.5, 1.7, 2.0])
     def test_tent_exponent_is_exact(self, slope):
@@ -83,15 +128,33 @@ class TestLyapunovEstimator:
         assert se > 0.0
 
     def test_fast_path_matches_the_reference(self, doubling_map, quadratic_map):
-        # reference: one scalar orbit per slot, from the same stream starts
         assert sl.entropy_lyapunov_fast is sl.entropy_lyapunov
         for m in (doubling_map, quadratic_map):
-            values = np.array([
-                max(sl.lyapunov_exponents(m, m.sample_uniform(stream(5, 11, i), 1)[0],
-                                          2000)[0], 0.0)
-                for i in range(8)])
-            reference = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(8)))
-            assert sl.entropy_lyapunov(m, 8, 2000, seed=5) == reference
+            assert sl.entropy_lyapunov(m, 8, 2000, seed=5) == _per_slot_reference(m, 8, 2000, 5)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3 * 256 + 7])
+    @pytest.mark.parametrize("sample_size", [1, 3, 64])
+    def test_blocks_match_the_reference_at_every_length(self, quadratic_map, n, sample_size):
+        # orbit lengths on both sides of the 256-step block
+        assert sl.entropy_lyapunov(quadratic_map, sample_size, n, seed=2) == \
+            _per_slot_reference(quadratic_map, sample_size, n, 2)
+
+    @pytest.mark.parametrize("sample_size,n", [(1, 300), (3, 300), (16, 520), (64, 450)])
+    def test_near_critical_slots_restart_from_their_own_stream(self, sample_size, n):
+        m = _Countdown()
+        assert sl.entropy_lyapunov(m, sample_size, n, seed=6) == \
+            _per_slot_reference(m, sample_size, n, 6)
+
+    def test_an_exhausted_retry_budget_raises(self):
+        with pytest.raises(sl.NearCriticalError):
+            sl.entropy_lyapunov(_Countdown(), 16, 300, seed=6, retry_budget=0)
+        with pytest.raises(sl.NearCriticalError):
+            sl.entropy_lyapunov(_Countdown(), 4, 2000, seed=6)
+
+    def test_circle_perturbed_value_is_pinned(self):
+        m = sl.make_map("circle_perturbed", t=0.2)
+        assert sl.entropy_lyapunov(m, 16, 20_000, seed=3) == \
+            (0.6910368924400532, 0.00010215747611661017)
 
     def test_seed_controls_the_sample(self, quadratic_map):
         a = sl.entropy_lyapunov(quadratic_map, 8, 2000, seed=1)
@@ -128,6 +191,10 @@ class TestSmb:
         v = sl.entropy_smb(tower_quadratic, 0.4, 8)
         assert np.isfinite(v)
         assert 0.5 < v < 6.0
+
+    def test_non_affine_value_is_pinned(self, tower_quadratic):
+        # deep enough to switch from endpoints to the midpoint derivatives
+        assert sl.entropy_smb(tower_quadratic, 0.02806832496556757, 64) == 2.283580370377093
 
     def test_smb_median_distance_shrinks_with_depth(self, tower_doubling20, mu_doubling20):
         h_F = sl.entropy_induced(tower_doubling20, mu_doubling20)

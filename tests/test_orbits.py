@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import srblab as sl
+from srblab.rng import stream
 
 
 def test_birkhoff_average_quadratic_mean():
@@ -109,6 +110,29 @@ def test_tail_profile_fractions_are_monotone(viana_map):
     # union dominates each component
     assert np.all(prof.frac_union >= prof.frac_expansion - 1e-12)
     assert np.all(prof.frac_union >= prof.frac_recurrence - 1e-12)
+
+
+@pytest.mark.parametrize("family,params,tail", [
+    ("quadratic", {"a": 2.0}, sl.TailParams(lam=0.3, eps=0.1, delta=0.05, n_max=100,
+                                             sample_size=64)),
+    ("viana", {"alpha": 0.01, "d": 16}, sl.TailParams(lam=0.3, eps=0.075, delta=1e-2,
+                                                       n_max=60, sample_size=64)),
+])
+def test_tail_profile_matches_the_per_point_times(family, params, tail):
+    # one walk gives both summand matrices; the fractions must be those of
+    # the single-point settling times of the same sample points
+    m = sl.make_map(family, **params)
+    prof = sl.tail_profile(m, tail, seed=4)
+    pts = [m.sample_uniform(stream(4, i), 1)[0] for i in range(tail.sample_size)]
+    texp = np.array([sl.expansion_time(m, x, tail.lam, tail.n_max) for x in pts])
+    trec = np.array([sl.recurrence_time(m, x, tail.delta, tail.eps, tail.n_max)
+                     for x in pts])
+    over_e, over_r = texp[:, None] > prof.n, trec[:, None] > prof.n
+    assert over_e.any() and over_r.any()
+    np.testing.assert_array_equal(prof.frac_expansion, over_e.mean(axis=0))
+    np.testing.assert_array_equal(prof.frac_recurrence, over_r.mean(axis=0))
+    np.testing.assert_array_equal(prof.frac_union, (over_e | over_r).mean(axis=0))
+    assert prof.censored_count == int(np.sum((texp > tail.n_max) | (trec > tail.n_max)))
 
 
 def _planted_profile(frac, n_max=150):
