@@ -18,7 +18,6 @@ Recognised keys
 ``orbit.retry_budget``    near-critical restarts per orbit slot
 ``orbit.smb_depth``       cylinder depth of the orbit entropy estimate
 ``ulam.bins``             transfer-operator grid size
-``ulam.mode``             ``power`` or ``cesaro``
 ``ulam.tol``              stationarity tolerance
 ``ulam.max_iters``        iteration cap
 ``induce.lo, induce.hi``  induction interval (family default when omitted)
@@ -49,7 +48,7 @@ _FLOAT_KEYS = {
     "sweep.from", "sweep.to", "ulam.tol", "induce.lo", "induce.hi",
     "induce.tol", "tail.lam", "tail.eps", "tail.delta",
 }
-_STR_KEYS = {"map.family", "sweep.parameter", "ulam.mode", "tail.inject", "out_dir"}
+_STR_KEYS = {"map.family", "sweep.parameter", "tail.inject", "out_dir"}
 
 _KEY_TO_FIELD = {
     "map.family": "family",
@@ -62,7 +61,6 @@ _KEY_TO_FIELD = {
     "orbit.retry_budget": "retry_budget",
     "orbit.smb_depth": "smb_depth",
     "ulam.bins": "bins",
-    "ulam.mode": "ulam_mode",
     "ulam.tol": "ulam_tol",
     "ulam.max_iters": "ulam_max_iters",
     "induce.lo": "induce_lo",
@@ -96,7 +94,6 @@ class ExperimentConfig:
     retry_budget: int = 8
     smb_depth: int = 64
     bins: int = 4096
-    ulam_mode: str = "power"
     ulam_tol: float = 1e-10
     ulam_max_iters: int = 100_000
     induce_lo: float | None = None
@@ -126,8 +123,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{_FIELD_TO_KEY[key]} must be at least 1")
         if self.retry_budget < 0:
             raise ConfigError("orbit.retry_budget must be nonnegative")
-        if self.ulam_mode not in ("power", "cesaro"):
-            raise ConfigError("ulam.mode must be power or cesaro")
         if (self.induce_lo is None) != (self.induce_hi is None):
             raise ConfigError("induce.lo and induce.hi must be given together")
         if self.induce_lo is not None and not self.induce_hi > self.induce_lo:

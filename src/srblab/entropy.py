@@ -39,9 +39,9 @@ import numpy as np
 from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
-from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, interval_measure,
-                       one_step_ulam, spread_measure, stationary_density,
-                       stratified_points, ulam_matrix)
+from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_points,
+                       interval_measure, one_step_ulam, spread_measure,
+                       stationary_density, stratified_points, ulam_matrix)
 from .rng import dither, stream
 from .towers import InducedMarkovMap, cell_samples, kac_breakdown, kac_mass, verify_axioms
 
@@ -250,23 +250,14 @@ def entropy_pesin(m: MapSystem, mu_f: GridDensity,
     if isinstance(grid, Grid1D):
         logs, clip_frac, _ = _bin_log_det(m, grid)
     else:
-        side = 4
-        off = (np.arange(side) + 0.5) / side
         te, xe = grid.theta_edges, grid.x_edges
         tw = te[1] - te[0]
         xw = xe[1] - xe[0]
-        ot, ox = np.meshgrid(off, off, indexing="ij")
-        ot, ox = ot.ravel(), ox.ravel()
         logs = np.empty(grid.n)
         clip_frac = np.empty(grid.n)
         flat = 0
         for it in range(grid.n_theta):
-            pts = np.empty((grid.n_x * ot.size, 2))
-            for ix in range(grid.n_x):
-                s = ix * ot.size
-                pts[s:s + ot.size, 0] = te[it] + ot * tw
-                pts[s:s + ot.size, 1] = xe[ix] + ox * xw
-            lg, cl = _log_det_batch(m, pts)
+            lg, cl = _log_det_batch(m, cylinder_row_points(te[it], tw, xe[:-1], xw, 4))
             logs[flat:flat + grid.n_x] = lg.reshape(grid.n_x, -1).mean(axis=1)
             clip_frac[flat:flat + grid.n_x] = cl.reshape(grid.n_x, -1).mean(axis=1)
             flat += grid.n_x
@@ -578,8 +569,8 @@ class EntropyReport:
 def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
                    bins: int = 4096, n_orbits: int = 64, n_iters: int = 100_000,
                    smb_depth: int = 64, seed: int = 0, j_cap: int | None = None,
-                   retry_budget: int = 8, ulam_mode: str = "power",
-                   ulam_tol: float = 1e-10, ulam_max_iters: int = 100_000) -> EntropyReport:
+                   retry_budget: int = 8, ulam_tol: float = 1e-10,
+                   ulam_max_iters: int = 100_000) -> EntropyReport:
     """Run every applicable entropy route and collect the results.
 
     Tower-based routes need a verified induced map ``F`` (towers that
@@ -597,8 +588,8 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     except SrbLabError as exc:
         rep.errors["h_lyapunov"] = str(exc)
     try:
-        rep.density = stationary_density(one_step_ulam(m, bins), mode=ulam_mode,
-                                         tol=ulam_tol, max_iters=ulam_max_iters)
+        rep.density = stationary_density(one_step_ulam(m, bins), tol=ulam_tol,
+                                         max_iters=ulam_max_iters)
         rep.h_pesin, rep.pesin_clip_mass = entropy_pesin(m, rep.density, return_clip=True)
     except SrbLabError as exc:
         rep.errors["h_pesin"] = str(exc)
@@ -607,8 +598,8 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
         try:
             if F.verification is None:
                 verify_axioms(F)
-            mu_F = stationary_density(ulam_matrix(F, bins), mode=ulam_mode,
-                                      tol=ulam_tol, max_iters=ulam_max_iters)
+            mu_F = stationary_density(ulam_matrix(F, bins), tol=ulam_tol,
+                                      max_iters=ulam_max_iters)
             rep.deficit = F.deficit
             rep.h_induced = entropy_induced(F, mu_F)
             rep.kac = kac_mass(F, mu_F)

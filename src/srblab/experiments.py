@@ -81,8 +81,8 @@ def run_entropy(config: ExperimentConfig) -> EntropyReport:
     rep = entropy_report(
         m, F, bins=config.bins, n_orbits=config.sample_size,
         n_iters=config.n_iters, smb_depth=config.smb_depth, seed=config.seed,
-        retry_budget=config.retry_budget, ulam_mode=config.ulam_mode,
-        ulam_tol=config.ulam_tol, ulam_max_iters=config.ulam_max_iters)
+        retry_budget=config.retry_budget, ulam_tol=config.ulam_tol,
+        ulam_max_iters=config.ulam_max_iters)
     os.makedirs(config.out_dir, exist_ok=True)
     write_entropy_csv(os.path.join(config.out_dir, "entropy.csv"), rep)
     return rep
@@ -114,14 +114,14 @@ def run_density(config: ExperimentConfig, target: str = "map"):
     m = build_system(config)
     if target == "map":
         op = one_step_ulam(m, config.bins)
-        density = stationary_density(op, mode=config.ulam_mode, tol=config.ulam_tol,
+        density = stationary_density(op, tol=config.ulam_tol,
                                      max_iters=config.ulam_max_iters)
     else:
         F = build_tower(m, config)
         if F is None:
             raise ConfigError(f"family {config.family} has no interval tower")
-        mu_F = stationary_density(ulam_matrix(F, config.bins), mode=config.ulam_mode,
-                                  tol=config.ulam_tol, max_iters=config.ulam_max_iters)
+        mu_F = stationary_density(ulam_matrix(F, config.bins), tol=config.ulam_tol,
+                                  max_iters=config.ulam_max_iters)
         density = mu_F if target == "tower" else spread_measure(m, F, mu_F, config.bins)
     os.makedirs(config.out_dir, exist_ok=True)
     write_density_csv(os.path.join(config.out_dir, "density.csv"), density)
@@ -238,8 +238,8 @@ def _sweep_row(payload: tuple[str, int, float]) -> dict:
         rep = entropy_report(
             m, F, bins=cfg.bins, n_orbits=cfg.sample_size, n_iters=cfg.n_iters,
             smb_depth=cfg.smb_depth, seed=_row_seed(cfg.seed, index),
-            retry_budget=cfg.retry_budget, ulam_mode=cfg.ulam_mode,
-            ulam_tol=cfg.ulam_tol, ulam_max_iters=cfg.ulam_max_iters)
+            retry_budget=cfg.retry_budget, ulam_tol=cfg.ulam_tol,
+            ulam_max_iters=cfg.ulam_max_iters)
         row["h_lyapunov"] = rep.h_lyapunov
         row["lyapunov_se"] = rep.lyapunov_se
         row["h_pesin"] = rep.h_pesin

@@ -10,9 +10,9 @@ whose ``(i, j)`` entry is the Lebesgue fraction of bin ``i`` sent into
 bin ``j``, assembled from the exact inverse branches of the map
 (``MapSystem.branch_inverse``) or of the tower's cells; rows under an
 induced map sum to one minus the local mass deficit.  Stationary
-densities are found by power or Cesaro iteration started from Lebesgue —
-never by dense factorisation, so towers with thousands of bins stay
-cheap.
+densities are found by one lazy iteration started from Lebesgue, which
+cannot stall on maps that swap bands, and never by dense factorisation,
+so towers with thousands of bins stay cheap.
 
 Integrals and transports over 1D bins share one stratification: an
 interval is cut into its slivers with :func:`bin_slivers`, and each
@@ -34,6 +34,8 @@ from .errors import ArgumentError, ConvergenceError
 from .maps import MapSystem
 
 _STRATA = 16
+# points per side of a cylinder bin in the one-step Ulam sampling
+_CYLINDER_SIDE = 16
 
 # One-step meshes of maps with a critical set: bin widths near each of the
 # first three postcritical points shrink like (distance in bins)^2.  The
@@ -302,6 +304,24 @@ def stratified_points(starts: np.ndarray, lengths: np.ndarray,
     return np.asarray(starts)[:, None] + np.asarray(lengths)[:, None] * offsets[None, :]
 
 
+def cylinder_row_points(t0: float, tw: float, x0s: np.ndarray, xws,
+                        side: int) -> np.ndarray:
+    """Stratified points of the bins of one theta-row of a cylinder grid.
+
+    Bin ``k`` spans ``[t0, t0 + tw] x [x0s[k], x0s[k] + xws[k]]`` (``xws``
+    may be one width for all); it gets the ``side x side`` product of
+    :func:`stratified_points` in each coordinate, theta-major.  Returns
+    shape ``(len(x0s) * side^2, 2)``, bin by bin.
+    """
+    x0s = np.asarray(x0s)
+    ts = stratified_points([t0], [tw], side)[0]
+    xs = stratified_points(x0s, np.broadcast_to(xws, x0s.shape), side)
+    pts = np.empty((x0s.size, side, side, 2))
+    pts[..., 0] = ts[None, :, None]
+    pts[..., 1] = xs[:, None, :]
+    return pts.reshape(-1, 2)
+
+
 def bin_slivers(grid: Grid1D, los, his) -> tuple[np.ndarray, ...]:
     """Intersections of intervals ``[los[k], his[k]]`` with the bins of a 1D grid.
 
@@ -462,7 +482,7 @@ def postcritical_grid(m: MapSystem, bins: int) -> Grid1D:
     return Grid1D(lo, hi, bins, edges)
 
 
-def one_step_ulam(m: MapSystem, bins: int, samples_per_bin: int = 256) -> UlamOperator:
+def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     """Ulam matrix of the raw map on its ambient domain.
 
     One-dimensional maps use exact branch inverses on
@@ -470,8 +490,9 @@ def one_step_ulam(m: MapSystem, bins: int, samples_per_bin: int = 256) -> UlamOp
     map with a critical set, where the invariant density has inverse
     square-root spikes that a regular mesh resolves only slowly, and
     regular otherwise.  The cylinder skew product falls back to
-    stratified sampling (``samples_per_bin`` points per bin) on a regular
-    grid since its bins are not intervals.
+    stratified sampling (``_CYLINDER_SIDE^2`` points per bin, one
+    theta-row of bins per map call) on a regular grid since its bins are
+    not intervals.
     """
     if bins < 1:
         raise ArgumentError("one_step_ulam needs at least one bin")
@@ -482,28 +503,19 @@ def one_step_ulam(m: MapSystem, bins: int, samples_per_bin: int = 256) -> UlamOp
                   for i in range(m.n_branches))
         return _assemble_rows(grid, pieces, f"{m.family} one-step {bins} bins")
 
-    # 2D: stratified per-bin sampling
-    side = int(round(samples_per_bin ** 0.5))
     n_theta = int(round(bins ** 0.5))
     n_theta = max(n_theta, 1)
     n_x = max(bins // n_theta, 1)
     grid = Grid2D(m.domain.lo, m.domain.hi, n_theta, n_x)
-    off = (np.arange(side) + 0.5) / side
-    ot, ox = np.meshgrid(off, off, indexing="ij")
-    ot, ox = ot.ravel(), ox.ravel()
-    nper = ot.size
-    rows, cols = [], []
+    nper = _CYLINDER_SIDE ** 2
     t_edges, x_edges = grid.theta_edges, grid.x_edges
+    x_widths = np.diff(x_edges)
+    cols = []
     for it in range(grid.n_theta):
-        for ix in range(grid.n_x):
-            pts = np.empty((nper, 2))
-            pts[:, 0] = t_edges[it] + ot * (t_edges[it + 1] - t_edges[it])
-            pts[:, 1] = x_edges[ix] + ox * (x_edges[ix + 1] - x_edges[ix])
-            img = m.f_batch(pts)
-            dst = grid.locate(img)
-            rows.append(np.full(nper, it * grid.n_x + ix))
-            cols.append(dst)
-    rows = np.concatenate(rows)
+        pts = cylinder_row_points(t_edges[it], t_edges[it + 1] - t_edges[it], x_edges[:-1],
+                                  x_widths, _CYLINDER_SIDE)
+        cols.append(grid.locate(m.f_batch(pts)))
+    rows = np.repeat(np.arange(grid.n), nper)
     cols = np.concatenate(cols)
     vals = np.full(rows.size, 1.0 / nper)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n, grid.n)).tocsr()
@@ -511,23 +523,25 @@ def one_step_ulam(m: MapSystem, bins: int, samples_per_bin: int = 256) -> UlamOp
                         f"{m.family} one-step {grid.n_theta}x{grid.n_x} bins")
 
 
-def stationary_density(op: UlamOperator, mode: str = "power", tol: float = 1e-10,
+def stationary_density(op: UlamOperator, tol: float = 1e-10,
                        max_iters: int = 100000) -> GridDensity:
-    """Stationary density of an Ulam operator by (renormalised) iteration.
+    """Stationary density of an Ulam operator by lazy (renormalised) iteration.
 
-    Starts from Lebesgue and pushes forward; mass lost to the deficit is
-    renormalised away each step and the cumulative renormalisation is
-    reported on the result.  ``mode="cesaro"`` averages the iterates,
-    which also handles operators with rotating parts.
+    One step ``P`` pushes a density forward, zeroes the flagged bins and
+    divides by the remaining mass; the cumulative renormalisation is
+    reported on the result.  Starting from Lebesgue, the iteration moves
+    halfway to the image, ``p <- (p + P p) / 2``: the fixed point is that
+    of ``P``, but each eigenvalue ``lam`` becomes ``(1 + lam) / 2``, so an
+    operator whose map swaps bands (an eigenvalue at -1) converges as
+    fast as a mixing one.  The solve stops once ``|P p - p|_1 <= tol`` and
+    returns ``P p``.
 
     Raises
     ------
     ConvergenceError
-        If the L1 difference between successive (averaged) densities does
-        not reach ``tol`` within ``max_iters`` steps.
+        If the residual ``|P p - p|_1`` does not reach ``tol`` within
+        ``max_iters`` steps.
     """
-    if mode not in ("power", "cesaro"):
-        raise ArgumentError(f"unknown stationarity mode {mode!r}")
     grid = op.grid
     n = int(np.prod(grid.shape))
     if isinstance(grid, Grid1D):
@@ -541,10 +555,8 @@ def stationary_density(op: UlamOperator, mode: str = "power", tol: float = 1e-10
         raise ArgumentError("every bin is flagged as deficit; nothing to solve")
     p /= s
     pt = op.matrix.T.tocsr()
-    renorm = 0.0
-    avg = p.copy()
-    diff = np.inf
-    for it in range(1, max_iters + 1):
+    renorm, diff = 0.0, np.inf
+    for _ in range(max_iters):
         q = pt @ p
         q[op.flagged] = 0.0
         s = q.sum()
@@ -552,23 +564,13 @@ def stationary_density(op: UlamOperator, mode: str = "power", tol: float = 1e-10
             raise ConvergenceError(1.0, "all mass fell into the deficit region")
         renorm += abs(1.0 - s)
         q /= s
-        if mode == "power":
-            diff = float(np.abs(q - p).sum())
-            p = q
-            if diff <= tol:
-                break
-        else:
-            new_avg = (avg * it + q) / (it + 1)
-            diff = float(np.abs(new_avg - avg).sum())
-            p, avg = q, new_avg
-            if diff <= tol:
-                p = avg
-                break
+        diff = float(np.abs(q - p).sum())
+        if diff <= tol:
+            break
+        p = 0.5 * (p + q)
     else:
         raise ConvergenceError(diff)
-    if mode == "cesaro":
-        p = avg / avg.sum()
-    return GridDensity(grid, p / widths, "stationary", renorm_total=renorm,
+    return GridDensity(grid, q / widths, "stationary", renorm_total=renorm,
                        excluded=op.flagged.copy())
 
 

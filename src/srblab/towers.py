@@ -162,8 +162,8 @@ class InducedMarkovMap:
         xs = np.asarray(xs, dtype=float)
         if not self.cells:
             return np.full(xs.shape, -1, dtype=int)
-        idx = np.searchsorted(self._los_arr, xs, side="right") - 1
-        clipped = np.clip(idx, 0, len(self.cells) - 1)
+        idx = np.searchsorted(self._los_arr, xs, side="right") - 1  # at most n - 1
+        clipped = np.maximum(idx, 0)
         ok = (idx >= 0) & (xs >= self._los_arr[clipped]) & (xs < self._his_arr[clipped])
         return np.where(ok, clipped, -1)
 

@@ -71,6 +71,15 @@ def test_density_subcommand(tmp_path):
     assert os.path.exists(tmp_path / "out" / "density.csv")
 
 
+def test_density_subcommand_on_a_band_swapping_map(tmp_path):
+    # the quadratic at the Misiurewicz parameter swaps two bands
+    path = write_cfg(tmp_path, family="quadratic", map_params={"a": sl.misiurewicz_parameter()},
+                     out_dir=str(tmp_path / "out"), bins=4096, seed=0)
+    out = run_cli("density", "--config", path)
+    assert out.returncode == 0, out.stderr
+    assert os.path.exists(tmp_path / "out" / "density.csv")
+
+
 def test_tail_subcommand(tmp_path):
     path = write_cfg(tmp_path, family="doubling", out_dir=str(tmp_path / "out"),
                      tail_lam=0.5, tail_n_max=20, tail_sample_size=100, seed=0)

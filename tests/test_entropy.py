@@ -58,6 +58,17 @@ class TestPesin:
         assert np.isfinite(h)
         assert 0.0 <= clip < 0.05
 
+    def test_misiurewicz_parameter_converges_to_the_reference(self):
+        # the quadratic at the viana fibre parameter swaps two bands; its
+        # h_pesin from a 2^17-bin solve is 0.342168, and at 1024 bins the
+        # Ulam discretisation alone is about 6e-4 off
+        m = sl.make_map("quadratic", a=sl.misiurewicz_parameter())
+        errs = [abs(sl.entropy_pesin(m, sl.stationary_density(sl.one_step_ulam(m, bins)))
+                    - 0.342168)
+                for bins in (1024, 4096, 16384, 65536)]
+        assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))
+        assert errs[-1] <= 1e-5
+
     def test_requires_unit_mass(self, tent2_map):
         grid = sl.Grid1D(0.0, 1.0, 64)
         heavy = sl.GridDensity(grid=grid, values=2 * np.ones(64), provenance="normalized")

@@ -29,6 +29,20 @@ class TestConfigRoundTrip:
         with pytest.raises(sl.ConfigError, match="unknown key"):
             sl.parse(sl.serialize(cfg) + "\nwibble = 1\n")
 
+    def test_the_removed_solver_mode_key_is_rejected(self):
+        cfg = sl.ExperimentConfig(family="doubling")
+        with pytest.raises(sl.ConfigError, match="unknown key 'ulam.mode'"):
+            sl.parse(sl.serialize(cfg) + "ulam.mode = power\n")
+
+    def test_the_key_table_names_every_key(self):
+        doc = sl.config.__doc__
+        table = doc[doc.index("Recognised keys"):]
+        named = set()
+        for line in table.splitlines():
+            if line.startswith("``"):
+                named.update(k.strip() for k in line.split("``")[1].split(","))
+        assert named - {"map.<param>"} == set(sl.config._KEY_TO_FIELD)
+
     def test_malformed_lines_are_rejected(self):
         with pytest.raises(sl.ConfigError):
             sl.parse("map.family doubling\n")
@@ -190,13 +204,14 @@ class TestSweep:
         assert digest1 == digest2
 
     def test_a_failed_pesin_solve_leaves_the_other_routes(self, tmp_path):
-        # at the Misiurewicz parameter the one-step operator has an eigenvalue
-        # near -1, so its power solve stalls; only h_pesin may go blank
+        # at 256 bins the Misiurewicz-parameter one-step solve needs 145
+        # iterations and the tau-8 tower 56, so a budget of 100 fails only
+        # the former; only h_pesin may go blank
         cfg = sl.ExperimentConfig(family="quadratic",
                                   map_params={"a": sl.misiurewicz_parameter()},
                                   sweep_parameter="a", sweep_from=sl.misiurewicz_parameter(),
                                   sweep_to=1.6, sweep_steps=2, bins=256,
-                                  ulam_max_iters=3000, tau_max=8, sample_size=4,
+                                  ulam_max_iters=100, tau_max=8, sample_size=4,
                                   n_iters=2000, seed=0, out_dir=str(tmp_path))
         row = sl.run_sweep(cfg).rows[0]
         assert row["error"] is None
@@ -213,6 +228,17 @@ class TestSweep:
         assert cells["h_pesin"] == "" and cells["error"] == ""
         assert cells["density_l1_prev"] == "" and cells["tau_l1_prev"] != ""
         assert cells["h_lyapunov"] and cells["kappa"] and cells["distortion"]
+
+    def test_the_band_swapping_row_solves_with_the_default_budget(self, tmp_path):
+        cfg = sl.ExperimentConfig(family="quadratic",
+                                  map_params={"a": sl.misiurewicz_parameter()},
+                                  sweep_parameter="a", sweep_from=sl.misiurewicz_parameter(),
+                                  sweep_to=1.6, sweep_steps=2, bins=256, tau_max=8,
+                                  sample_size=4, n_iters=2000, seed=0, out_dir=str(tmp_path))
+        row = sl.run_sweep(cfg).rows[0]
+        assert row["error"] is None
+        assert row["h_pesin"] == pytest.approx(0.34, abs=0.01)
+        assert row["density_l1_prev"] == 0.0
 
     def test_rows_without_a_density_or_tower_read_no_distance(self, tmp_path):
         # cylinder maps have neither a 1D density nor a tower

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
@@ -173,6 +173,31 @@ class TestUlamMatrixExactOracles:
             sl.ulam_matrix(tower_k3, 0)
 
 
+def _power_reference(op, tol=1e-12, max_iters=10_000):
+    """Plain renormalised power iteration from Lebesgue, for operators
+    where it converges."""
+    widths = op.grid.widths
+    p = np.where(op.flagged, 0.0, widths)
+    p /= p.sum()
+    for _ in range(max_iters):
+        q = op.matrix.T @ p
+        q[op.flagged] = 0.0
+        q /= q.sum()
+        done = np.abs(q - p).sum() <= tol
+        p = q
+        if done:
+            return sl.GridDensity(op.grid, p / widths, "stationary")
+    raise AssertionError("power reference did not converge")
+
+
+def _residual(op, mu):
+    """|P p - p|_1 of a returned density under the renormalised step."""
+    p = mu.bin_measures
+    q = op.matrix.T @ p
+    q[op.flagged] = 0.0
+    return float(np.abs(q / q.sum() - p).sum())
+
+
 class TestStationaryDensity:
     def test_conditioned_density_on_the_exact_tower(self):
         # live bins carry 16/7 exactly once the censored bin is resolved
@@ -189,21 +214,37 @@ class TestStationaryDensity:
         mu = sl.stationary_density(sl.ulam_matrix(F, 8))
         assert list(np.asarray(mu.excluded)) == [False] * 7 + [True]
 
-    def test_power_and_cesaro_agree(self, tower_tent2):
-        op = sl.ulam_matrix(tower_tent2, 512)
-        mu_p = sl.stationary_density(op, mode="power")
-        mu_c = sl.stationary_density(op, mode="cesaro")
-        assert sl.l1_distance(mu_p, mu_c) < 1e-8
-
-    def test_unknown_mode_is_rejected(self, tower_tent2):
-        op = sl.ulam_matrix(tower_tent2, 64)
-        with pytest.raises(sl.ArgumentError):
-            sl.stationary_density(op, mode="random")
+    @pytest.mark.parametrize("case", ["tent2_tower", "circle_perturbed_one_step"])
+    def test_lazy_solve_lands_on_the_power_fixed_point(self, tower_tent2, case):
+        if case == "tent2_tower":
+            op = sl.ulam_matrix(tower_tent2, 512)
+        else:
+            op = sl.one_step_ulam(sl.make_map("circle_perturbed", t=0.2), 1024)
+        mu = sl.stationary_density(op)
+        ref = _power_reference(op)
+        assert sl.l1_distance(mu, ref) < 1e-8
 
     def test_iteration_budget_is_enforced(self, tower_quadratic):
         op = sl.ulam_matrix(tower_quadratic, 1024)
         with pytest.raises(sl.ConvergenceError):
             sl.stationary_density(op, tol=1e-15, max_iters=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.one_of(
+               st.tuples(st.just("tent"), st.just("slope"),
+                         st.floats(1.5, 2.0, exclude_min=True)),
+               st.tuples(st.just("circle_perturbed"), st.just("t"), st.floats(0.0, 0.4)),
+               st.tuples(st.just("quadratic"), st.just("a"), st.floats(1.4, 2.0))),
+           bins=st.integers(8, 512))
+    # the quadratic swaps two bands there: its Ulam matrix has an eigenvalue at -1
+    @example(case=("quadratic", "a", sl.misiurewicz_parameter()), bins=512)
+    def test_one_step_solves_have_unit_mass_and_small_residual(self, case, bins):
+        family, name, value = case
+        op = sl.one_step_ulam(sl.make_map(family, **{name: value}), bins)
+        tol = 1e-10
+        mu = sl.stationary_density(op, tol=tol)
+        assert mu.mass == pytest.approx(1.0, abs=1e-12)
+        assert _residual(op, mu) <= tol
 
     def test_uniform_is_stationary_for_tent2(self, mu_tent2):
         # the tent tower is Lebesgue preserving away from the tiny deficit
