@@ -13,8 +13,8 @@ consistency checks tying the routes to one another.
 from .config import ExperimentConfig, load_config, parse, save_config, serialize
 from .entropy import (EntropyReport, MajorantCheck, QuotientCheck, TransferCheck,
                       entropy_abramov, entropy_induced, entropy_lyapunov,
-                      entropy_lyapunov_fast, entropy_pesin, entropy_report,
-                      entropy_smb, entropy_truncation_bound,
+                      entropy_lyapunov_fast, entropy_lyapunov_rows, entropy_pesin,
+                      entropy_report, entropy_smb, entropy_truncation_bound,
                       jacobian_transfer_check, lyapunov_quotient_check,
                       majorant_check)
 from .errors import (ArgumentError, CensoredOrbitError, ConfigError,

@@ -3,22 +3,26 @@
 Four independent routes to the metric entropy of an expanding map:
 
 * ``entropy_lyapunov`` — sum of positive Lyapunov exponents averaged over
-  random orbits (with Monte Carlo standard error), all orbits advanced in
-  lockstep by one batched kernel (``entropy_lyapunov_fast`` is the same
-  function under its older name);
+  random orbits (with Monte Carlo standard error); it is the one-row case
+  of ``entropy_lyapunov_rows``, the one orbit driver, which advances the
+  orbits of several maps of a family in lockstep (``entropy_lyapunov_fast``
+  is a second name of the driver);
 * ``entropy_pesin`` — quadrature of ``log |det Df|`` against a stationary
   density of the map itself;
 * ``entropy_induced`` / ``entropy_abramov`` — quadrature of ``log |DF|``
   against a tower-stationary density, rescaled by the mean return time;
 * ``entropy_smb`` — cylinder-counting along a single tower orbit.
 
-The base-map orbit loops, ``entropy_lyapunov`` and the base loop of
+The base-map orbit loops, ``entropy_lyapunov_rows`` and the base loop of
 ``lyapunov_quotient_check``, step in blocks: up to 256 steps of every
 orbit go into one (steps, orbits) buffer, with one map call per step, and
 the log-derivatives of the whole block take one call each.  The block is
 summed row by row, so every orbit sum keeps its order and the numbers
-match a per-step loop bit for bit.  Tower orbits take one itinerary walk
-per step, which yields the images and ``log |DF|`` together.
+match a per-step loop bit for bit.  A sweep runs all its rows through
+one driver call: the map call of a step covers every row's orbits, with
+the swept parameter as a per-orbit column, and each row's result equals
+its one-row run bit for bit.  Tower orbits take one itinerary walk per
+step, which yields the images and ``log |DF|`` together.
 
 Quadrature points and bin slivers come from the stratification in
 :mod:`srblab.measures`.  ``entropy_report`` runs all of them on one
@@ -31,6 +35,7 @@ linear-in-return-time Jacobian bound).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -51,10 +56,15 @@ _BLOCK_STEPS = 256
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _orbit_block(step, x: np.ndarray, steps: int) -> np.ndarray:
+def _block_steps(orbits: int) -> int:
+    """Steps of one buffered block of ``orbits`` orbits: 256, fewer when
+    steps x orbits would pass 2^16."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // orbits))
+
+
+def _orbit_block(step, x: np.ndarray, k: int) -> np.ndarray:
     """Rows ``x, step(x), ..., step^k(x)`` of the orbits ``x``, one call of
-    ``step`` per row, for ``k`` up to ``steps`` and the block length."""
-    k = min(steps, max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // len(x))))
+    ``step`` per row."""
     buf = np.empty((k + 1,) + x.shape)
     buf[0] = x
     for j in range(k):
@@ -267,58 +277,73 @@ def entropy_pesin(m: MapSystem, mu_f: GridDensity,
     return (value, clip_mass) if return_clip else value
 
 
-def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
-                     retry_budget: int = 8) -> tuple[float, float]:
-    """Sum of positive Lyapunov exponents averaged over random orbits.
+def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
+                          seeds: list[int], retry_budget: int = 8) -> list:
+    """:func:`entropy_lyapunov` of several maps of one family, in one lockstep run.
 
-    Orbits start at Lebesgue-random points drawn from per-slot RNG
-    streams (slot ``i`` uses ``stream(seed, 11, i)``), so the result does
-    not depend on how slots are scheduled.  On the cylinder the triangular
-    cocycle keeps the fibre line invariant, so the fibre sum ``log |2 x|``
-    is averaged and the base exponent ``log d`` added.
+    Row ``r`` estimates ``maps[r]`` from ``sample_size`` orbits of ``n``
+    steps, its slot ``i`` drawing from ``stream(seeds[r], 11, i)``.  On the
+    cylinder the triangular cocycle keeps the fibre line invariant, so the
+    fibre sum ``log |2 x|`` is averaged and the base exponent ``log d``
+    added.
 
-    The unfinished slots advance together in blocks of up to 256 steps
-    (fewer when steps x slots would pass 2^16): ``f_batch`` fills a
-    (steps, slots) buffer one row per step (a (steps, slots, 2) buffer on
-    the cylinder), and the derivative, the near-critical test and the
-    logarithm then run once on the whole block.  The log rows are added
-    to the sums one at a time, so each slot sums its own ``log |f'|`` in
-    orbit order.  A slot whose step comes within the near-critical floor
-    of the critical set adds nothing from that step on; it drops its
-    partial sum and restarts from a fresh draw of its own stream, up to
-    ``retry_budget`` times, catching up in the next blocks while the
-    finished slots wait.  Because every slot draws only from its own
-    stream, a restart moves no other slot's orbit and the result equals
-    that of one scalar orbit per slot.
+    The unfinished slots of all rows advance together in blocks of up to
+    256 steps (fewer when steps x ``sample_size`` would pass 2^16).  Each
+    step is one ``f_batch`` call on all of them, through a copy of the
+    first map in which every parameter that differs between rows is a
+    per-slot column; the derivative, the near-critical test and the
+    logarithm then run once per block, and the log rows are added one at
+    a time, so each slot sums its ``log |f'|`` in orbit order.  A slot
+    whose step comes within the near-critical floor of the critical set
+    drops its sum and, after the block, restarts from a fresh draw of its
+    own stream and row map, up to ``retry_budget`` times.  Block lengths
+    do not depend on the other rows, so every row restarts at the same
+    steps as in its one-row run and gets that run's result bit for bit.
 
-    ``entropy_lyapunov_fast`` is a second name bound to this same function
-    object: the stage tracer of ``perfbench/tracer.py`` wraps the
-    estimator under that name.
+    ``entropy_lyapunov_fast`` is a second name of this function: the stage
+    tracer of ``perfbench/tracer.py`` wraps the driver under that name.
 
     Returns
     -------
-    (mean, standard_error)
-
-    Raises
-    ------
-    NearCriticalError
-        If some slot exhausts its retry budget.
+    list
+        Per row, ``(mean, standard_error)``, or the
+        :class:`~srblab.errors.NearCriticalError` of a row in which a slot
+        exhausted its retry budget; that row stops and the others go on.
     """
     if sample_size < 1 or n < 1:
         raise ArgumentError("sample_size and n must be at least 1")
-    rngs = [stream(seed, 11, i) for i in range(sample_size)]
-    pts = np.array([m.sample_uniform(r, 1)[0] for r in rngs])
-    sums = np.zeros(sample_size)
-    steps = np.zeros(sample_size, dtype=int)
-    retries = np.zeros(sample_size, dtype=int)
+    if len(seeds) != len(maps):
+        raise ArgumentError("need one seed per map")
+    if not maps:
+        return []
+    first = maps[0]
+    if any(type(m) is not type(first) for m in maps):
+        raise ArgumentError("the rows of one orbit driver must share a map family")
+    # the parameters that differ between rows become per-slot columns
+    cols = {key: np.repeat([m.params[key] for m in maps], sample_size)
+            for key, value in first.params.items()
+            if any(m.params[key] != value for m in maps)}
+    row = np.repeat(np.arange(len(maps)), sample_size)  # the row of every slot
+    rngs = [stream(seed, 11, i) for seed in seeds for i in range(sample_size)]
+    pts = np.array([maps[r].sample_uniform(rng, 1)[0] for r, rng in zip(row, rngs)])
+    sums = np.zeros(row.size)
+    steps = np.zeros(row.size, dtype=int)
+    retries = np.zeros(row.size, dtype=int)
+    failed = [None] * len(maps)
+    block = _block_steps(sample_size)
     while (live := np.flatnonzero(steps < n)).size:
         left = n - steps[live]
+        step = first
+        if cols:
+            step = copy.copy(first)
+            for key, col in cols.items():
+                setattr(step, key, col[live])
         # row j holds the live slots' points after j more steps
-        buf = _orbit_block(m.f_batch, pts[live], int(left.max()))
+        buf = _orbit_block(step.f_batch, pts[live], min(int(left.max()), block))
         k = len(buf) - 1
         pts[live] = buf[k]
-        if m.dimension == 1:
-            d = np.abs(m.df_batch(buf[:k]))
+        if first.dimension == 1:
+            d = np.abs(step.df_batch(buf[:k]))
         else:
             d = np.abs(2.0 * buf[:k, :, 1])
         rows = np.arange(k)[:, None]
@@ -331,21 +356,56 @@ def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
         steps[live] += np.minimum(left, k)
         for j in np.flatnonzero(first_bad < k):
             i = live[j]
+            r = row[i]
+            if failed[r] is not None:
+                continue
             retries[i] += 1
             if retries[i] > retry_budget:
-                raise NearCriticalError(float(d[first_bad[j], j]))
-            pts[i] = m.sample_uniform(rngs[i], 1)[0]
+                failed[r] = NearCriticalError(float(d[first_bad[j], j]))
+                steps[row == r] = n  # the row stops; the others go on
+                continue
+            pts[i] = maps[r].sample_uniform(rngs[i], 1)[0]
             sums[i] = 0.0
             steps[i] = 0
-    values = np.maximum(sums / n, 0.0)
-    if m.dimension != 1:
-        values += max(math.log(m.d), 0.0)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(sample_size)) if sample_size > 1 else 0.0
-    return mean, se
+    results = []
+    for m, values, error in zip(maps, np.maximum(sums / n, 0.0).reshape(len(maps), -1),
+                                failed):
+        if error is not None:
+            results.append(error)
+            continue
+        if m.dimension != 1:
+            values += max(math.log(m.d), 0.0)
+        mean = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(sample_size)) if sample_size > 1 else 0.0
+        results.append((mean, se))
+    return results
 
 
-entropy_lyapunov_fast = entropy_lyapunov
+entropy_lyapunov_fast = entropy_lyapunov_rows
+
+
+def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
+                     retry_budget: int = 8) -> tuple[float, float]:
+    """Sum of positive Lyapunov exponents averaged over random orbits.
+
+    The one-row case of :func:`entropy_lyapunov_rows`, the one orbit
+    driver: ``sample_size`` orbits of ``n`` steps, slot ``i`` drawing from
+    ``stream(seed, 11, i)``, so the result does not depend on how slots
+    are scheduled.
+
+    Returns
+    -------
+    (mean, standard_error)
+
+    Raises
+    ------
+    NearCriticalError
+        If some slot exhausts its retry budget.
+    """
+    result, = entropy_lyapunov_rows([m], sample_size, n, [seed], retry_budget)
+    if isinstance(result, SrbLabError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +481,7 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     done = 0
     while done < n_base:
         buf = _orbit_block(lambda p: dither(m.f_batch(p), drng, dlo, dhi), base_pts,
-                           n_base - done)
+                           min(n_base - done, _block_steps(sample)))
         done += len(buf) - 1
         base_pts = buf[-1]
         logs = np.log(np.maximum(np.abs(m.df_batch(buf[:-1])), NEAR_CRITICAL_FLOOR))
@@ -570,7 +630,8 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
                    bins: int = 4096, n_orbits: int = 64, n_iters: int = 100_000,
                    smb_depth: int = 64, seed: int = 0, j_cap: int | None = None,
                    retry_budget: int = 8, ulam_tol: float = 1e-10,
-                   ulam_max_iters: int = 100_000) -> EntropyReport:
+                   ulam_max_iters: int = 100_000,
+                   lyapunov: tuple[float, float] | str | None = None) -> EntropyReport:
     """Run every applicable entropy route and collect the results.
 
     Tower-based routes need a verified induced map ``F`` (towers that
@@ -579,14 +640,25 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     ``h_abramov`` is ``h_induced / kac``, and the one-step density is
     returned on the report.  Per-route failures are recorded in
     ``report.errors`` instead of aborting the whole report.
+
+    ``lyapunov`` is the Lyapunov route's outcome when the caller has run
+    its orbits already (a sweep runs those of all its rows together):
+    ``(mean, se)`` from :func:`entropy_lyapunov_rows` at ``n_orbits``,
+    ``n_iters``, ``seed`` and ``retry_budget``, or the message of its
+    error.  Left at None, the route runs here.
     """
     rep = EntropyReport(m.family, dict(m.params), bins=bins, n_orbits=n_orbits,
                         n_iters=n_iters, tau_cap=F.tau_max if F is not None else 0)
-    try:
-        rep.h_lyapunov, rep.lyapunov_se = entropy_lyapunov(
-            m, n_orbits, n_iters, seed=seed, retry_budget=retry_budget)
-    except SrbLabError as exc:
-        rep.errors["h_lyapunov"] = str(exc)
+    if lyapunov is None:
+        try:
+            lyapunov = entropy_lyapunov(m, n_orbits, n_iters, seed=seed,
+                                        retry_budget=retry_budget)
+        except SrbLabError as exc:
+            lyapunov = str(exc)
+    if isinstance(lyapunov, str):
+        rep.errors["h_lyapunov"] = lyapunov
+    else:
+        rep.h_lyapunov, rep.lyapunov_se = lyapunov
     try:
         rep.density = stationary_density(one_step_ulam(m, bins), tol=ulam_tol,
                                          max_iters=ulam_max_iters)

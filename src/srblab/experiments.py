@@ -3,10 +3,12 @@
 These functions sit between the config layer and the numerics:  they
 build the map and (for one-dimensional families) its first-return tower,
 run the requested computation and emit CSV/SVG artifacts into the
-config's output directory.  Sweep rows are pure functions of
-``(config, row index)``, so they can run in a process pool and still
-produce byte-identical artifacts for any worker count; the
-successive-row diagnostics are computed afterwards in row order.
+config's output directory.  A sweep first runs the Lyapunov orbits of
+all its rows together, in one call of the lockstep orbit driver; the
+rest of each row is a pure function of ``(config, row index, row map,
+Lyapunov result)``, so rows can run in a process pool and still produce
+byte-identical artifacts for any worker count.  The successive-row
+diagnostics are computed afterwards in row order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, parse, serialize
-from .entropy import EntropyReport, entropy_report
+from .entropy import EntropyReport, entropy_lyapunov_rows, entropy_report
 from .errors import ConfigError, SrbLabError
 from .maps import Interval, MapSystem, make_map
 from .measures import (l1_distance, one_step_ulam, spread_measure, stationary_density,
@@ -220,15 +222,13 @@ class SweepTable:
     svg_path: str = ""
 
 
-def _sweep_row(payload: tuple[str, int, float]) -> dict:
-    """Compute one sweep row (pure function of config text, index, value)."""
-    text, index, value = payload
+def _sweep_row(payload: tuple[str, int, float, MapSystem, tuple | str]) -> dict:
+    """Compute one sweep row from the config text, the row's index, value
+    and map, and its Lyapunov route's ``(mean, se)`` or error message."""
+    text, index, value, m, lyapunov = payload
     cfg = parse(text)
     row = {"index": index, "parameter": value, "error": None}
     try:
-        params = dict(cfg.map_params)
-        params[cfg.sweep_parameter] = value
-        m = make_map(cfg.family, **params)
         F = build_tower(m, cfg)
         if F is not None:
             ver = verify_axioms(F)
@@ -239,7 +239,7 @@ def _sweep_row(payload: tuple[str, int, float]) -> dict:
             m, F, bins=cfg.bins, n_orbits=cfg.sample_size, n_iters=cfg.n_iters,
             smb_depth=cfg.smb_depth, seed=_row_seed(cfg.seed, index),
             retry_budget=cfg.retry_budget, ulam_tol=cfg.ulam_tol,
-            ulam_max_iters=cfg.ulam_max_iters)
+            ulam_max_iters=cfg.ulam_max_iters, lyapunov=lyapunov)
         row["h_lyapunov"] = rep.h_lyapunov
         row["lyapunov_se"] = rep.lyapunov_se
         row["h_pesin"] = rep.h_pesin
@@ -256,8 +256,12 @@ def _sweep_row(payload: tuple[str, int, float]) -> dict:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Sweep a map parameter and report every entropy route per value.
 
-    Rows run in a process pool when ``workers > 1``; results are
-    assembled by row index and the successive-row L1 diagnostics
+    The parent builds every row's map and runs the Lyapunov orbits of all
+    rows together, in one call of the orbit driver
+    (:func:`~srblab.entropy.entropy_lyapunov_rows`; each row keeps its
+    ``_row_seed`` streams, so its result equals its own one-row run).  The
+    rest of each row runs in a process pool when ``workers > 1``; results
+    are assembled by row index and the successive-row L1 diagnostics
     (stationary density and return-time distances) are added afterwards,
     so the emitted ``sweep.csv`` is byte-identical for any worker count.
     Row-level failures become an ``error`` tag in that row; the sweep
@@ -270,12 +274,25 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         raise ConfigError("workers must be at least 1")
     values = np.linspace(config.sweep_from, config.sweep_to, config.sweep_steps)
     text = serialize(config)
-    payloads = [(text, i, float(v)) for i, v in enumerate(values)]
+    results, built = [], []
+    for i, v in enumerate(values):
+        try:
+            params = dict(config.map_params)
+            params[config.sweep_parameter] = float(v)
+            built.append((i, float(v), make_map(config.family, **params)))
+        except SrbLabError as exc:
+            results.append({"index": i, "parameter": float(v), "error": str(exc)})
+    lyapunov = entropy_lyapunov_rows(
+        [m for _, _, m in built], config.sample_size, config.n_iters,
+        [_row_seed(config.seed, i) for i, _, _ in built], config.retry_budget)
+    # errors go to the rows as messages: a pool pickles strings, not every error
+    payloads = [(text, i, v, m, str(res) if isinstance(res, SrbLabError) else res)
+                for (i, v, m), res in zip(built, lyapunov)]
     if workers == 1:
-        results = [_sweep_row(p) for p in payloads]
+        results += [_sweep_row(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_row, payloads))
+            results += pool.map(_sweep_row, payloads)
     results.sort(key=lambda r: r["index"])
 
     prev = None

@@ -101,6 +101,12 @@ class MapSystem:
         Ambient domain (the x-interval; circle maps use [0, 1)).
     circle : bool
         Whether the 1D coordinate wraps around.
+
+    Each family keeps the parameters its batch methods use as attributes
+    named like their ``params`` keys, and the batch methods broadcast
+    them against the points: a copy holding a parameter as an array with
+    one value per point (per column of a 2D array of 1D points) evaluates
+    every point at its own parameter value in one call.
     """
 
     dimension = 1
@@ -238,7 +244,7 @@ class LinearCircleMap(MapSystem):
         return float(self.d)
 
     def df_batch(self, x):
-        return np.full(np.shape(x), float(self.d))
+        return np.full(np.shape(x), self.d, dtype=float)
 
     @property
     def n_branches(self):
@@ -251,7 +257,7 @@ class LinearCircleMap(MapSystem):
         return self.d * np.asarray(x, dtype=float) - i
 
     def branch_dlift(self, i, x):
-        return np.full(np.shape(x), float(self.d))
+        return np.full(np.shape(x), self.d, dtype=float)
 
     def branch_inverse(self, i, y):
         return (np.asarray(y, dtype=float) + i) / self.d

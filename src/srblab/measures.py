@@ -173,8 +173,10 @@ class GridDensity:
         One of ``stationary``, ``spread``, ``normalized``, ``external``.
     truncation_bound : float
         Mass per omitted step for truncated transport sums (0 otherwise).
-    renorm_total : float
-        Cumulative renormalisation applied during a stationary solve.
+    iterations : int
+        Steps of the stationary solve that produced the density (0 otherwise).
+    residual : float
+        The solve's final residual ``|P p - p|_1`` (0 for other densities).
     excluded : numpy.ndarray or None
         Boolean mask of bins excluded from a stationary solve.
     cap : int or None
@@ -185,7 +187,8 @@ class GridDensity:
     values: np.ndarray
     provenance: str = "external"
     truncation_bound: float = 0.0
-    renorm_total: float = 0.0
+    iterations: int = 0
+    residual: float = 0.0
     excluded: np.ndarray | None = None
     cap: int | None = None
 
@@ -528,13 +531,13 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10,
     """Stationary density of an Ulam operator by lazy (renormalised) iteration.
 
     One step ``P`` pushes a density forward, zeroes the flagged bins and
-    divides by the remaining mass; the cumulative renormalisation is
-    reported on the result.  Starting from Lebesgue, the iteration moves
-    halfway to the image, ``p <- (p + P p) / 2``: the fixed point is that
-    of ``P``, but each eigenvalue ``lam`` becomes ``(1 + lam) / 2``, so an
-    operator whose map swaps bands (an eigenvalue at -1) converges as
-    fast as a mixing one.  The solve stops once ``|P p - p|_1 <= tol`` and
-    returns ``P p``.
+    divides by the remaining mass.  Starting from Lebesgue, the iteration
+    moves halfway to the image, ``p <- (p + P p) / 2``: the fixed point is
+    that of ``P``, but each eigenvalue ``lam`` becomes ``(1 + lam) / 2``,
+    so an operator whose map swaps bands (an eigenvalue at -1) converges
+    as fast as a mixing one.  The solve stops once ``|P p - p|_1 <= tol``
+    and returns ``P p``, carrying the number of steps ``P`` taken and
+    that final residual.
 
     Raises
     ------
@@ -555,14 +558,13 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10,
         raise ArgumentError("every bin is flagged as deficit; nothing to solve")
     p /= s
     pt = op.matrix.T.tocsr()
-    renorm, diff = 0.0, np.inf
-    for _ in range(max_iters):
+    diff = np.inf
+    for it in range(1, max_iters + 1):
         q = pt @ p
         q[op.flagged] = 0.0
         s = q.sum()
         if s <= 0:
             raise ConvergenceError(1.0, "all mass fell into the deficit region")
-        renorm += abs(1.0 - s)
         q /= s
         diff = float(np.abs(q - p).sum())
         if diff <= tol:
@@ -570,7 +572,7 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10,
         p = 0.5 * (p + q)
     else:
         raise ConvergenceError(diff)
-    return GridDensity(grid, q / widths, "stationary", renorm_total=renorm,
+    return GridDensity(grid, q / widths, "stationary", iterations=it, residual=diff,
                        excluded=op.flagged.copy())
 
 

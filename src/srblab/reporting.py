@@ -136,7 +136,8 @@ def write_density_csv(path: str, density: GridDensity) -> None:
         f"provenance = {density.provenance}",
         f"mass = {format_real(density.mass)}",
         f"truncation_bound = {format_real(density.truncation_bound)}",
-        f"renorm_total = {format_real(density.renorm_total)}",
+        f"iterations = {density.iterations}",
+        f"residual = {format_real(density.residual)}",
     ]
     if isinstance(grid, Grid1D):
         # a graded mesh says so; its bin edges are in the left/right columns

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
+from srblab.maps import TentMap
 from srblab.rng import stream
 
 LOG2 = math.log(2.0)
@@ -77,19 +78,25 @@ class TestPesin:
 
 
 class _Countdown(sl.MapSystem):
-    """Test double: ``x -> x - 2^-10`` with derivative ``1 + x``, critical on
-    ``x < 0``.  A draw ``u >= 0`` reaches the critical set at step
-    ``floor(1024 u) + 1``, so near-critical steps fall at every offset of an
-    orbit block; a fifth of the draws start on it."""
+    """Test double: ``x -> x - drop`` on ``[lo, 1]`` with derivative
+    ``1 + x``, critical on ``x < 0``.  A draw ``u >= 0`` reaches the
+    critical set at step ``floor(u / drop) + 1``, so near-critical steps
+    fall at every offset of an orbit block; with the defaults a fifth of
+    the draws start on it."""
 
     family = "countdown"
-    domain = sl.Interval(-0.25, 1.0)
+
+    def __init__(self, drop=2.0 ** -10, lo=-0.25):
+        super().__init__()
+        self.drop = drop
+        self.params = {"drop": drop, "lo": lo}
+        self.domain = sl.Interval(lo, 1.0)
 
     def f_scalar(self, x):
-        return x - 2.0 ** -10
+        return x - self.drop
 
     def f_batch(self, x):
-        return x - 2.0 ** -10
+        return x - self.drop
 
     def df_scalar(self, x):
         return 1.0 + x if x >= 0 else 0.0
@@ -139,7 +146,7 @@ class TestLyapunovEstimator:
         assert se > 0.0
 
     def test_fast_path_matches_the_reference(self, doubling_map, quadratic_map):
-        assert sl.entropy_lyapunov_fast is sl.entropy_lyapunov
+        assert sl.entropy_lyapunov_fast is sl.entropy_lyapunov_rows
         for m in (doubling_map, quadratic_map):
             assert sl.entropy_lyapunov(m, 8, 2000, seed=5) == _per_slot_reference(m, 8, 2000, 5)
 
@@ -173,6 +180,62 @@ class TestLyapunovEstimator:
         c = sl.entropy_lyapunov(quadratic_map, 8, 2000, seed=2)
         assert a == b
         assert a != c
+
+
+class _CountingTent(TentMap):
+    """Tent map that records the number of points of every ``f_batch`` call."""
+
+    calls = []
+
+    def f_batch(self, x):
+        self.calls.append(len(x))
+        return super().f_batch(x)
+
+
+class TestLyapunovRows:
+    @pytest.mark.parametrize("family,key,values", [
+        ("tent", "slope", [1.5, 1.8, 2.0]),
+        ("circle_perturbed", "t", [0.0, 0.2, 0.4]),
+        ("quadratic", "a", [1.6, sl.misiurewicz_parameter(), 2.0]),
+        ("viana", "alpha", [0.0, 0.01, 0.05]),
+        ("circle_linear", "d", [2, 3, 5]),
+    ])
+    def test_rows_equal_their_one_row_runs_bit_for_bit(self, family, key, values):
+        maps = [sl.make_map(family, **{key: v}) for v in values]
+        seeds = [11, 12, 13]
+        rows = sl.entropy_lyapunov_rows(maps, 8, 3 * 256 + 7, seeds)
+        assert rows == [sl.entropy_lyapunov(m, 8, 3 * 256 + 7, seed=s)
+                        for m, s in zip(maps, seeds)]
+        assert len(set(rows)) == 3
+
+    def test_restarting_rows_match_their_one_row_runs(self):
+        maps = [_Countdown(), _Countdown(2.0 ** -11), _Countdown(2.0 ** -12, lo=-0.1)]
+        rows = sl.entropy_lyapunov_rows(maps, 16, 520, [6, 7, 8])
+        for m, seed, row in zip(maps, [6, 7, 8], rows):
+            assert row == sl.entropy_lyapunov(m, 16, 520, seed=seed)
+            assert row == _per_slot_reference(m, 16, 520, seed)
+
+    def test_an_exhausted_row_fails_alone(self):
+        calm = _Countdown(2.0 ** -20, lo=0.0)
+        maps = [calm, _Countdown(), calm]
+        rows = sl.entropy_lyapunov_rows(maps, 16, 300, [1, 6, 2], retry_budget=0)
+        with pytest.raises(sl.NearCriticalError) as alone:
+            sl.entropy_lyapunov(maps[1], 16, 300, seed=6, retry_budget=0)
+        assert isinstance(rows[1], sl.NearCriticalError)
+        assert str(rows[1]) == str(alone.value)
+        assert rows[0] == sl.entropy_lyapunov(calm, 16, 300, seed=1, retry_budget=0)
+        assert rows[2] == sl.entropy_lyapunov(calm, 16, 300, seed=2, retry_budget=0)
+
+    def test_one_map_call_per_step_for_all_rows(self):
+        maps = [_CountingTent(s) for s in (1.5, 1.7, 1.9, 2.0)]
+        _CountingTent.calls.clear()
+        sl.entropy_lyapunov_rows(maps, 4, 600, [0, 1, 2, 3])
+        assert _CountingTent.calls == [16] * 600
+
+    def test_rows_must_share_a_family(self):
+        with pytest.raises(sl.ArgumentError):
+            sl.entropy_lyapunov_rows([sl.make_map("tent"), sl.make_map("doubling")],
+                                     4, 10, [0, 1])
 
 
 class TestSmb:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import srblab as sl
+from srblab.experiments import _row_seed
+from srblab.reporting import format_real
 
 
 class TestConfigRoundTrip:
@@ -132,6 +134,8 @@ class TestRunners:
         assert len(rows) == 128
         vals = np.array([float(r[3]) for r in rows])
         np.testing.assert_allclose(vals, mu.values, rtol=1e-15)
+        assert f"iterations = {mu.iterations}" in comments
+        assert f"residual = {format_real(mu.residual)}" in comments
 
     def test_run_tail_round_trips_through_csv(self, tmp_path):
         cfg = sl.ExperimentConfig(family="doubling", out_dir=str(tmp_path),
@@ -253,6 +257,30 @@ class TestSweep:
         for r in rows:
             cells = dict(zip(header, r))
             assert cells["density_l1_prev"] == "" and cells["tau_l1_prev"] == ""
+
+    def test_viana_rows_equal_their_own_reports_for_any_worker_count(self, tmp_path):
+        # the sweep runs the Lyapunov orbits of all rows in one driver call;
+        # each row must still read what its own entropy_report gives
+        cfg = sl.ExperimentConfig(family="viana", map_params={"alpha": 0.01},
+                                  sweep_parameter="alpha", sweep_from=0.0,
+                                  sweep_to=0.06, sweep_steps=4, bins=64,
+                                  sample_size=4, n_iters=700, seed=5,
+                                  out_dir=str(tmp_path))
+        digests = []
+        for workers in (1, 2):
+            table = sl.run_sweep(cfg, workers=workers)
+            with open(table.csv_path, "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        assert digests[0] == digests[1]
+        comments, header, rows = sl.read_csv(table.csv_path)
+        for i, (value, r) in enumerate(zip(table.values, rows)):
+            rep = sl.entropy_report(sl.make_map("viana", alpha=value), None, bins=64,
+                                    n_orbits=4, n_iters=700, seed=_row_seed(5, i))
+            cells = dict(zip(header, r))
+            assert cells["error"] == ""
+            assert cells["h_lyapunov"] == format_real(rep.h_lyapunov)
+            assert cells["lyapunov_se"] == format_real(rep.lyapunov_se)
+            assert cells["h_pesin"] == format_real(rep.h_pesin)
 
     def test_sweep_requires_a_parameter(self, tmp_path):
         cfg = sl.ExperimentConfig(family="tent", out_dir=str(tmp_path))

@@ -224,6 +224,16 @@ class TestStationaryDensity:
         ref = _power_reference(op)
         assert sl.l1_distance(mu, ref) < 1e-8
 
+    def test_the_solve_reports_its_iterations_and_final_residual(self):
+        # the band swap at the Misiurewicz parameter takes many lazy steps
+        op = sl.one_step_ulam(sl.make_map("quadratic", a=sl.misiurewicz_parameter()), 4096)
+        mu = sl.stationary_density(op, tol=1e-10)
+        assert mu.iterations > 1
+        assert mu.residual <= 1e-10
+        with pytest.raises(sl.ConvergenceError) as short:
+            sl.stationary_density(op, tol=1e-10, max_iters=mu.iterations - 1)
+        assert short.value.residual > 1e-10
+
     def test_iteration_budget_is_enforced(self, tower_quadratic):
         op = sl.ulam_matrix(tower_quadratic, 1024)
         with pytest.raises(sl.ConvergenceError):
