@@ -1,9 +1,13 @@
 """Plain-text experiment configuration.
 
 Configs are line-oriented ``key = value`` files with dotted section
-prefixes (``map.family``, ``sweep.from`` ...) and ``#`` comments.  Values
-round-trip bit-exactly: floats serialise through ``repr``, so
-``parse(serialize(c)) == c`` field for field.
+prefixes (``map.family``, ``sweep.from`` ...) and ``#`` comments; a ``#``
+starts a comment at the start of a line or after whitespace, so
+``out_dir = runs/#3`` keeps its ``#``.  Values round-trip bit-exactly:
+floats serialise through ``repr``, so ``parse(serialize(c)) == c`` field
+for field, and ``serialize`` refuses a value that would read back changed
+(a string with surrounding blanks, a line break or `` #``, or one that
+reads as a number).
 
 Recognised keys
 ---------------
@@ -35,6 +39,7 @@ Recognised keys
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -77,6 +82,7 @@ _KEY_TO_FIELD = {
     "out_dir": "out_dir",
 }
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -133,22 +139,33 @@ def _format_value(v) -> str:
     if isinstance(v, bool):
         raise ConfigError("boolean config values are not used")
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
 def serialize(config: ExperimentConfig) -> str:
-    """Render a config as ``key = value`` lines (round-trips bit-exactly)."""
-    lines = [f"map.family = {config.family}"]
-    for k in sorted(config.map_params):
-        lines.append(f"map.{k} = {_format_value(config.map_params[k])}")
+    """Render a config as ``key = value`` lines (round-trips bit-exactly).
+
+    Raises
+    ------
+    ConfigError
+        If some value would not read back unchanged.
+    """
+    pairs = [("map.family", config.family)]
+    pairs += [(f"map.{k}", config.map_params[k]) for k in sorted(config.map_params)]
     for f in fields(ExperimentConfig):
-        if f.name in ("family", "map_params"):
-            continue
         v = getattr(config, f.name)
-        if v is None:
-            continue
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_format_value(v)}")
+        if f.name not in ("family", "map_params") and v is not None:
+            pairs.append((_FIELD_TO_KEY[f.name], v))
+    lines = [f"{key} = {_format_value(value)}" for key, value in pairs]
+    for line, (key, value) in zip(lines, pairs):
+        try:
+            same = list(_entries(line)) == [(key, value)]
+        except ConfigError:
+            same = False
+        # NaN is the one value that never equals what it reads back as
+        if not same and value == value:
+            raise ConfigError(f"{key} = {value!r} would not read back unchanged")
     return "\n".join(lines) + "\n"
 
 
@@ -164,18 +181,11 @@ def _parse_scalar(raw: str):
     return raw
 
 
-def parse(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` lines into a validated config.
-
-    Raises
-    ------
-    ConfigError
-        On malformed lines, unknown keys or failed validation.
-    """
-    config = ExperimentConfig()
+def _entries(text: str):
+    """``(key, value)`` of every key line of config text, values typed."""
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _COMMENT.split(line, 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
@@ -185,21 +195,32 @@ def parse(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         if key.startswith("map.") and key != "map.family":
-            config.map_params[key[4:]] = _parse_scalar(raw)
-            continue
-        if key not in _KEY_TO_FIELD:
+            value = _parse_scalar(raw)
+        elif key not in _KEY_TO_FIELD:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name = _KEY_TO_FIELD[key]
-        try:
-            if key in _INT_KEYS:
-                value = int(raw)
-            elif key in _FLOAT_KEYS:
-                value = float(raw)
-            else:
-                value = raw
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from None
-        setattr(config, field_name, value)
+        else:
+            try:
+                value = (int(raw) if key in _INT_KEYS else
+                         float(raw) if key in _FLOAT_KEYS else raw)
+            except ValueError:
+                raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from None
+        yield key, value
+
+
+def parse(text: str) -> ExperimentConfig:
+    """Parse ``key = value`` lines into a validated config.
+
+    Raises
+    ------
+    ConfigError
+        On malformed lines, unknown keys or failed validation.
+    """
+    config = ExperimentConfig()
+    for key, value in _entries(text):
+        if key.startswith("map.") and key != "map.family":
+            config.map_params[key[4:]] = value
+        else:
+            setattr(config, _KEY_TO_FIELD[key], value)
     config.validate()
     return config
 

@@ -15,11 +15,14 @@ Four independent routes to the metric entropy of an expanding map:
 
 The base-map orbit loops, ``entropy_lyapunov_rows`` and the base loop of
 ``lyapunov_quotient_check``, step in blocks: up to 256 steps of every
-orbit go into one (steps, orbits) buffer, with one map call per step, and
-the log-derivatives of the whole block take one call each.  The block is
-summed row by row, so every orbit sum keeps its order and the numbers
-match a per-step loop bit for bit.  A sweep runs all its rows through
-one driver call: the map call of a step covers every row's orbits, with
+orbit go into one (steps, orbits) buffer, and the log-derivatives of the
+whole block take one call each.  The buffer comes from
+:func:`~srblab.maps.orbit_block`, one map call per step, or for
+``entropy_lyapunov_rows`` from the map's ``orbit``, which on the cylinder
+steps the base circle alone and leaves two ufunc calls per fibre step.
+The block is summed row by row, so every orbit sum keeps its order and
+the numbers match a per-step loop bit for bit.  A sweep runs all its
+rows through one driver call: each block covers every row's orbits, with
 the swept parameter as a per-orbit column, and each row's result equals
 its one-row run bit for bit.  Tower orbits take one itinerary walk per
 step, which yields the images and ``log |DF|`` together.
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
-from .maps import NEAR_CRITICAL_FLOOR, MapSystem
+from .maps import NEAR_CRITICAL_FLOOR, MapSystem, orbit_block
 from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_points,
                        interval_measure, one_step_ulam, spread_measure,
                        stationary_density, stratified_points, ulam_matrix)
@@ -60,16 +63,6 @@ def _block_steps(orbits: int) -> int:
     """Steps of one buffered block of ``orbits`` orbits: 256, fewer when
     steps x orbits would pass 2^16."""
     return max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // orbits))
-
-
-def _orbit_block(step, x: np.ndarray, k: int) -> np.ndarray:
-    """Rows ``x, step(x), ..., step^k(x)`` of the orbits ``x``, one call of
-    ``step`` per row."""
-    buf = np.empty((k + 1,) + x.shape)
-    buf[0] = x
-    for j in range(k):
-        buf[j + 1] = step(buf[j])
-    return buf
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -289,16 +282,19 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
 
     The unfinished slots of all rows advance together in blocks of up to
     256 steps (fewer when steps x ``sample_size`` would pass 2^16).  Each
-    step is one ``f_batch`` call on all of them, through a copy of the
-    first map in which every parameter that differs between rows is a
-    per-slot column; the derivative, the near-critical test and the
-    logarithm then run once per block, and the log rows are added one at
-    a time, so each slot sums its ``log |f'|`` in orbit order.  A slot
-    whose step comes within the near-critical floor of the critical set
-    drops its sum and, after the block, restarts from a fresh draw of its
-    own stream and row map, up to ``retry_budget`` times.  Block lengths
-    do not depend on the other rows, so every row restarts at the same
-    steps as in its one-row run and gets that run's result bit for bit.
+    block is one ``orbit`` call on all of them, through a copy of the first
+    map in which every parameter that differs between rows is a per-slot
+    column: one ``f_batch`` call per step on 1D maps, while the cylinder
+    map steps its base circle alone, takes the forcing of the whole block
+    at once and leaves ``x -> c_j - x^2`` per step.  The derivative, the
+    near-critical test and the logarithm then run once per block, and the
+    log rows are added one at a time, so each slot sums its ``log |f'|``
+    in orbit order.  A slot whose step comes within the near-critical
+    floor of the critical set drops its sum and, after the block, restarts
+    from a fresh draw of its own stream and row map, up to
+    ``retry_budget`` times.  Block lengths do not depend on the other rows,
+    so every row restarts at the same steps as in its one-row run and gets
+    that run's result bit for bit.
 
     ``entropy_lyapunov_fast`` is a second name of this function: the stage
     tracer of ``perfbench/tracer.py`` wraps the driver under that name.
@@ -339,7 +335,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
             for key, col in cols.items():
                 setattr(step, key, col[live])
         # row j holds the live slots' points after j more steps
-        buf = _orbit_block(step.f_batch, pts[live], min(int(left.max()), block))
+        buf = step.orbit(pts[live], min(int(left.max()), block))
         k = len(buf) - 1
         pts[live] = buf[k]
         if first.dimension == 1:
@@ -480,8 +476,8 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     base_sum = 0.0
     done = 0
     while done < n_base:
-        buf = _orbit_block(lambda p: dither(m.f_batch(p), drng, dlo, dhi), base_pts,
-                           min(n_base - done, _block_steps(sample)))
+        buf = orbit_block(lambda p: dither(m.f_batch(p), drng, dlo, dhi), base_pts,
+                          min(n_base - done, _block_steps(sample)))
         done += len(buf) - 1
         base_pts = buf[-1]
         logs = np.log(np.maximum(np.abs(m.df_batch(buf[:-1])), NEAR_CRITICAL_FLOOR))

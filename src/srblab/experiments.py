@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, parse, serialize
+from .config import ExperimentConfig
 from .entropy import EntropyReport, entropy_lyapunov_rows, entropy_report
 from .errors import ConfigError, SrbLabError
 from .maps import Interval, MapSystem, make_map
@@ -222,11 +222,10 @@ class SweepTable:
     svg_path: str = ""
 
 
-def _sweep_row(payload: tuple[str, int, float, MapSystem, tuple | str]) -> dict:
-    """Compute one sweep row from the config text, the row's index, value
-    and map, and its Lyapunov route's ``(mean, se)`` or error message."""
-    text, index, value, m, lyapunov = payload
-    cfg = parse(text)
+def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | str]) -> dict:
+    """Compute one sweep row from the config, the row's index, value and
+    map, and its Lyapunov route's ``(mean, se)`` or error message."""
+    cfg, index, value, m, lyapunov = payload
     row = {"index": index, "parameter": value, "error": None}
     try:
         F = build_tower(m, cfg)
@@ -273,7 +272,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     values = np.linspace(config.sweep_from, config.sweep_to, config.sweep_steps)
-    text = serialize(config)
     results, built = [], []
     for i, v in enumerate(values):
         try:
@@ -286,7 +284,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         [m for _, _, m in built], config.sample_size, config.n_iters,
         [_row_seed(config.seed, i) for i, _, _ in built], config.retry_budget)
     # errors go to the rows as messages: a pool pickles strings, not every error
-    payloads = [(text, i, v, m, str(res) if isinstance(res, SrbLabError) else res)
+    payloads = [(config, i, v, m, str(res) if isinstance(res, SrbLabError) else res)
                 for (i, v, m), res in zip(built, lyapunov)]
     if workers == 1:
         results += [_sweep_row(p) for p in payloads]

@@ -67,6 +67,16 @@ def wrap_unit_batch(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def orbit_block(step, x: np.ndarray, k: int) -> np.ndarray:
+    """Rows ``x, step(x), ..., step^k(x)`` of the orbits ``x``, one call of
+    ``step`` per row."""
+    buf = np.empty((k + 1,) + x.shape)
+    buf[0] = x
+    for j in range(k):
+        buf[j + 1] = step(buf[j])
+    return buf
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval ``[lo, hi]`` used for domains and induction regions."""
@@ -106,7 +116,10 @@ class MapSystem:
     named like their ``params`` keys, and the batch methods broadcast
     them against the points: a copy holding a parameter as an array with
     one value per point (per column of a 2D array of 1D points) evaluates
-    every point at its own parameter value in one call.
+    every point at its own parameter value in one call.  :meth:`orbit`
+    steps many orbits at once; the base class calls ``f_batch`` once per
+    step, and a family may override it with a faster loop that gives the
+    same values bit for bit.
     """
 
     dimension = 1
@@ -127,6 +140,10 @@ class MapSystem:
 
     def f_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def orbit(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Rows ``x, f(x), ..., f^k(x)`` of the orbits of the points ``x``."""
+        return orbit_block(self.f_batch, np.asarray(x, dtype=float), k)
 
     def df_scalar(self, x: float) -> float:
         raise NotImplementedError
@@ -495,6 +512,12 @@ class VianaMap(MapSystem):
     The critical set is the circle {x = 0}; the derivative matrix is lower
     triangular with constant entry ``d`` in the base, so the base Lyapunov
     exponent is ``log d`` exactly.
+
+    The base never depends on the fibre, so :meth:`orbit` steps ``theta``
+    alone (:meth:`base_step`), takes the forcing
+    ``c_j = a0 + alpha sin(2 pi theta_j)`` of every step in one call, and
+    leaves the fibre step ``x -> c_j - x^2``; :meth:`f_batch` is its
+    one-step case, so the skew-product formula is written once.
     """
 
     family = "viana"
@@ -537,10 +560,23 @@ class VianaMap(MapSystem):
                 self.a0 + self.alpha * math.sin(2 * math.pi * theta) - x * x)
 
     def f_batch(self, p):
-        p = np.asarray(p, dtype=float)
-        out = np.empty_like(p)
-        out[:, 0] = wrap_unit_batch(self.d * p[:, 0])
-        out[:, 1] = self.a0 + self.alpha * np.sin(2 * np.pi * p[:, 0]) - p[:, 1] ** 2
+        return self.orbit(p, 1)[1]
+
+    def base_step(self, theta: np.ndarray) -> np.ndarray:
+        """``d theta (mod 1)``: one step of the base circle."""
+        return wrap_unit_batch(self.d * theta)
+
+    def orbit(self, p, k):
+        """Rows ``p, f(p), ..., f^k(p)`` of the orbits of the points ``p``
+        (shape (n, 2)), as an array of shape (k + 1, n, 2)."""
+        out = np.empty((k + 1,) + np.shape(p))
+        out[0] = p
+        theta, x = out[..., 0], out[..., 1]
+        for j in range(k):
+            theta[j + 1] = self.base_step(theta[j])
+        c = self.a0 + self.alpha * np.sin(2 * np.pi * theta[:k])
+        for j in range(k):
+            x[j + 1] = c[j] - x[j] ** 2
         return out
 
     def jac_entries_batch(self, p):

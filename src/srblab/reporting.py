@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -41,15 +42,23 @@ def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
     """Write comment lines, a header row and data rows.
 
     Fields are escaped RFC-4180 style (quotes doubled, quoting only when
-    needed); floats go through :func:`format_real`.
+    needed); floats go through :func:`format_real`.  Comments are single
+    lines, and the header must not start with ``#``: either would not
+    read back.
     """
+    if any("\n" in c or "\r" in c for c in comments):
+        raise ArgumentError("CSV comment lines cannot hold a line break")
+    if header and str(header[0]).startswith("#"):
+        raise ArgumentError("a CSV header cannot start with '#'")
     buf = io.StringIO()
     for c in comments:
         buf.write(f"# {c}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    plain = csv.writer(buf, lineterminator="\n")
+    # the writer quotes only the characters of its line terminator, so a
+    # row with a bare \r in some field is written fully quoted
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for cells in itertools.chain([header], ([_cell(v) for v in row] for row in rows)):
+        (quoted if any("\r" in c for c in cells) else plain).writerow(cells)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
 
@@ -57,17 +66,17 @@ def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
 def read_csv(path: str) -> tuple[list[str], list[str], list[list[str]]]:
     """Read back a file produced by :func:`write_csv`.
 
-    Returns (comment lines without the marker, header, data rows).
+    Returns (comment lines without the marker, header, data rows).  Only
+    the leading block of ``#`` lines is comments; the rest is parsed as
+    one CSV stream, so a quoted field may hold line breaks and ``#``.
     """
     comments = []
-    body = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-            else:
-                body.append(line)
-    rows = list(csv.reader(body))
+        line = fh.readline()
+        while line.startswith("#"):
+            comments.append(line[1:].strip())
+            line = fh.readline()
+        rows = list(csv.reader(itertools.chain([line], fh))) if line else []
     if not rows:
         raise ArgumentError(f"{path} has no header row")
     return comments, rows[0], rows[1:]

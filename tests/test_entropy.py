@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
-from srblab.maps import TentMap
+from srblab.maps import TentMap, VianaMap
 from srblab.rng import stream
 
 LOG2 = math.log(2.0)
@@ -182,6 +182,25 @@ class TestLyapunovEstimator:
         assert a != c
 
 
+class _Landing(VianaMap):
+    """Viana map whose draws with ``x > cut`` are moved to
+    ``x = sqrt(c(theta))``, so that their first step lands within rounding
+    of the critical circle and the slot restarts mid-block; counts its
+    draws."""
+
+    def __init__(self, alpha, cut=1.2):
+        super().__init__(alpha=alpha)
+        self.cut = cut
+        self.draws = 0
+
+    def sample_uniform(self, rng, n):
+        self.draws += n
+        p = super().sample_uniform(rng, n)
+        c = self.a0 + self.alpha * np.sin(2 * np.pi * p[:, 0])
+        p[:, 1] = np.where(p[:, 1] > self.cut, np.sqrt(c), p[:, 1])
+        return p
+
+
 class _CountingTent(TentMap):
     """Tent map that records the number of points of every ``f_batch`` call."""
 
@@ -207,6 +226,27 @@ class TestLyapunovRows:
         assert rows == [sl.entropy_lyapunov(m, 8, 3 * 256 + 7, seed=s)
                         for m, s in zip(maps, seeds)]
         assert len(set(rows)) == 3
+
+    def test_viana_rows_with_restarts_match_their_one_row_runs(self):
+        maps = [_Landing(0.0), _Landing(0.01, cut=np.inf), _Landing(0.05)]
+        rows = sl.entropy_lyapunov_rows(maps, 16, 600, [4, 5, 6])
+        draws = [m.draws for m in maps]
+        assert draws[0] > 16 and draws[1] == 16 and draws[2] > 16  # restarts in rows 0, 2
+        for m, seed, row in zip(maps, [4, 5, 6], rows):
+            assert row == sl.entropy_lyapunov(m, 16, 600, seed=seed)
+        assert [m.draws for m in maps] == [2 * d for d in draws]
+        assert rows[1] == sl.entropy_lyapunov(sl.make_map("viana", alpha=0.01), 16, 600, seed=5)
+
+    def test_viana_values_are_pinned(self):
+        # taken before the cylinder orbits split the base from the fibre
+        m = sl.make_map("viana", alpha=0.01, d=16)
+        assert sl.entropy_lyapunov(m, 16, 20_000, seed=3) == \
+            (3.1149126755419365, 0.0001591420115879234)
+        maps = [sl.make_map("viana", alpha=a, d=d) for a, d in [(0.0, 16), (0.05, 3), (0.01, 2)]]
+        assert sl.entropy_lyapunov_rows(maps, 8, 1000, [1, 2, 3]) == [
+            (3.1166001434080863, 0.0012373426907142148),
+            (1.3943371365321673, 0.0036272076212777622),
+            (1.0323809377893043, 0.001039711812880097)]
 
     def test_restarting_rows_match_their_one_row_runs(self):
         maps = [_Countdown(), _Countdown(2.0 ** -11), _Countdown(2.0 ** -12, lo=-0.1)]

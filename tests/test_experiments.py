@@ -4,8 +4,12 @@ import hashlib
 import math
 import os
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srblab as sl
 from srblab.experiments import _row_seed
@@ -54,6 +58,111 @@ class TestConfigRoundTrip:
                                   out_dir=str(tmp_path))
         with pytest.raises(sl.ConfigError, match="bins"):
             sl.run_density(cfg)
+
+
+#: text of any kind, line breaks, blanks and ``#`` included
+_ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+#: text that reads back unchanged: no blanks or line breaks, and a ``#``
+#: anywhere but in front
+_PLAIN_TEXT = st.text(st.characters(exclude_categories=("Cs", "Z", "Cc"),
+                                    exclude_characters="\x85"), max_size=12
+                      ).filter(lambda t: not t.startswith("#"))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+def _configs(text):
+    """Valid configs whose string fields and map parameters come from ``text``."""
+    params = st.dictionaries(st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True),
+                             st.one_of(st.integers(), _FINITE, text), max_size=4)
+    count = st.integers(1, 10 ** 12)
+    induce = st.one_of(st.just((None, None)),
+                       st.tuples(_FINITE, _POSITIVE).map(lambda p: (p[0], p[0] + p[1]))
+                       .filter(lambda p: p[1] > p[0]))
+    return st.builds(
+        lambda induce, **kw: sl.ExperimentConfig(induce_lo=induce[0], induce_hi=induce[1],
+                                                 **kw),
+        induce, family=text, map_params=params,
+        sweep_parameter=st.one_of(st.none(), text), sweep_from=_FINITE, sweep_to=_FINITE,
+        sweep_steps=st.integers(2, 10 ** 6), n_iters=count, sample_size=count,
+        retry_budget=st.integers(0, 100), smb_depth=count, bins=count, ulam_tol=_POSITIVE,
+        ulam_max_iters=count, tau_max=count, induce_tol=_POSITIVE,
+        tail_lam=st.one_of(st.none(), _FINITE), tail_eps=st.one_of(st.none(), _FINITE),
+        tail_delta=_POSITIVE, tail_n_max=count, tail_sample_size=count,
+        tail_inject=st.one_of(st.none(), text), seed=st.integers(), out_dir=text)
+
+
+class TestConfigText:
+    @settings(max_examples=200, deadline=None)
+    @given(_configs(_ANY_TEXT))
+    def test_serialize_round_trips_or_refuses(self, cfg):
+        try:
+            text = sl.serialize(cfg)
+        except sl.ConfigError:
+            return
+        assert sl.parse(text) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(_configs(_PLAIN_TEXT))
+    def test_plain_strings_always_round_trip(self, cfg):
+        cfg.map_params = {k: v for k, v in cfg.map_params.items()
+                          if not isinstance(v, str) or sl.config._parse_scalar(v) == v}
+        assert sl.parse(sl.serialize(cfg)) == cfg
+
+    def test_hash_starts_a_comment_only_after_whitespace(self):
+        cfg = sl.parse("# a comment\nout_dir = runs/#3 # the third run\n"
+                       "seed = 5\t# tab\nmap.family = tent#x\n")
+        assert (cfg.out_dir, cfg.seed, cfg.family) == ("runs/#3", 5, "tent#x")
+        cfg = sl.ExperimentConfig(out_dir="runs/#3")
+        assert sl.parse(sl.serialize(cfg)) == cfg
+
+    @pytest.mark.parametrize("field,value", [
+        ("out_dir", "runs #3"), ("out_dir", " runs"), ("out_dir", "a\nseed = 3"),
+        ("tail_inject", "x\t#y"), ("family", "tent\r"),
+    ])
+    def test_strings_that_would_read_back_changed_are_refused(self, field, value):
+        with pytest.raises(sl.ConfigError, match="would not read back unchanged"):
+            sl.serialize(dataclasses.replace(sl.ExperimentConfig(), **{field: value}))
+
+    def test_a_string_parameter_that_reads_as_a_number_is_refused(self):
+        with pytest.raises(sl.ConfigError, match="map.slope"):
+            sl.serialize(sl.ExperimentConfig(family="tent", map_params={"slope": "1.8"}))
+
+
+class TestCsvText:
+    def test_a_quoted_line_break_before_a_hash_stays_in_its_field(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        sl.write_csv(path, ["k = v"], ["name", "n"], [["a\n# b", 1], ["c", 2]])
+        assert sl.read_csv(path) == (["k = v"], ["name", "n"], [["a\n# b", "1"], ["c", "2"]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(comments=st.lists(st.text(st.characters(exclude_categories=("Cs",)),
+                                     max_size=10).map(str.strip)
+                             .filter(lambda c: "\n" not in c and "\r" not in c), max_size=3),
+           header=st.lists(_ANY_TEXT, min_size=1, max_size=4)
+           .filter(lambda h: not h[0].startswith("#")),
+           rows=st.lists(st.lists(st.one_of(_ANY_TEXT, st.floats(allow_nan=False)),
+                                  min_size=1, max_size=4), max_size=5))
+    def test_write_then_read_is_exact(self, tmp_path_factory, comments, header, rows):
+        path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+        sl.write_csv(path, comments, header, rows)
+        got_comments, got_header, got_rows = sl.read_csv(path)
+        assert (got_comments, got_header) == (comments, header)
+        assert len(got_rows) == len(rows)
+        for got, row in zip(got_rows, rows):
+            assert len(got) == len(row)
+            for cell, v in zip(got, row):
+                if isinstance(v, float):
+                    assert cell == format_real(v) and float(cell).hex() == v.hex()
+                else:
+                    assert cell == v
+
+    def test_comments_and_headers_that_would_not_read_back_are_refused(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(sl.ArgumentError):
+            sl.write_csv(path, ["two\nlines"], ["a"], [])
+        with pytest.raises(sl.ArgumentError):
+            sl.write_csv(path, [], ["#a"], [])
 
 
 class TestBuildHelpers:
@@ -281,6 +390,19 @@ class TestSweep:
             assert cells["h_lyapunov"] == format_real(rep.h_lyapunov)
             assert cells["lyapunov_se"] == format_real(rep.lyapunov_se)
             assert cells["h_pesin"] == format_real(rep.h_pesin)
+
+    def test_sweeps_into_a_directory_a_config_file_cannot_name(self, tmp_path,
+                                                                tent_sweep_cfg):
+        # " #" would start a comment in a config file; the rows get the
+        # config object, not its text
+        cfg = dataclasses.replace(tent_sweep_cfg, out_dir=str(tmp_path / "runs #3"))
+        with pytest.raises(sl.ConfigError):
+            sl.serialize(cfg)
+        table = sl.run_sweep(cfg, workers=1)
+        assert table.csv_path == os.path.join(cfg.out_dir, "sweep.csv")
+        assert all(row["error"] is None for row in table.rows)
+        assert open(table.csv_path, "rb").read() == \
+            open(sl.run_sweep(tent_sweep_cfg).csv_path, "rb").read()
 
     def test_sweep_requires_a_parameter(self, tmp_path):
         cfg = sl.ExperimentConfig(family="tent", out_dir=str(tmp_path))

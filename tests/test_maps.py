@@ -1,5 +1,6 @@
 """Map family construction and pointwise evaluation."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
+from srblab.maps import wrap_unit_batch
 
 
 @pytest.mark.parametrize("family,params,dim", [
@@ -119,6 +121,45 @@ def test_viana_domain_is_forward_invariant(viana_map):
         pts = viana_map.f_batch(pts)
     assert np.all(pts[:, 1] >= viana_map.domain.lo - 1e-12)
     assert np.all(pts[:, 1] <= viana_map.domain.hi + 1e-12)
+
+
+def _skew_step(p, d, alpha, a0):
+    """One step of the skew product in one expression per coordinate, the
+    reference for ``VianaMap.orbit``, which splits the base from the fibre."""
+    out = np.empty_like(p)
+    out[:, 0] = wrap_unit_batch(d * p[:, 0])
+    out[:, 1] = a0 + alpha * np.sin(2 * np.pi * p[:, 0]) - p[:, 1] ** 2
+    return out
+
+
+@pytest.mark.parametrize("columns", [False, True])
+@pytest.mark.parametrize("d,alpha", [(2, 0.0), (3, 0.05), (16, 0.0), (16, 0.05)])
+def test_viana_orbit_equals_successive_steps_bit_for_bit(d, alpha, columns):
+    m = sl.make_map("viana", alpha=alpha, d=d)
+    rng = np.random.default_rng(d)
+    pts = m.sample_uniform(rng, 40)
+    if columns:
+        # per-slot parameters, as the lockstep orbit driver sets them
+        m = copy.copy(m)
+        m.alpha = np.repeat([alpha, 0.5 * alpha, 0.0, 0.01], 10)
+        m.d = np.repeat([d, 2, 3, 16], 10)
+    k = 3 * 256 + 7
+    buf = m.orbit(pts, k)
+    assert buf.shape == (k + 1, 40, 2)
+    step = ref = pts
+    for j in range(k + 1):
+        assert np.array_equal(buf[j], step)
+        assert np.array_equal(buf[j], ref)
+        step, ref = m.f_batch(step), _skew_step(ref, m.d, m.alpha, m.a0)
+    assert np.array_equal(m.orbit(pts, 0)[0], pts)
+
+
+def test_base_class_orbit_is_successive_f_batch_calls(quadratic_map):
+    x = np.linspace(-1.9, 1.9, 17)
+    buf = quadratic_map.orbit(x, 50)
+    for j in range(51):
+        assert np.array_equal(buf[j], x)
+        x = quadratic_map.f_batch(x)
 
 
 def test_batch_matches_scalar(tent17_map):
