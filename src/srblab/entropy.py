@@ -150,14 +150,15 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     with ``x``; ``m`` is Lebesgue measure normalised to a probability on
     the base interval, and the cylinder mass is computed by pulling the
     base interval back through the visited branches.  Affine towers stay
-    in log space
-    throughout, so depth is limited only by orbit length; non-affine
-    branches switch from interval endpoints to a derivative update once
-    the cylinder is narrower than 1e-6 times the base interval.  The
-    switch must happen well above float resolution, where the inverse
-    branches stop resolving the endpoints: one more pullback can shrink
-    the interval by the full branch slope, and colliding endpoints would
-    zero out the tracked width.
+    in log space throughout, so depth is limited only by orbit length;
+    non-affine branches switch from interval endpoints to a derivative
+    update once the cylinder is narrower than 1e-6 times the base
+    interval.  The switch must happen well above float resolution, where
+    the inverse branches stop resolving the endpoints: one more pullback
+    can shrink the interval by the full branch slope, and colliding
+    endpoints would zero out the tracked width.  The endpoints go back
+    only to the switch row and the midpoint anchor on from there, so a
+    depth-``n`` cylinder costs ``n`` cell inversions.
 
     The orbit is iterated with a low-order bit refresh keyed on the bit
     pattern of ``x`` (see :func:`srblab.rng.dither`), so the itinerary is
@@ -186,21 +187,22 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     if F.affine:
         return sum(math.log(abs(F.cells[i].slope)) for i in cells) / n
 
-    def pull_back(ys, k):
-        # row j: ``ys`` pulled back through cells k-1, ..., j, one cell at a time
-        rows = np.empty((k,) + ys.shape)
-        for j in range(k - 1, -1, -1):
-            ys = rows[j] = F.invert(cells[j], ys)
-        return rows
-
-    ends = pull_back(np.array([F.delta.lo, F.delta.hi]), n)
-    widths = ends.max(axis=1) - ends.min(axis=1)
-    narrow = np.flatnonzero(widths < 1e-6 * F.delta.width)
+    # pull the base interval back one cell at a time, from cell n-1 down to
+    # the switch row k: the first row narrower than 1e-6 of the base
+    # interval, or row 0
+    ends = np.array([F.delta.lo, F.delta.hi])
+    for k in range(n - 1, -1, -1):
+        ends = F.invert(cells[k], ends)
+        width = float(ends.max() - ends.min())
+        if width < 1e-6 * F.delta.width:
+            break
     # past the switch point the cylinder is tracked by its midpoint and
     # the derivatives of the remaining branches there
-    k = int(narrow[-1]) if narrow.size else 0
-    width = float(widths[k])
-    anchors = pull_back(np.array([0.5 * (ends[k, 0] + ends[k, 1])]), k)[:, 0]
+    anchors = np.empty(k)
+    anchor = np.array([0.5 * (ends[0] + ends[1])])
+    for j in range(k - 1, -1, -1):
+        anchor = F.invert(cells[j], anchor)
+        anchors[j] = anchor[0]
     log_extra = 0.0  # log of the width shrinkage past the switch point
     _, logj, _ = F.evaluate(np.array(cells[:k], dtype=int), anchors, jacobian=True)
     for term in logj[::-1].tolist():

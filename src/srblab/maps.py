@@ -563,8 +563,14 @@ class VianaMap(MapSystem):
         return self.orbit(p, 1)[1]
 
     def base_step(self, theta: np.ndarray) -> np.ndarray:
-        """``d theta (mod 1)``: one step of the base circle."""
-        return wrap_unit_batch(self.d * theta)
+        """``d theta (mod 1)``: one step of the base circle.
+
+        For ``theta`` in [0, 1) and an integer ``d``, ``y - floor(y)`` is
+        exact and below 1, so no fold onto 0 is needed (as it is in
+        :func:`wrap_unit_batch`).
+        """
+        y = self.d * theta
+        return y - np.floor(y)
 
     def orbit(self, p, k):
         """Rows ``p, f(p), ..., f^k(p)`` of the orbits of the points ``p``

@@ -366,55 +366,51 @@ class UlamOperator:
     description: str = ""
 
 
-def _atoms_for_piece(edges: np.ndarray, xlo: float, xhi: float,
-                     invert_edges, value_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _piece_entries(grid: Grid1D, xlo: float, xhi: float, value_fn, invert_inner):
     """Split a monotone piece ``[xlo, xhi]`` into slivers that map into a
     single target bin and lie in a single source bin.
 
-    ``invert_edges(targets)`` must return the piece preimages of target
-    bin edges; ``value_fn(points)`` evaluates the piece map.  Returns
-    (starts, ends, image midpoint values).
+    ``value_fn(points)`` evaluates the piece map; ``invert_inner(inner)``
+    must return the piece preimages of the grid edges ``edges[inner]``
+    (``inner`` a mask of the edges inside the piece's image).  Returns
+    each sliver's source bin, target bin and length, as (rows, columns,
+    lengths) with the narrowest index type: the slivers of a deep tower
+    run into the millions.
     """
+    edges = grid.edges
     ia, ib = value_fn(np.array([xlo, xhi])).tolist()
     ylo, yhi = (ia, ib) if ia <= ib else (ib, ia)
-    inner_targets = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
-    if inner_targets.size:
-        pre = invert_edges(inner_targets)
-    else:
-        pre = np.empty(0)
+    inner = (edges > ylo + 1e-15) & (edges < yhi - 1e-15)
+    pre = invert_inner(inner) if inner.any() else np.empty(0)
     cutpoints = np.concatenate([[xlo, xhi], pre, edges[(edges > xlo + 1e-15) & (edges < xhi - 1e-15)]])
     cutpoints = np.unique(np.clip(cutpoints, xlo, xhi))
     starts, ends = cutpoints[:-1], cutpoints[1:]
     keep = ends - starts > 1e-15
     starts, ends = starts[keep], ends[keep]
     mids = 0.5 * (starts + ends)
-    return starts, ends, value_fn(mids)
-
-
-def _assemble_rows(grid: Grid1D, pieces, description: str) -> UlamOperator:
-    """Build the transfer matrix from monotone pieces.
-
-    ``pieces`` yields ``(xlo, xhi, value_fn, invert_edges)`` with
-    ``value_fn`` vectorised and ``invert_edges`` mapping sorted target bin
-    edges to their preimages inside the piece.
-    """
-    edges = grid.edges
-    widths = grid.widths
-    # entries are kept per piece as (row, column, value) with the narrowest
-    # index type: the atoms of a deep tower run into the millions
     index = np.int32 if grid.n < 2 ** 31 else np.int64
+    return (grid.locate(mids).astype(index), grid.locate(value_fn(mids)).astype(index),
+            ends - starts)
+
+
+def _assemble_rows(grid: Grid1D, entries, description: str) -> UlamOperator:
+    """Build the transfer matrix from the slivers of monotone pieces.
+
+    ``entries`` yields one ``(rows, columns, lengths)`` triplet per piece
+    (:func:`_piece_entries`), in piece order: that order fixes the sums
+    of ``covered`` and of duplicate matrix entries to the last bit.
+    """
+    widths = grid.widths
     rows, cols, vals = [], [], []
     covered = np.zeros(grid.n)
-    for xlo, xhi, value_fn, invert_edges in pieces:
-        starts, ends, img_mids = _atoms_for_piece(edges, xlo, xhi, invert_edges, value_fn)
-        if starts.size == 0:
+    for src, dst, ln in entries:
+        if src.size == 0:
             continue
-        src = grid.locate(0.5 * (starts + ends))
-        ln = ends - starts
-        rows.append(src.astype(index))
-        cols.append(grid.locate(img_mids).astype(index))
-        vals.append(ln / widths[src])
         np.add.at(covered, src, ln)
+        ln /= widths[src]  # in place, so a deep tower's slivers are held once
+        rows.append(src)
+        cols.append(dst)
+        vals.append(ln)
     if rows:
         mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(grid.n, grid.n)).tocsr()
@@ -432,16 +428,21 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
     Entries come from exact branch inverses (closed form for affine
     branches, the base map's inverse branches composed along the cell
     itinerary otherwise), so each row sums to one minus the local deficit
-    fraction without sampling noise.  Cells are assembled one at a time,
-    which keeps the peak memory at one cell's slivers.
+    fraction without sampling noise.  Every grid edge is pulled back into
+    every cell by :meth:`InducedMarkovMap.invert_cells`, which inverts
+    each shared itinerary suffix once; a cell keeps only its slivers'
+    (row, column, length) triplets, taken from the preimages of the edges
+    inside its image, and the triplets are assembled in cell order.
     """
     if bins < 1:
         raise ArgumentError("ulam_matrix needs at least one bin")
     grid = Grid1D(F.delta.lo, F.delta.hi, bins)
-
-    pieces = ((cell.lo, cell.hi, partial(F.evaluate, i), partial(F.invert, i))
-              for i, cell in enumerate(F.cells))
-    return _assemble_rows(grid, pieces, f"tower[{F.base.family}] {bins} bins")
+    entries = [None] * len(F.cells)
+    for i, pre in F.invert_cells(grid.edges):
+        cell = F.cells[i]
+        entries[i] = _piece_entries(grid, cell.lo, cell.hi, partial(F.evaluate, i),
+                                    pre.__getitem__)
+    return _assemble_rows(grid, entries, f"tower[{F.base.family}] {bins} bins")
 
 
 def postcritical_grid(m: MapSystem, bins: int) -> Grid1D:
@@ -502,9 +503,10 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     if m.dimension == 1:
         grid = postcritical_grid(m, bins)
 
-        pieces = ((*m.branch_bounds(i), partial(m.branch_lift, i), partial(m.branch_inverse, i))
-                  for i in range(m.n_branches))
-        return _assemble_rows(grid, pieces, f"{m.family} one-step {bins} bins")
+        entries = (_piece_entries(grid, *m.branch_bounds(i), partial(m.branch_lift, i),
+                                  lambda inner, i=i: m.branch_inverse(i, grid.edges[inner]))
+                   for i in range(m.n_branches))
+        return _assemble_rows(grid, entries, f"{m.family} one-step {bins} bins")
 
     n_theta = int(round(bins ** 0.5))
     n_theta = max(n_theta, 1)

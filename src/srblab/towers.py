@@ -11,12 +11,16 @@ forward through the continuous lifts, so the last step never wraps mod 1,
 accumulating ``log |DF|`` and ``DF``, or back through the inverse branches,
 so nothing is found by bisection.  Points of many cells go in one call,
 with one mask per base branch and step; the points of one cell step
-without masks, which keeps the Ulam assembly as fast as plain composition
-while it goes cell by cell to hold its memory at one cell's slivers.  Cell
-endpoints and the images checked by :func:`verify_axioms` take compensated
-(double-double) steps: a float orbit that passes near a critical value
-keeps only ``ulp * |DF|`` of the image, 1e-6 on depth-18 quadratic cells.
-Towers of piecewise-affine maps use their cells' exact affine data.
+without masks.  Shared inverse chains are walked once:
+:meth:`InducedMarkovMap.invert_cells` pulls one set of points (the Ulam
+grid edges) back into every cell over the trie of reversed itineraries,
+one ``branch_inverse`` call per distinct suffix, and
+:func:`first_return_map` walks a segment's cut points and the targets of
+its pieces back in one chain.  Cell endpoints and the images checked by
+:func:`verify_axioms` take compensated (double-double) steps: a float
+orbit that passes near a critical value keeps only ``ulp * |DF|`` of the
+image, 1e-6 on depth-18 quadratic cells.  Towers of piecewise-affine maps
+use their cells' exact affine data.
 
 The three axioms checked by :func:`verify_axioms` are: every branch is a
 bijection onto the base interval (full Markov returns), the inverse
@@ -188,6 +192,37 @@ class InducedMarkovMap:
             return self._walk_cells(cells, ys, inverse=True)
         return (ys - self._icpt_arr[cells]) / self._slope_arr[cells]
 
+    def invert_cells(self, ys: np.ndarray):
+        """Preimages of all of ``ys`` in every cell, as ``(cell, xs)`` pairs.
+
+        Affine cells invert in closed form, in cell order.  Non-affine
+        cells come depth first over the trie of their reversed
+        itineraries: cells whose itineraries end alike share the inverse
+        steps of that suffix, so each distinct suffix costs one
+        ``branch_inverse`` call on all of ``ys``.  The pairs share their
+        arrays; read each before asking for the next.
+        """
+        ys = np.asarray(ys, dtype=float)
+        if self.affine:
+            for i in range(len(self.cells)):
+                yield i, self.invert(i, ys)
+            return
+        trie = {}  # branch -> subtrie; the key None lists the cells ending here
+        for i, c in enumerate(self.cells):
+            node = trie
+            for branch in reversed(c.itinerary):
+                node = node.setdefault(branch, {})
+            node.setdefault(None, []).append(i)
+
+        def visit(node, xs):
+            for branch, child in node.items():
+                if branch is None:
+                    yield from ((i, xs) for i in child)
+                else:
+                    yield from visit(child, self.base.branch_inverse(branch, xs))
+
+        yield from visit(trie, ys)
+
     def _walk_cells(self, cells, xs, **kw):
         if isinstance(cells, (int, np.integer)):
             return _walk(self.base, self.cells[cells].itinerary, None, xs, **kw)
@@ -353,19 +388,19 @@ def _walk(m: MapSystem, steps, rows, xs, inverse: bool = False,
     return (out, logj, deriv) if jacobian else out
 
 
-def _pull_back(m: MapSystem, seg, targets: np.ndarray) -> np.ndarray:
+def _pull_back(seg, targets: np.ndarray, xs) -> np.ndarray:
     """Preimages of ``targets`` under ``f^k`` restricted to a monotone segment.
 
-    Affine segments invert their accumulated affine map.  Otherwise the
-    segment's itinerary is walked back, and targets at or beyond an end
-    of the image go to the matching segment end.
+    Affine segments invert their accumulated affine map.  Otherwise ``xs``
+    holds the targets walked back through the segment's itinerary, and
+    targets at or beyond an end of the image go to the matching segment
+    end.
     """
-    xl, xh, yl, yh, orient, slope, itinerary = seg
+    xl, xh, yl, yh, orient, slope, _ = seg
     if slope is not None:
         # f^k on the segment is x -> slope*x + c with either endpoint pinning c
         c = (yl - slope * xl) if slope > 0 else (yh - slope * xl)
         return (targets - c) / slope
-    xs = _walk(m, itinerary, None, targets, inverse=True)
     xs = np.where(targets <= yl, xl if orient > 0 else xh, xs)
     return np.where(targets >= yh, xh if orient > 0 else xl, xs)
 
@@ -381,7 +416,10 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
     ``tau_max``.  Each piece records the base branches it has visited, and
     its endpoints are pulled back through their inverse branches (exactly,
     for piecewise-affine maps); ``tol`` scales the length below which an
-    image overlap or sliver counts as empty.
+    image overlap or sliver counts as empty.  The targets of a segment's
+    pieces are known from its image alone, so off affine maps they take
+    one inverse step of their piece's branch and then walk back the
+    segment's itinerary in one chain with the segment's own cut points.
 
     Raises
     ------
@@ -412,31 +450,46 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
             yl, yh, orient, slope, itinerary = seg[2:]
             inner = cuts[(cuts > yl + xtol) & (cuts < yh - xtol)]
             bounds = np.concatenate([[yl], inner, [yh]])
-            pre = _pull_back(m, seg, bounds)
+            # the image side of each piece: its base branch, its image and
+            # the targets [iyl, ilo, ihi, iyh] of one that overlaps delta.
+            # A covering piece returns on [dlo, dhi]; a partial return
+            # loses its overlap with delta to the deficit.
+            sides = []
             for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
                 if b - a <= 1e-15:
                     continue
+                bi = m.branch_containing(0.5 * (a + b))
+                ga, gb = (float(g) for g in m.branch_lift(bi, np.array([a, b])))
+                iyl, iyh = (ga, gb) if ga <= gb else (gb, ga)
+                overlap_lo, overlap_hi = max(iyl, dlo), min(iyh, dhi)
+                covers = iyl <= dlo + xtol and iyh >= dhi - xtol
+                ilo, ihi = (dlo, dhi) if covers else (overlap_lo, overlap_hi)
+                targets = (np.array([iyl, ilo, ihi, iyh])
+                           if overlap_hi - overlap_lo > xtol else None)
+                sides.append((j, bi, ga, gb, covers, targets))
+            if slope is None:
+                firsts = [m.branch_inverse(bi, t) for _, bi, _, _, _, t in sides if t is not None]
+                chain = _walk(m, itinerary, None, np.concatenate([bounds, *firsts]),
+                              inverse=True)
+                pre = _pull_back(seg, bounds, chain[:bounds.size])
+                walked = iter(chain[bounds.size:].reshape(-1, 4))
+            else:  # closed forms: nothing to walk
+                pre, walked = _pull_back(seg, bounds, None), None
+            for j, bi, ga, gb, covers, targets in sides:
+                xs = next(walked) if walked is not None and targets is not None else None
                 xa, xb = float(pre[j]), float(pre[j + 1])
                 pxl, pxh = (xa, xb) if xa <= xb else (xb, xa)
                 if pxh - pxl <= 1e-15:
                     continue
-                bi = m.branch_containing(0.5 * (a + b))
-                ga, gb = (float(g) for g in m.branch_lift(bi, np.array([a, b])))
-                sgn = 1 if gb >= ga else -1
                 iyl, iyh = (ga, gb) if ga <= gb else (gb, ga)
-                new_orient = orient * sgn
-                new_slope = slope * (gb - ga) / (b - a) if affine else None
+                new_orient = orient * (1 if gb >= ga else -1)
+                new_slope = slope * (gb - ga) / (bounds[j + 1] - bounds[j]) if affine else None
                 piece = (pxl, pxh, iyl, iyh, new_orient, new_slope, itinerary + (bi,))
-                overlap_lo, overlap_hi = max(iyl, dlo), min(iyh, dhi)
-                if overlap_hi - overlap_lo <= xtol:
+                if targets is None:
                     new_segments.append(piece)
                     continue
-                covers = iyl <= dlo + xtol and iyh >= dhi - xtol
-                # a covering piece returns on [dlo, dhi]; a partial return
-                # loses its overlap with delta to the deficit.  The parts
-                # clear of delta keep going either way.
-                ilo, ihi = (dlo, dhi) if covers else (overlap_lo, overlap_hi)
-                p = _pull_back(m, piece, np.array([iyl, ilo, ihi, iyh]))
+                _, ilo, ihi, _ = targets.tolist()
+                p = _pull_back(piece, targets, xs)
                 if covers and new_slope is None:
                     returns.append((k, new_orient, piece[6]))
                 elif covers:
@@ -447,6 +500,7 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
                                           target - new_slope * clo, piece[6]))
                 else:
                     partial_mass += abs(float(p[2]) - float(p[1]))
+                # the parts clear of delta keep going either way
                 for wlo, whi, ol, oh in ((iyl, ilo, p[0], p[1]), (ihi, iyh, p[2], p[3])):
                     if whi - wlo > xtol:
                         slo, shi = sorted((float(ol), float(oh)))

@@ -321,6 +321,59 @@ class TestSmb:
         assert np.median(gaps_long) <= np.median(gaps_short)
 
 
+def _smb_full_pull_back(F, x, n):
+    """``entropy_smb`` on a non-affine tower with the base interval pulled
+    back through all n cells, down to row 0, and the anchor pulled back
+    from the switch row: the reference for stopping at the switch row."""
+    drng = stream(int(np.float64(x).view(np.uint64)), 29)
+    cells, y = [], x
+    for k in range(n):
+        i = F.cell_index(y)
+        if i is None:
+            raise sl.CensoredOrbitError(k)
+        cells.append(i)
+        y = sl.dither(F.apply(y)[0], drng, F.delta.lo, F.delta.hi)
+    ends, ys = np.empty((n, 2)), np.array([F.delta.lo, F.delta.hi])
+    for j in range(n - 1, -1, -1):
+        ys = ends[j] = F.invert(cells[j], ys)
+    widths = ends.max(axis=1) - ends.min(axis=1)
+    narrow = np.flatnonzero(widths < 1e-6 * F.delta.width)
+    k = int(narrow[-1]) if narrow.size else 0
+    anchors, anchor = np.empty(k), np.array([0.5 * (ends[k, 0] + ends[k, 1])])
+    for j in range(k - 1, -1, -1):
+        anchor = F.invert(cells[j], anchor)
+        anchors[j] = anchor[0]
+    _, logj, _ = F.evaluate(np.array(cells[:k], dtype=int), anchors, jacobian=True)
+    log_extra = 0.0
+    for term in logj[::-1].tolist():
+        log_extra -= term
+    return -(math.log(float(widths[k])) + log_extra - math.log(F.delta.width)) / n
+
+
+def _outcome(estimate, *args):
+    try:
+        return estimate(*args)
+    except sl.CensoredOrbitError as exc:
+        return ("censored", str(exc))
+
+
+class TestSmbSwitchRow:
+    def test_matches_the_full_pull_back_bit_for_bit(self, tower_quadratic):
+        circle = sl.first_return_map(sl.make_map("circle_perturbed", t=0.2),
+                                     sl.Interval(0.0, 0.5), 20)
+        censored = 0
+        for F in (circle, tower_quadratic):
+            starts = np.random.default_rng(3).uniform(F.delta.lo, F.delta.hi, 6).tolist()
+            # one start in the deficit, one that survives 64 quadratic cells
+            starts += [np.nextafter(F.delta.hi, F.delta.lo), 0.02806832496556757]
+            for n in (1, 8, 64, 200):
+                for x in starts:
+                    got = _outcome(sl.entropy_smb, F, x, n)
+                    assert got == _outcome(_smb_full_pull_back, F, x, n)
+                    censored += isinstance(got, tuple)
+        assert censored > 0
+
+
 class TestTruncationBound:
     def test_scales_with_the_majorant_constant(self, tower_quadratic, mu_quadratic):
         b1 = sl.entropy_truncation_bound(tower_quadratic, mu_quadratic, C=1.0)

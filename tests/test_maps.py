@@ -111,6 +111,22 @@ def test_viana_step(viana_map):
     assert out[1] == pytest.approx(a0 + 0.01 * math.sin(2 * math.pi * theta) - x * x)
 
 
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_base_step_needs_no_fold(d):
+    # d theta - floor(d theta) is exact and below 1 for theta in [0, 1),
+    # so the fold of wrap_unit_batch never fires on the base circle
+    m = sl.make_map("viana", alpha=0.05, d=d)
+    k = np.arange(d)
+    theta = np.concatenate([
+        np.random.default_rng(d).uniform(0.0, 1.0, 4096),
+        1.0 - np.arange(1, 65) * 2.0 ** -53,
+        k / d, np.nextafter(k / d, 1.0), np.nextafter((k + 1) / d, 0.0),
+    ])
+    got = m.base_step(theta)
+    assert np.array_equal(got, wrap_unit_batch(d * theta))
+    assert got.min() >= 0.0 and got.max() < 1.0
+
+
 def test_viana_domain_is_forward_invariant(viana_map):
     rng = np.random.default_rng(1)
     pts = np.column_stack([

@@ -2,13 +2,17 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+
 import srblab as sl
+from srblab.maps import PerturbedDoublingMap
 from srblab.measures import bin_slivers, postcritical_grid
 
 
@@ -171,6 +175,83 @@ class TestUlamMatrixExactOracles:
     def test_bins_must_be_positive(self, tower_k3):
         with pytest.raises(sl.ArgumentError):
             sl.ulam_matrix(tower_k3, 0)
+
+
+@cache
+def _suffix_tower(name):
+    if name.startswith("circle"):
+        m = sl.make_map("circle_perturbed", t=float(name.split("=")[1]))
+        return sl.first_return_map(m, sl.Interval(0.0, 0.5), 20)
+    m = sl.make_map("quadratic", a=2.0)
+    return sl.first_return_map(m, sl.Interval(0.0, float(np.sqrt(2.0))), int(name.split("=")[1]))
+
+
+def _cell_by_cell_ulam(F, bins):
+    """The tower Ulam matrix with every cell inverting the grid edges inside
+    its image through its own whole itinerary (``F.invert``), assembled
+    cell by cell: the reference for the suffix-trie assembly."""
+    grid = sl.Grid1D(F.delta.lo, F.delta.hi, bins)
+    edges, widths = grid.edges, grid.widths
+    rows, cols, vals = [], [], []
+    covered = np.zeros(bins)
+    for i, c in enumerate(F.cells):
+        ylo, yhi = sorted(F.evaluate(i, np.array([c.lo, c.hi])).tolist())
+        targets = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
+        pre = F.invert(i, targets) if targets.size else np.empty(0)
+        cuts = np.concatenate([[c.lo, c.hi], pre,
+                               edges[(edges > c.lo + 1e-15) & (edges < c.hi - 1e-15)]])
+        cuts = np.unique(np.clip(cuts, c.lo, c.hi))
+        starts, ends = cuts[:-1], cuts[1:]
+        keep = ends - starts > 1e-15
+        starts, ends = starts[keep], ends[keep]
+        if starts.size == 0:
+            continue
+        mids = 0.5 * (starts + ends)
+        src = grid.locate(mids)
+        rows.append(src)
+        cols.append(grid.locate(F.evaluate(i, mids)))
+        vals.append((ends - starts) / widths[src])
+        np.add.at(covered, src, ends - starts)
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(bins, bins)).tocsr()
+    frac = covered / widths
+    return mat, np.clip(1.0 - frac, 0.0, 1.0), frac < 1e-9
+
+
+class _CountingCircle(PerturbedDoublingMap):
+    """circle_perturbed map that counts its ``branch_inverse`` calls."""
+
+    inverse_calls = 0
+
+    def branch_inverse(self, i, y):
+        self.inverse_calls += 1
+        return super().branch_inverse(i, y)
+
+
+class TestUlamSuffixTrie:
+    @pytest.mark.parametrize("name,bins", [
+        ("circle t=0.05", 4096), ("circle t=0.4", 4096), ("circle t=0.4", 1023),
+        ("quadratic tau=12", 4096), ("quadratic tau=12", 1023), ("quadratic tau=16", 4096),
+        ("quadratic tau=16", 1023),
+    ])
+    def test_matches_the_cell_by_cell_assembly_bit_for_bit(self, name, bins):
+        F = _suffix_tower(name)
+        op = sl.ulam_matrix(F, bins)
+        mat, row_deficit, flagged = _cell_by_cell_ulam(F, bins)
+        for got, want in ((op.matrix.indptr, mat.indptr), (op.matrix.indices, mat.indices),
+                          (op.matrix.data, mat.data), (op.row_deficit, row_deficit),
+                          (op.flagged, flagged)):
+            assert np.array_equal(got, want)
+
+    def test_one_branch_inverse_call_per_distinct_suffix(self):
+        m = _CountingCircle(0.2)
+        F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 20)
+        suffixes = {c.itinerary[j:] for c in F.cells for j in range(c.tau)}
+        # 39 distinct suffixes against 210 inverse steps cell by cell
+        assert len(suffixes) == 39 and sum(c.tau for c in F.cells) == 210
+        m.inverse_calls = 0
+        sl.ulam_matrix(F, 512)
+        assert m.inverse_calls == len(suffixes)
 
 
 def _power_reference(op, tol=1e-12, max_iters=10_000):

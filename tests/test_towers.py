@@ -237,6 +237,94 @@ class TestTowerEvaluation:
             sl.InducedMarkovMap(F.base, F.delta, [bare], F.tau_max, provenance="numeric")
 
 
+def _per_piece_first_return(m, delta, tau_max, tol=1e-12):
+    """First-return cells (sorted by ``lo``), partial mass and deficit with
+    every piece pulled back through its own whole itinerary: the reference
+    for the one pull-back chain per segment of ``first_return_map``."""
+    def pull_back(seg, targets):
+        xl, xh, yl, yh, orient, slope, itinerary = seg
+        if slope is not None:
+            c = (yl - slope * xl) if slope > 0 else (yh - slope * xl)
+            return (targets - c) / slope
+        xs = targets
+        for branch in reversed(itinerary):
+            xs = m.branch_inverse(branch, xs)
+        xs = np.where(targets <= yl, xl if orient > 0 else xh, xs)
+        return np.where(targets >= yh, xh if orient > 0 else xl, xs)
+
+    dlo, dhi = delta.lo, delta.hi
+    cuts = np.asarray(m.interior_cuts(), dtype=float)
+    xtol = min(tol, 1e-12) * 1e-2
+    cells, returns, partial = [], [], 0.0
+    segments = [(dlo, dhi, dlo, dhi, 1, 1.0 if m.piecewise_affine else None, ())]
+    for k in range(1, tau_max + 1):
+        new_segments = []
+        for seg in segments:
+            yl, yh, orient, slope, itinerary = seg[2:]
+            bounds = np.concatenate([[yl], cuts[(cuts > yl + xtol) & (cuts < yh - xtol)], [yh]])
+            pre = pull_back(seg, bounds)
+            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                pxl, pxh = sorted((float(pre[j]), float(pre[j + 1])))
+                if b - a <= 1e-15 or pxh - pxl <= 1e-15:
+                    continue
+                bi = m.branch_containing(0.5 * (a + b))
+                ga, gb = (float(g) for g in m.branch_lift(bi, np.array([a, b])))
+                iyl, iyh = sorted((ga, gb))
+                o = orient * (1 if gb >= ga else -1)
+                s = None if slope is None else slope * (gb - ga) / (b - a)
+                piece = (pxl, pxh, iyl, iyh, o, s, itinerary + (bi,))
+                olo, ohi = max(iyl, dlo), min(iyh, dhi)
+                if ohi - olo <= xtol:
+                    new_segments.append(piece)
+                    continue
+                covers = iyl <= dlo + xtol and iyh >= dhi - xtol
+                ilo, ihi = (dlo, dhi) if covers else (olo, ohi)
+                p = pull_back(piece, np.array([iyl, ilo, ihi, iyh]))
+                if covers and s is None:
+                    returns.append((k, o, piece[6]))
+                elif covers:
+                    clo, chi = sorted((float(p[1]), float(p[2])))
+                    if chi - clo > 1e-15:
+                        cells.append((clo, chi, k, o, piece[6]))
+                else:
+                    partial += abs(float(p[2]) - float(p[1]))
+                for wlo, whi, ol, oh in ((iyl, ilo, p[0], p[1]), (ihi, iyh, p[2], p[3])):
+                    slo, shi = sorted((float(ol), float(oh)))
+                    if whi - wlo > xtol and shi - slo > 1e-15:
+                        new_segments.append((slo, shi, wlo, whi, o, s, piece[6]))
+        segments = new_segments
+        if not segments:
+            break
+    for k, o, itinerary in returns:
+        # the cell ends in double-double arithmetic, as every tower takes them
+        hi, lo = np.array([dlo, dhi]), np.zeros(2)
+        for branch in reversed(itinerary):
+            hi, lo = m.branch_inverse_dd(branch, hi, lo)
+        clo, chi = sorted((hi + lo).tolist())
+        if chi - clo > 1e-15:
+            cells.append((clo, chi, k, o, itinerary))
+    cells.sort(key=lambda c: c[0])
+    return cells, partial, max(delta.width - sum(c[1] - c[0] for c in cells), 0.0)
+
+
+class TestFirstReturnChains:
+    @pytest.mark.parametrize("family,params,hi,tau_max", [
+        ("circle_perturbed", {"t": 0.05}, 0.5, 20),
+        ("circle_perturbed", {"t": 0.4}, 0.5, 20),
+        ("circle_perturbed", {"t": 0.0}, 0.5, 16),  # piecewise affine
+        ("quadratic", {"a": 2.0}, ROOT2, 12),
+        ("quadratic", {"a": 1.8}, 0.5, 12),  # partial returns
+        ("tent", {"slope": 1.8}, 0.5, 16),
+    ])
+    def test_matches_the_per_piece_pull_back_bit_for_bit(self, family, params, hi, tau_max):
+        m = sl.make_map(family, **params)
+        delta = sl.Interval(0.0, hi)
+        F = sl.first_return_map(m, delta, tau_max)
+        cells, partial, deficit = _per_piece_first_return(m, delta, tau_max)
+        assert [(c.lo, c.hi, c.tau, c.orientation, c.itinerary) for c in F.cells] == cells
+        assert F.partial_mass == partial and F.deficit == deficit
+
+
 class TestKac:
     def test_kac_mass_of_exact_tower_is_a_rational(self, tower_doubling12, mu_doubling12):
         # uniform quasi-stationary mass on the live cells gives
