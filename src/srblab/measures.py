@@ -9,7 +9,10 @@ discretisation of a map or induced map is a sparse row-stochastic matrix
 whose ``(i, j)`` entry is the Lebesgue fraction of bin ``i`` sent into
 bin ``j``, assembled from the exact inverse branches of the map
 (``MapSystem.branch_inverse``) or of the tower's cells; rows under an
-induced map sum to one minus the local mass deficit.  Stationary
+induced map sum to one minus the local mass deficit.  Each monotone
+piece is cut at the preimages of the grid edges, whose order also gives
+every sliver its target bin, and the slivers stream into CSR rows that
+are converted as soon as they are complete.  Stationary
 densities are found by one lazy iteration started from Lebesgue, which
 cannot stall on maps that swap bands, and never by dense factorisation,
 so towers with thousands of bins stay cheap.
@@ -25,12 +28,11 @@ use them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ArgumentError, ConvergenceError
+from .errors import ArgumentError, ConstructionError, ConvergenceError
 from .maps import MapSystem
 
 _STRATA = 16
@@ -45,6 +47,9 @@ _CYLINDER_SIDE = 16
 # that the quadratic densities and Pesin estimates keep their values.
 _GRADING_POWER = 2
 _POSTCRITICAL_DEPTH = 3
+
+# pending slivers past which the Ulam assembly converts its complete rows
+_ASSEMBLY_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,56 +371,97 @@ class UlamOperator:
     description: str = ""
 
 
-def _piece_entries(grid: Grid1D, xlo: float, xhi: float, value_fn, invert_inner):
+def _inner_edges(grid: Grid1D, ia, ib):
+    """Ranges ``[k0, k1)`` of the grid edges inside the images of pieces
+    with end values ``ia``, ``ib``: the edges more than 1e-15 inside
+    ``[min(ia, ib), max(ia, ib)]``."""
+    k0 = np.searchsorted(grid.edges, np.minimum(ia, ib) + 1e-15, side="right")
+    k1 = np.searchsorted(grid.edges, np.maximum(ia, ib) - 1e-15, side="left")
+    return k0, np.maximum(k1, k0)
+
+
+def _piece_slivers(grid: Grid1D, xlo: float, xhi: float, cuts: np.ndarray, k0: int,
+                   increasing: bool, pre: np.ndarray, name: str):
     """Split a monotone piece ``[xlo, xhi]`` into slivers that map into a
     single target bin and lie in a single source bin.
 
-    ``value_fn(points)`` evaluates the piece map; ``invert_inner(inner)``
-    must return the piece preimages of the grid edges ``edges[inner]``
-    (``inner`` a mask of the edges inside the piece's image).  Returns
-    each sliver's source bin, target bin and length, as (rows, columns,
-    lengths) with the narrowest index type: the slivers of a deep tower
-    run into the millions.
+    ``cuts`` are the grid edges inside the piece and ``pre`` the piece
+    preimages of the edges ``edges[k0:k0 + len(pre)]`` inside its image
+    (both by :func:`_inner_edges`).  A sliver's source bin is the bin of
+    its midpoint; its target bin is read off from where the midpoint falls
+    among those preimages, which the piece orders like the edges
+    (``increasing``) or in reverse, so the piece map is never evaluated.
+    Returns each sliver's source bin, target bin and length, as (rows,
+    columns, lengths) with the narrowest index type.
+
+    Raises
+    ------
+    ConstructionError
+        If the preimages, clipped into the piece, are not monotone.
     """
-    edges = grid.edges
-    ia, ib = value_fn(np.array([xlo, xhi])).tolist()
-    ylo, yhi = (ia, ib) if ia <= ib else (ib, ia)
-    inner = (edges > ylo + 1e-15) & (edges < yhi - 1e-15)
-    pre = invert_inner(inner) if inner.any() else np.empty(0)
-    cutpoints = np.concatenate([[xlo, xhi], pre, edges[(edges > xlo + 1e-15) & (edges < xhi - 1e-15)]])
-    cutpoints = np.unique(np.clip(cutpoints, xlo, xhi))
+    pre = np.clip(pre, xlo, xhi)
+    steps = np.diff(pre)
+    if (steps < 0).any() if increasing else (steps > 0).any():
+        raise ConstructionError(f"{name} [{xlo!r}, {xhi!r}): the preimages of the grid edges "
+                                f"are not monotone")
+    cutpoints = np.unique(np.concatenate([[xlo, xhi], pre, cuts]))
     starts, ends = cutpoints[:-1], cutpoints[1:]
     keep = ends - starts > 1e-15
     starts, ends = starts[keep], ends[keep]
     mids = 0.5 * (starts + ends)
+    if increasing:  # the number of edges below a midpoint's image
+        below = np.searchsorted(pre, mids, side="right")
+    else:
+        below = np.searchsorted(-pre, -mids, side="left")
     index = np.int32 if grid.n < 2 ** 31 else np.int64
-    return (grid.locate(mids).astype(index), grid.locate(value_fn(mids)).astype(index),
-            ends - starts)
+    return (grid.locate(mids).astype(index),
+            np.clip(k0 - 1 + below, 0, grid.n - 1).astype(index), ends - starts)
 
 
-def _assemble_rows(grid: Grid1D, entries, description: str) -> UlamOperator:
+def _csr_rows(grid: Grid1D, pending, lo: int, hi: int):
+    """Convert the pending slivers of rows ``lo .. hi - 1`` (every sliver of
+    those rows) into a CSR block; returns the block and the slivers left."""
+    src, dst, val = (np.concatenate(part) for part in zip(*pending))
+    ready = src < hi
+    block = sp.coo_matrix((val[ready], (src[ready] - lo, dst[ready])),
+                          shape=(hi - lo, grid.n)).tocsr()
+    ready = ~ready
+    return block, [(src[ready], dst[ready], val[ready])]
+
+
+def _assemble_rows(grid: Grid1D, pieces, description: str) -> UlamOperator:
     """Build the transfer matrix from the slivers of monotone pieces.
 
-    ``entries`` yields one ``(rows, columns, lengths)`` triplet per piece
-    (:func:`_piece_entries`), in piece order: that order fixes the sums
-    of ``covered`` and of duplicate matrix entries to the last bit.
+    ``pieces`` yields ``(lo, rows, columns, lengths)`` per piece
+    (:func:`_piece_slivers`), with the pieces' left ends ``lo``
+    nondecreasing, so every row below the bin of ``lo`` is complete when a
+    piece arrives.  Once more than ``_ASSEMBLY_CHUNK`` slivers are pending,
+    the complete rows go through scipy's COO -> CSR conversion and the
+    blocks are stacked at the end: working memory follows the chunk and
+    the matrix, not the slivers of all pieces.  The bits follow the whole
+    matrix's conversion, since that conversion works row by row: it sorts
+    a row's column indices (an introsort for rows of more than 16
+    entries, which is not stable) and then adds up duplicates in sorted
+    order.  So each row reaches scipy whole and in piece order, and the
+    sums of ``covered`` run in piece order too.
     """
     widths = grid.widths
-    rows, cols, vals = [], [], []
     covered = np.zeros(grid.n)
-    for src, dst, ln in entries:
+    empty = np.empty(0, dtype=np.int32)
+    pending, size, blocks, done = [(empty, empty, np.empty(0))], 0, [], 0
+    for lo, src, dst, ln in pieces:
+        if size > _ASSEMBLY_CHUNK and (boundary := int(grid.locate(lo))) > done:
+            block, pending = _csr_rows(grid, pending, done, boundary)
+            blocks.append(block)
+            size, done = pending[0][0].size, boundary
         if src.size == 0:
             continue
         np.add.at(covered, src, ln)
-        ln /= widths[src]  # in place, so a deep tower's slivers are held once
-        rows.append(src)
-        cols.append(dst)
-        vals.append(ln)
-    if rows:
-        mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(grid.n, grid.n)).tocsr()
-    else:
-        mat = sp.csr_matrix((grid.n, grid.n))
+        ln /= widths[src]  # in place: the lengths become the entries
+        pending.append((src, dst, ln))
+        size += src.size
+    blocks.append(_csr_rows(grid, pending, done, grid.n)[0])
+    mat = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
     frac = covered / widths
     row_deficit = np.clip(1.0 - frac, 0.0, 1.0)
     flagged = frac < 1e-9
@@ -428,21 +474,34 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
     Entries come from exact branch inverses (closed form for affine
     branches, the base map's inverse branches composed along the cell
     itinerary otherwise), so each row sums to one minus the local deficit
-    fraction without sampling noise.  Every grid edge is pulled back into
-    every cell by :meth:`InducedMarkovMap.invert_cells`, which inverts
-    each shared itinerary suffix once; a cell keeps only its slivers'
-    (row, column, length) triplets, taken from the preimages of the edges
-    inside its image, and the triplets are assembled in cell order.
+    fraction without sampling noise.  One masked ``F.evaluate`` call gives
+    the ends of every cell, and with them the grid edges inside each
+    cell's image; no other point walks forward.  Every grid edge is
+    pulled back into every cell by :meth:`InducedMarkovMap.invert_cells`,
+    which inverts each shared itinerary suffix once; a cell keeps a copy
+    of its inner edges' preimages, which fix both its cuts and its
+    slivers' target bins.  The cells' slivers then stream, in cell order,
+    into the row by row assembly of :func:`_assemble_rows`.
     """
     if bins < 1:
         raise ArgumentError("ulam_matrix needs at least one bin")
     grid = Grid1D(F.delta.lo, F.delta.hi, bins)
-    entries = [None] * len(F.cells)
+    ends = np.array([(c.lo, c.hi) for c in F.cells]).reshape(-1, 2)
+    ia, ib = F.evaluate(np.repeat(np.arange(len(ends)), 2), ends.ravel()).reshape(-1, 2).T
+    los, his = ends.T
+    k0, k1 = _inner_edges(grid, ia, ib)
+    j0, j1 = _inner_edges(grid, los, his)
+    pres = [None] * len(ends)
     for i, pre in F.invert_cells(grid.edges):
-        cell = F.cells[i]
-        entries[i] = _piece_entries(grid, cell.lo, cell.hi, partial(F.evaluate, i),
-                                    pre.__getitem__)
-    return _assemble_rows(grid, entries, f"tower[{F.base.family}] {bins} bins")
+        pres[i] = pre[k0[i]:k1[i]].copy()
+
+    def pieces():
+        for i, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
+            pre, pres[i] = pres[i], None  # each copy goes once its cell is cut
+            yield lo, *_piece_slivers(grid, lo, hi, grid.edges[j0[i]:j1[i]], k0[i],
+                                      ia[i] <= ib[i], pre, f"cell {i}")
+
+    return _assemble_rows(grid, pieces(), f"tower[{F.base.family}] {bins} bins")
 
 
 def postcritical_grid(m: MapSystem, bins: int) -> Grid1D:
@@ -502,11 +561,16 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
         raise ArgumentError("one_step_ulam needs at least one bin")
     if m.dimension == 1:
         grid = postcritical_grid(m, bins)
-
-        entries = (_piece_entries(grid, *m.branch_bounds(i), partial(m.branch_lift, i),
-                                  lambda inner, i=i: m.branch_inverse(i, grid.edges[inner]))
-                   for i in range(m.n_branches))
-        return _assemble_rows(grid, entries, f"{m.family} one-step {bins} bins")
+        bounds = [m.branch_bounds(i) for i in range(m.n_branches)]
+        ia, ib = np.array([m.branch_lift(i, np.array(b)) for i, b in enumerate(bounds)]).T
+        k0, k1 = _inner_edges(grid, ia, ib)
+        j0, j1 = _inner_edges(grid, *np.array(bounds).T)
+        pieces = ((lo, *_piece_slivers(grid, lo, hi, grid.edges[j0[i]:j1[i]], k0[i],
+                                       ia[i] <= ib[i],
+                                       m.branch_inverse(i, grid.edges[k0[i]:k1[i]]),
+                                       f"branch {i}"))
+                  for i, (lo, hi) in enumerate(bounds))
+        return _assemble_rows(grid, pieces, f"{m.family} one-step {bins} bins")
 
     n_theta = int(round(bins ** 0.5))
     n_theta = max(n_theta, 1)

@@ -1,6 +1,7 @@
 """Discretized transfer operators, stationary densities and the spreading step."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -252,6 +253,154 @@ class TestUlamSuffixTrie:
         m.inverse_calls = 0
         sl.ulam_matrix(F, 512)
         assert m.inverse_calls == len(suffixes)
+
+
+def _assert_same_operator(op, mat, row_deficit, flagged):
+    for got, want in ((op.matrix.indptr, mat.indptr), (op.matrix.indices, mat.indices),
+                      (op.matrix.data, mat.data), (op.row_deficit, row_deficit),
+                      (op.flagged, flagged)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _forward_one_step_ulam(m, bins):
+    """The 1D one-step Ulam matrix with every sliver's target bin located
+    from its forward image, assembled as one COO -> CSR conversion."""
+    grid = postcritical_grid(m, bins)
+    edges, widths = grid.edges, grid.widths
+    rows, cols, vals = [], [], []
+    covered = np.zeros(bins)
+    for i in range(m.n_branches):
+        lo, hi = m.branch_bounds(i)
+        ylo, yhi = sorted(m.branch_lift(i, np.array([lo, hi])).tolist())
+        inner = (edges > ylo + 1e-15) & (edges < yhi - 1e-15)
+        pre = m.branch_inverse(i, edges[inner]) if inner.any() else np.empty(0)
+        cuts = np.concatenate([[lo, hi], pre, edges[(edges > lo + 1e-15) & (edges < hi - 1e-15)]])
+        cuts = np.unique(np.clip(cuts, lo, hi))
+        starts, ends = cuts[:-1], cuts[1:]
+        keep = ends - starts > 1e-15
+        starts, ends = starts[keep], ends[keep]
+        mids = 0.5 * (starts + ends)
+        src = grid.locate(mids)
+        rows.append(src)
+        cols.append(grid.locate(m.branch_lift(i, mids)))
+        vals.append((ends - starts) / widths[src])
+        np.add.at(covered, src, ends - starts)
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(bins, bins)).tocsr()
+    frac = covered / widths
+    return mat, np.clip(1.0 - frac, 0.0, 1.0), frac < 1e-9
+
+
+def _fixed_point_tower(a):
+    # [0, p) with p the positive fixed point has return cells for every a
+    p = (math.sqrt(1.0 + 4.0 * a) - 1.0) / 2.0
+    return sl.first_return_map(sl.make_map("quadratic", a=a), sl.Interval(0.0, p), 10)
+
+
+_SMALL_MAPS = st.one_of(
+    st.floats(1.5, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
+    st.floats(1.4, 2.0, exclude_min=True).map(lambda a: sl.make_map("quadratic", a=a)),
+    st.floats(0.0, 1.9, exclude_max=True).map(
+        lambda t: sl.make_map("circle_perturbed", t=t)),
+)
+
+
+def _small_tower(m):
+    if m.family == "quadratic":
+        return _fixed_point_tower(m.a)
+    return sl.first_return_map(m, sl.Interval(0.0, 0.5), 12 if m.family == "tent" else 8)
+
+
+class _CountingQuadratic(sl.maps.QuadraticMap):
+    """quadratic map that counts its ``branch_lift`` calls."""
+
+    lift_calls = 0
+
+    def branch_lift(self, i, x):
+        self.lift_calls += 1
+        return super().branch_lift(i, x)
+
+
+class _ShuffledQuadratic(sl.maps.QuadraticMap):
+    """quadratic map whose ``branch_inverse`` returns its preimages shuffled."""
+
+    def branch_inverse(self, i, y):
+        x = super().branch_inverse(i, y)
+        return x[np.random.default_rng(0).permutation(x.size)]
+
+
+def _overlapping_tower():
+    """Affine cells onto parts of [0, 1): the first two overlap by 8e-13 around
+    0.3, the later ones share their ends, and the second is decreasing and
+    short, so that rows of the first cell wait behind rows of the second."""
+    spans = [(0.0, 0.3 + 4e-13, 1.0, 0.0), (0.3 - 4e-13, 0.31, -1.0, 1.0),
+             (0.31, 0.8, 0.7, 0.0), (0.8, 1.0, 1.0, 0.0)]
+    cells = []
+    for lo, hi, rise, y0 in spans:
+        slope = rise / (hi - lo)
+        cells.append(sl.Cell(lo, hi, 1, 1 if rise > 0 else -1, slope, y0 - slope * lo, (0,)))
+    return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 1,
+                               provenance="numeric")
+
+
+class TestStreamedUlamAssembly:
+    """The tower and 1D one-step assemblies take target bins from the order
+    of the edge preimages and convert complete rows in chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 300])
+    @pytest.mark.parametrize("name,bins", [
+        ("quadratic tau=16", 4096), ("overlap", 10), ("overlap", 40), ("overlap", 1000),
+    ])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, name, bins, chunk):
+        F = _overlapping_tower() if name == "overlap" else _suffix_tower(name)
+        want = sl.ulam_matrix(F, bins)
+        monkeypatch.setattr(sl.measures, "_ASSEMBLY_CHUNK", chunk)
+        got = sl.ulam_matrix(F, bins)
+        _assert_same_operator(got, want.matrix, want.row_deficit, want.flagged)
+        if name == "overlap":
+            _assert_same_operator(got, *_cell_by_cell_ulam(F, bins))
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=_SMALL_MAPS, bins=st.integers(1, 2048))
+    def test_tower_matches_the_forward_located_reference(self, m, bins):
+        F = _small_tower(m)
+        _assert_same_operator(sl.ulam_matrix(F, bins), *_cell_by_cell_ulam(F, bins))
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=_SMALL_MAPS, bins=st.integers(1, 2048))
+    def test_one_step_matches_the_forward_located_reference(self, m, bins):
+        _assert_same_operator(sl.one_step_ulam(m, bins), *_forward_one_step_ulam(m, bins))
+
+    def test_preimages_out_of_order_are_refused(self):
+        m = _ShuffledQuadratic(2.0)
+        with pytest.raises(sl.ConstructionError, match=r"branch 0 .* not monotone"):
+            sl.one_step_ulam(m, 64)
+        with pytest.raises(sl.ConstructionError, match=r"cell 0 .* not monotone"):
+            sl.ulam_matrix(sl.trivial_tower(m), 64)
+
+    def test_cell_ends_take_one_forward_walk(self):
+        # the ends of all cells walk forward together, and nothing else does:
+        # at most one branch_lift call per branch and itinerary step
+        F = _suffix_tower("quadratic tau=16")
+        m = _CountingQuadratic(2.0)
+        G = sl.InducedMarkovMap(m, F.delta, F.cells, F.tau_max, provenance="numeric")
+        op = sl.ulam_matrix(G, 4096)
+        assert 0 < m.lift_calls <= m.n_branches * F.tau_max  # 28,392 cell by cell
+        _assert_same_operator(op, *_cell_by_cell_ulam(F, 4096))
+
+    def test_peak_memory_stays_below_half_the_triplet_assembly(self):
+        # Holding every cell's (row, column, length) triplets and converting
+        # them at once peaked at 190.9 MB under tracemalloc on this tower
+        # (987 cells, 4096 bins, 1.8 M nonzeros); the streamed assembly
+        # measured 43.3 MB (Python 3.11, numpy 2.4, scipy 1.17).
+        F = _suffix_tower("quadratic tau=16")
+        tracemalloc.start()
+        try:
+            sl.ulam_matrix(F, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 95 * 2 ** 20
 
 
 def _power_reference(op, tol=1e-12, max_iters=10_000):
