@@ -13,6 +13,10 @@ partitions and transfer-operator discretisations without finite
 differences.  Jacobians are guarded near the critical set: below
 ``NEAR_CRITICAL_FLOOR`` the logarithm is refused rather than silently
 overflowing.
+
+Each family writes its formula once, in batch methods (``f_batch``,
+``df_batch``, ``crit_dist_batch``, ``orbit``, ...), the only way to evaluate
+a map: one point goes in as a batch of shape (1,), or (1, 2) on the cylinder.
 """
 
 from __future__ import annotations
@@ -54,14 +58,9 @@ def _two_square(a):
     return p, ((ah * ah - p) + 2.0 * ah * al) + al * al
 
 
-def wrap_unit(x: float) -> float:
-    """Reduce a real number to [0, 1), sending an exact 1.0 to 0.0."""
-    y = x - math.floor(x)
-    return 0.0 if y >= 1.0 else y
-
-
 def wrap_unit_batch(x: np.ndarray) -> np.ndarray:
-    y = x - np.floor(x)
+    """Reduce reals to [0, 1), sending an exact 1.0 to 0.0; 0-d input too."""
+    y = np.asarray(x - np.floor(x))
     # floating point can round y up to 1.0; fold it back onto 0.0
     y[y >= 1.0] = 0.0
     return y
@@ -112,14 +111,16 @@ class MapSystem:
     circle : bool
         Whether the 1D coordinate wraps around.
 
-    Each family keeps the parameters its batch methods use as attributes
-    named like their ``params`` keys, and the batch methods broadcast
-    them against the points: a copy holding a parameter as an array with
-    one value per point (per column of a 2D array of 1D points) evaluates
-    every point at its own parameter value in one call.  :meth:`orbit`
-    steps many orbits at once; the base class calls ``f_batch`` once per
-    step, and a family may override it with a faster loop that gives the
-    same values bit for bit.
+    The batch methods are the only way to evaluate a map; one point goes
+    in as a batch of shape (1,), or (1, 2) on the cylinder.  Each family
+    keeps the parameters its batch methods use as attributes named like
+    their ``params`` keys, and the batch methods broadcast them against
+    the points: a copy holding a parameter as an array with one value per
+    point (per column of a 2D array of 1D points) evaluates every point at
+    its own parameter value in one call.  :meth:`orbit` steps many orbits
+    at once; the base class calls ``f_batch`` once per step, and a family
+    may override it with a faster loop that gives the same values bit for
+    bit.
     """
 
     dimension = 1
@@ -132,12 +133,6 @@ class MapSystem:
         self.params: dict = {}
 
     # -- evaluation ---------------------------------------------------
-    def __call__(self, x):
-        return self.f_scalar(x)
-
-    def f_scalar(self, x: float) -> float:
-        raise NotImplementedError
-
     def f_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -145,18 +140,12 @@ class MapSystem:
         """Rows ``x, f(x), ..., f^k(x)`` of the orbits of the points ``x``."""
         return orbit_block(self.f_batch, np.asarray(x, dtype=float), k)
 
-    def df_scalar(self, x: float) -> float:
-        raise NotImplementedError
-
     def df_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- critical set -------------------------------------------------
-    def crit_dist_scalar(self, x) -> float:
-        """Distance from ``x`` to the critical set (inf when empty)."""
-        return math.inf
-
     def crit_dist_batch(self, x: np.ndarray) -> np.ndarray:
+        """Distances of the points ``x`` to the critical set (inf when empty)."""
         return np.full(np.shape(x)[0] if np.ndim(x) else (), np.inf)
 
     @property
@@ -251,14 +240,8 @@ class LinearCircleMap(MapSystem):
         self.params = {"d": d}
         self.domain = Interval(0.0, 1.0)
 
-    def f_scalar(self, x):
-        return wrap_unit(self.d * x)
-
     def f_batch(self, x):
         return wrap_unit_batch(self.d * np.asarray(x, dtype=float))
-
-    def df_scalar(self, x):
-        return float(self.d)
 
     def df_batch(self, x):
         return np.full(np.shape(x), self.d, dtype=float)
@@ -315,14 +298,8 @@ class PerturbedDoublingMap(MapSystem):
     def _lift(self, x):
         return 2.0 * x + self.t * np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
 
-    def f_scalar(self, x):
-        return wrap_unit(2.0 * x + self.t * math.sin(2.0 * math.pi * x) / (2.0 * math.pi))
-
     def f_batch(self, x):
         return wrap_unit_batch(self._lift(np.asarray(x, dtype=float)))
-
-    def df_scalar(self, x):
-        return 2.0 + self.t * math.cos(2.0 * math.pi * x)
 
     def df_batch(self, x):
         return 2.0 + self.t * np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
@@ -381,15 +358,9 @@ class TentMap(MapSystem):
         self.domain = Interval(0.0, 1.0)
         self.piecewise_affine = True
 
-    def f_scalar(self, x):
-        return self.slope * (x if x <= 0.5 else 1.0 - x)
-
     def f_batch(self, x):
         x = np.asarray(x, dtype=float)
         return self.slope * np.minimum(x, 1.0 - x)
-
-    def df_scalar(self, x):
-        return self.slope if x < 0.5 else -self.slope
 
     def df_batch(self, x):
         x = np.asarray(x, dtype=float)
@@ -434,21 +405,12 @@ class QuadraticMap(MapSystem):
         self.params = {"a": a}
         self.domain = Interval(a - a * a, a)
 
-    def f_scalar(self, x):
-        return self.a - x * x
-
     def f_batch(self, x):
         x = np.asarray(x, dtype=float)
         return self.a - x * x
 
-    def df_scalar(self, x):
-        return -2.0 * x
-
     def df_batch(self, x):
         return -2.0 * np.asarray(x, dtype=float)
-
-    def crit_dist_scalar(self, x):
-        return abs(x)
 
     def crit_dist_batch(self, x):
         return np.abs(np.asarray(x, dtype=float))
@@ -554,11 +516,6 @@ class VianaMap(MapSystem):
                 )
 
     # state is a pair (theta, x); batches are arrays of shape (n, 2)
-    def f_scalar(self, p):
-        theta, x = p
-        return (wrap_unit(self.d * theta),
-                self.a0 + self.alpha * math.sin(2 * math.pi * theta) - x * x)
-
     def f_batch(self, p):
         return self.orbit(p, 1)[1]
 
@@ -593,19 +550,9 @@ class VianaMap(MapSystem):
         e = -2.0 * p[:, 1]
         return a, c, e
 
-    def jac_scalar(self, p):
-        theta, x = p
-        return np.array([
-            [float(self.d), 0.0],
-            [self.alpha * 2 * math.pi * math.cos(2 * math.pi * theta), -2.0 * x],
-        ])
-
     def det_batch(self, p):
         a, _, e = self.jac_entries_batch(p)
         return a * e
-
-    def crit_dist_scalar(self, p):
-        return abs(p[1])
 
     def crit_dist_batch(self, p):
         p = np.asarray(p, dtype=float)
@@ -709,18 +656,13 @@ def log_jacobian(m: MapSystem, x) -> float:
     DomainViolationError
         If ``x`` lies outside the domain of ``m``.
     """
-    if m.dimension == 1:
-        m.check_point(x)
-        d = m.crit_dist_scalar(x)
-        if d < NEAR_CRITICAL_FLOOR:
-            raise NearCriticalError(d)
-        return math.log(abs(m.df_scalar(x)))
     m.check_point(x)
-    d = m.crit_dist_scalar(x)
+    p = np.asarray([x], dtype=float)
+    d = float(m.crit_dist_batch(p)[0])
     if d < NEAR_CRITICAL_FLOOR:
         raise NearCriticalError(d)
-    jac = m.jac_scalar(x)
-    return math.log(abs(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]))
+    det = m.df_batch(p) if m.dimension == 1 else m.det_batch(p)
+    return math.log(abs(float(det[0])))
 
 
 def truncated_distance(m: MapSystem, x, delta: float) -> float:
@@ -733,7 +675,7 @@ def truncated_distance(m: MapSystem, x, delta: float) -> float:
     if delta <= 0:
         raise ArgumentError("truncation radius must be positive")
     m.check_point(x)
-    d = m.crit_dist_scalar(x)
+    d = float(m.crit_dist_batch(np.asarray([x], dtype=float))[0])
     return d if d < delta else 1.0
 
 

@@ -20,10 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, InsufficientDataError, NearCriticalError
-from .maps import NEAR_CRITICAL_FLOOR, MapSystem, VianaMap, _op_norms_2x2_lower
+from .maps import NEAR_CRITICAL_FLOOR, MapSystem, _op_norms_2x2_lower
 from .rng import stream
 
 _LOG_CLAMP = 1e-300
+
+
+def _orbit_points(m: MapSystem, x, n: int):
+    """Pairs ``(j, pts)``: iterates ``j, j + 1, ...`` of ``x``, at most 2^16 of
+    them, from :meth:`MapSystem.orbit` on a one-point batch; ``n`` in all."""
+    cur = np.asarray([x], dtype=float)
+    for j in range(0, n, 2 ** 16):
+        buf = m.orbit(cur, min(n - j, 2 ** 16))
+        cur = buf[-1]
+        yield j, buf[:-1, 0]
 
 
 def birkhoff_average(m: MapSystem, x, observable, n: int) -> float:
@@ -35,7 +45,7 @@ def birkhoff_average(m: MapSystem, x, observable, n: int) -> float:
     x : float or pair
         Starting point, inside the domain of ``m``.
     observable : callable
-        Real function of a point.
+        Real function of a point (a float, or a ``[theta, x]`` list).
     n : int
         Number of orbit points (>= 1).
 
@@ -50,73 +60,48 @@ def birkhoff_average(m: MapSystem, x, observable, n: int) -> float:
         raise ArgumentError("birkhoff_average needs n >= 1")
     m.check_point(x)
     total = 0.0
-    for j in range(n):
-        try:
-            v = observable(x)
-        except NearCriticalError as err:
-            raise NearCriticalError(err.distance, f"observable blew up at iterate {j}") from err
-        if not math.isfinite(v):
-            raise ArgumentError(f"non-finite summand {v!r} at iterate {j}")
-        total += v
-        x = m.f_scalar(x)
+    for start, pts in _orbit_points(m, x, n):
+        for j, p in enumerate(pts.tolist(), start):
+            try:
+                v = observable(p)
+            except NearCriticalError as err:
+                raise NearCriticalError(err.distance,
+                                        f"observable blew up at iterate {j}") from err
+            if not math.isfinite(v):
+                raise ArgumentError(f"non-finite summand {v!r} at iterate {j}")
+            total += v
     return total / n
 
 
 def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
     """Finite-time Lyapunov exponents along one orbit, ascending.
 
-    One dimension: the Birkhoff average of ``log |f'|``.  Two dimensions:
-    QR-reorthogonalised products of the exact derivative matrices.  The
-    cylinder skew product is fed to QR with the fibre coordinate first,
-    which makes the cocycle upper triangular and the base exponent
-    ``log d`` exact up to rounding.
+    One dimension: the average of ``log |f'|`` over the first ``n`` orbit
+    points.  The cylinder cocycle is lower triangular with constant base
+    entry ``d``, so its exponents are the average of ``log |2 x|`` and
+    ``log d`` exactly.  The sum keeps orbit order: this is the per-orbit
+    reference of :func:`~srblab.entropy.entropy_lyapunov_rows`.
 
     Raises
     ------
     NearCriticalError
-        If the orbit hits the critical set to within the floor.
+        At the first orbit point within the floor of the critical set.
     """
     if n < 1:
         raise ArgumentError("lyapunov_exponents needs n >= 1")
     m.check_point(x)
-    if m.dimension == 1:
-        total = 0.0
-        for j in range(n):
-            d = m.crit_dist_scalar(x)
-            if d < NEAR_CRITICAL_FLOOR:
-                raise NearCriticalError(d, f"orbit hit the critical set at iterate {j}")
-            total += math.log(abs(m.df_scalar(x)))
-            x = m.f_scalar(x)
-        return [total / n]
-
-    # 2D: accumulate log |diag R| of the reorthogonalised products
-    assert isinstance(m, VianaMap)
-    q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
-    s1 = s2 = 0.0
-    theta, xi = float(x[0]), float(x[1])
-    for j in range(n):
-        if abs(xi) < NEAR_CRITICAL_FLOOR:
-            raise NearCriticalError(abs(xi), f"orbit hit the critical set at iterate {j}")
-        # derivative with the fibre coordinate first: [[-2x, c], [0, d]]
-        e = -2.0 * xi
-        c = m.alpha * 2.0 * math.pi * math.cos(2.0 * math.pi * theta)
-        a = float(m.d)
-        # A = J @ Q
-        a00 = e * q00 + c * q10
-        a01 = e * q01 + c * q11
-        a10 = a * q10
-        a11 = a * q11
-        r11 = math.hypot(a00, a10)
-        q00n, q10n = a00 / r11, a10 / r11
-        r12 = q00n * a01 + q10n * a11
-        u0, u1 = a01 - r12 * q00n, a11 - r12 * q10n
-        r22 = math.hypot(u0, u1)
-        q01n, q11n = u0 / r22, u1 / r22
-        q00, q01, q10, q11 = q00n, q01n, q10n, q11n
-        s1 += math.log(r11)
-        s2 += math.log(r22)
-        theta, xi = m.f_scalar((theta, xi))
-    return sorted([s1 / n, s2 / n])
+    total = 0.0
+    for start, pts in _orbit_points(m, x, n):
+        dist = m.crit_dist_batch(pts)
+        if (bad := dist < NEAR_CRITICAL_FLOOR).any():
+            j = int(bad.argmax())
+            raise NearCriticalError(float(dist[j]),
+                                    f"orbit hit the critical set at iterate {start + j}")
+        deriv = m.df_batch(pts) if m.dimension == 1 else m.jac_entries_batch(pts)[2]
+        # cumsum adds one term at a time: the sum keeps its orbit order
+        total = float(np.cumsum(np.append(total, np.log(np.abs(deriv))))[-1])
+    mean = total / n
+    return [mean] if m.dimension == 1 else sorted([mean, math.log(m.d)])
 
 
 @dataclass(frozen=True)

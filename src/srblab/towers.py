@@ -243,22 +243,6 @@ class InducedMarkovMap:
         return float(np.clip(y, self.delta.lo, np.nextafter(self.delta.hi, self.delta.lo))), \
             self.cells[i].tau
 
-    def apply_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One tower step for many points.
-
-        Returns ``(images, taus, valid)``; entries with ``valid`` False fell
-        into the deficit and carry unchanged coordinates with tau 0.
-        """
-        xs = np.asarray(xs, dtype=float)
-        idx = self.cell_index_batch(xs)
-        valid = idx >= 0
-        ys = xs.copy()
-        taus = np.zeros(xs.shape, dtype=int)
-        ys[valid] = np.clip(self.evaluate(idx[valid], xs[valid]), self.delta.lo,
-                            np.nextafter(self.delta.hi, self.delta.lo))
-        taus[valid] = self._tau_arr[idx[valid]]
-        return ys, taus, valid
-
     def check_density(self, mu: GridDensity) -> None:
         """Raise :class:`ArgumentError` unless ``mu`` is a unit-mass density
         on a grid over the base interval."""

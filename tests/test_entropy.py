@@ -92,34 +92,28 @@ class _Countdown(sl.MapSystem):
         self.params = {"drop": drop, "lo": lo}
         self.domain = sl.Interval(lo, 1.0)
 
-    def f_scalar(self, x):
-        return x - self.drop
-
     def f_batch(self, x):
         return x - self.drop
-
-    def df_scalar(self, x):
-        return 1.0 + x if x >= 0 else 0.0
 
     def df_batch(self, x):
         return np.where(x >= 0, 1.0 + x, 0.0)
 
-    def crit_dist_scalar(self, x):
-        return self.df_scalar(x)
+    def crit_dist_batch(self, x):
+        return self.df_batch(x)
 
 
 def _per_slot_reference(m, sample_size, n, seed, retry_budget=8):
-    """One scalar orbit per slot from its stream; near-critical orbits are
-    redrawn from the same stream."""
+    """One orbit per slot from its stream, through ``lyapunov_exponents``;
+    near-critical orbits are redrawn from the same stream."""
     values = []
     for i in range(sample_size):
         rng = stream(seed, 11, i)
         for _ in range(retry_budget + 1):
             try:
-                lam = sl.lyapunov_exponents(m, m.sample_uniform(rng, 1)[0], n)[0]
+                lams = sl.lyapunov_exponents(m, m.sample_uniform(rng, 1)[0], n)
             except sl.NearCriticalError:
                 continue
-            values.append(max(lam, 0.0))
+            values.append(sum(max(lam, 0.0) for lam in lams))
             break
         else:
             raise AssertionError(f"slot {i} exhausted the retry budget")
@@ -147,7 +141,8 @@ class TestLyapunovEstimator:
 
     def test_fast_path_matches_the_reference(self, doubling_map, quadratic_map):
         assert sl.entropy_lyapunov_fast is sl.entropy_lyapunov_rows
-        for m in (doubling_map, quadratic_map):
+        for m in (doubling_map, quadratic_map, sl.make_map("viana", alpha=0.01, d=16),
+                  sl.make_map("viana", alpha=0.05, d=3)):
             assert sl.entropy_lyapunov(m, 8, 2000, seed=5) == _per_slot_reference(m, 8, 2000, 5)
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 3 * 256 + 7])

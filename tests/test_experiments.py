@@ -170,7 +170,7 @@ class TestBuildHelpers:
         cfg = sl.ExperimentConfig(family="tent", map_params={"slope": 1.7})
         m = sl.build_system(cfg)
         assert m.family == "tent"
-        assert abs(m.df_scalar(0.2)) == pytest.approx(1.7)
+        assert abs(m.df_batch([0.2])[0]) == pytest.approx(1.7)
 
     @pytest.mark.parametrize("family,params,lo,hi", [
         ("doubling", {}, 0.0, 0.5),

@@ -39,8 +39,8 @@ def test_unknown_family_rejected():
 ])
 def test_doubling_values(x, fx):
     m = sl.make_map("doubling")
-    assert m.f_scalar(x) == pytest.approx(fx, abs=1e-15)
-    assert m.df_scalar(x) == 2.0
+    assert m.f_batch([x])[0] == pytest.approx(fx, abs=1e-15)
+    assert m.df_batch([x])[0] == 2.0
 
 
 def test_circle_linear_values():
@@ -69,23 +69,23 @@ def test_perturbed_with_zero_t_matches_doubling():
 @pytest.mark.parametrize("slope", [1.5, 1.7, 2.0])
 def test_tent_values(slope):
     m = sl.make_map("tent", slope=slope)
-    assert m.f_scalar(0.25) == pytest.approx(slope * 0.25)
-    assert m.f_scalar(0.75) == pytest.approx(slope * 0.25)
-    assert abs(m.df_scalar(0.2)) == pytest.approx(slope)
-    assert abs(m.df_scalar(0.8)) == pytest.approx(slope)
+    assert m.f_batch([0.25])[0] == pytest.approx(slope * 0.25)
+    assert m.f_batch([0.75])[0] == pytest.approx(slope * 0.25)
+    assert abs(m.df_batch([0.2])[0]) == pytest.approx(slope)
+    assert abs(m.df_batch([0.8])[0]) == pytest.approx(slope)
 
 
 def test_quadratic_values(quadratic_map):
     m = quadratic_map
     assert (m.domain.lo, m.domain.hi) == (-2.0, 2.0)
     for x in (-1.5, 0.3, 1.2):
-        assert m.f_scalar(x) == pytest.approx(2.0 - x * x)
-        assert m.df_scalar(x) == pytest.approx(-2.0 * x)
+        assert m.f_batch([x])[0] == pytest.approx(2.0 - x * x)
+        assert m.df_batch([x])[0] == pytest.approx(-2.0 * x)
 
 
 def test_quadratic_critical_set(quadratic_map):
     assert quadratic_map.has_critical_set
-    assert quadratic_map.crit_dist_scalar(0.3) == pytest.approx(0.3)
+    assert quadratic_map.crit_dist_batch([0.3])[0] == pytest.approx(0.3)
     with pytest.raises(sl.NearCriticalError):
         sl.log_jacobian(quadratic_map, 0.0)
 
@@ -93,7 +93,7 @@ def test_quadratic_critical_set(quadratic_map):
 def test_critical_points_are_zeros_of_the_derivative(quadratic_map, doubling_map,
                                                      tent17_map):
     np.testing.assert_array_equal(quadratic_map.critical_points, [0.0])
-    assert quadratic_map.df_scalar(0.0) == 0.0
+    assert quadratic_map.df_batch([0.0])[0] == 0.0
     assert doubling_map.critical_points.size == 0
     assert tent17_map.critical_points.size == 0
 
@@ -178,11 +178,18 @@ def test_base_class_orbit_is_successive_f_batch_calls(quadratic_map):
         x = quadratic_map.f_batch(x)
 
 
-def test_batch_matches_scalar(tent17_map):
-    xs = np.linspace(0.01, 0.99, 23)
-    batch = tent17_map.f_batch(xs)
-    for x, fx in zip(xs, batch):
-        assert tent17_map.f_scalar(float(x)) == pytest.approx(fx, abs=1e-15)
+@pytest.mark.parametrize("family,params", [
+    ("doubling", {}),
+    ("circle_linear", {"d": 3}),
+    ("circle_perturbed", {"t": 0.3}),
+    ("tent", {"slope": 1.7}),
+    ("quadratic", {"a": 1.8}),
+])
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 0.9])
+def test_f_batch_takes_a_0d_point(family, params, x):
+    m = sl.make_map(family, **params)
+    assert m.f_batch(x) == m.f_batch([x])[0]
+    assert np.ndim(m.f_batch(x)) == 0
 
 
 def test_check_point_rejects_outside_domain(quadratic_map):

@@ -603,9 +603,9 @@ class TestOneStepUlam:
         grid = op.grid
         assert not grid.regular
         w = grid.widths
-        post = [m.f_scalar(0.0)]
+        post = [m.f_batch([0.0])[0]]
         for _ in range(2):
-            post.append(m.f_scalar(post[-1]))
+            post.append(m.f_batch([post[-1]])[0])
         # the critical value a and its image a - a^2 are the domain ends
         assert post[0] == grid.hi and post[1] == pytest.approx(grid.lo)
         typical = (grid.hi - grid.lo) / grid.n

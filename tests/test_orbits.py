@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srblab as sl
 from srblab.rng import stream
@@ -44,6 +46,38 @@ def test_lyapunov_exponents_viana(viana_map):
     assert 0.2 < fiber < 0.5
 
 
+@pytest.mark.parametrize("d,alpha", [(2, 0.0), (3, 0.05), (16, 0.01)])
+def test_viana_exponents_are_the_fibre_mean_and_log_d(d, alpha):
+    m = sl.make_map("viana", alpha=alpha, d=d)
+    fibre, base = sl.lyapunov_exponents(m, (0.2, 0.3), 3000)
+    assert base == math.log(d)
+    xs = m.orbit(np.array([[0.2, 0.3]]), 3000)[:3000, 0, 1]
+    total = 0.0
+    for v in np.log(np.abs(2.0 * xs)):
+        total += v
+    assert fibre == total / 3000
+
+
+def test_lyapunov_exponent_sums_in_orbit_order_across_blocks():
+    # 2^16 + 3 points take two orbit blocks; the sum runs on in orbit order
+    m = sl.make_map("quadratic", a=2.0)
+    n = 2 ** 16 + 3
+    xs = m.orbit(np.array([0.3123]), n)[:n, 0]
+    total = 0.0
+    for v in np.log(np.abs(m.df_batch(xs))):
+        total += v
+    assert sl.lyapunov_exponents(m, 0.3123, n) == [total / n]
+
+
+def test_lyapunov_exponents_stop_at_the_first_near_critical_point():
+    # f(sqrt 2) rounds to -4.4e-16, within the floor of the critical point
+    m = sl.make_map("quadratic", a=2.0)
+    with pytest.raises(sl.NearCriticalError, match="iterate 1"):
+        sl.lyapunov_exponents(m, math.sqrt(2.0), 10)
+    with pytest.raises(sl.NearCriticalError, match="iterate 0"):
+        sl.lyapunov_exponents(m, 0.0, 10)
+
+
 def test_expansion_time_settles_immediately_for_uniform_expansion():
     m = sl.make_map("doubling")
     assert sl.expansion_time(m, 0.37, 0.5, 50) == 1
@@ -82,6 +116,22 @@ def test_truncated_distance_is_one_away_from_the_critical_set():
     assert sl.truncated_distance(m, 0.001, 0.05) == pytest.approx(0.001)
     assert sl.truncated_distance(m, 0.06, 0.05) == 1.0
     assert sl.truncated_distance(m, 1.5, 0.05) == 1.0
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_cylinder_log_jacobian_and_truncated_distance(d):
+    m = sl.make_map("viana", alpha=0.05, d=d)
+    for theta, x in [(0.2, 0.3), (0.7, -1.1), (0.0, 1e-9)]:
+        assert sl.log_jacobian(m, (theta, x)) == math.log(2 * d * abs(x))
+    assert sl.truncated_distance(m, (0.4, -0.02), 0.05) == 0.02
+    assert sl.truncated_distance(m, (0.4, 0.5), 0.05) == 1.0
+    with pytest.raises(sl.NearCriticalError):
+        sl.log_jacobian(m, (0.3, 0.0))
+    for x in (m.domain.hi + 0.01, m.domain.lo - 0.01):
+        with pytest.raises(sl.DomainViolationError):
+            sl.log_jacobian(m, (0.3, x))
+        with pytest.raises(sl.DomainViolationError):
+            sl.truncated_distance(m, (0.3, x), 0.05)
 
 
 def test_tail_profile_empty_for_uniformly_expanding_map(doubling_map):
@@ -133,6 +183,30 @@ def test_tail_profile_matches_the_per_point_times(family, params, tail):
     np.testing.assert_array_equal(prof.frac_recurrence, over_r.mean(axis=0))
     np.testing.assert_array_equal(prof.frac_union, (over_e | over_r).mean(axis=0))
     assert prof.censored_count == int(np.sum((texp > tail.n_max) | (trec > tail.n_max)))
+
+
+_TAIL_MAPS = st.one_of(
+    st.just(sl.make_map("doubling")),
+    st.builds(lambda s: sl.make_map("tent", slope=s), st.floats(1.05, 2.0)),
+    st.builds(lambda a: sl.make_map("quadratic", a=a), st.floats(1.3, 2.0)),
+    st.builds(lambda alpha, d: sl.make_map("viana", alpha=alpha, d=d),
+              st.floats(0.0, 0.1), st.integers(2, 16)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_TAIL_MAPS, lam=st.floats(0.05, 1.5), eps=st.floats(0.01, 0.5),
+       delta=st.floats(1e-6, 0.3), n_max=st.integers(1, 50),
+       sample_size=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_tail_fractions_are_non_increasing_and_the_union_dominates(
+        m, lam, eps, delta, n_max, sample_size, seed):
+    params = sl.TailParams(lam=lam, eps=eps, delta=delta, n_max=n_max,
+                           sample_size=sample_size)
+    prof = sl.tail_profile(m, params, seed=seed)
+    for frac in (prof.frac_expansion, prof.frac_recurrence, prof.frac_union):
+        assert frac.shape == (n_max,)
+        assert np.all(np.diff(frac) <= 0.0)
+    assert np.all(prof.frac_union >= np.maximum(prof.frac_expansion, prof.frac_recurrence))
 
 
 def _planted_profile(frac, n_max=150):

@@ -52,7 +52,7 @@ class TestExactDoublingTower:
             x = 0.5 * (c.lo + c.hi)
             y = x
             for _ in range(c.tau):
-                y = doubling_map.f_scalar(y)
+                y = doubling_map.f_batch([y])[0]
             fx, tau = F.apply(x)
             assert tau == c.tau
             assert fx == pytest.approx(y, abs=1e-12)
@@ -162,20 +162,6 @@ class TestTowerEvaluation:
         # the exact doubling deficit is the sliver left of the base's right edge
         assert tower_doubling12.cell_index(0.5 - 2.0 ** -14) is None
 
-    def test_apply_batch_matches_scalar(self, tower_quadratic):
-        F = tower_quadratic
-        xs = np.array([0.5 * (c.lo + c.hi) for c in F.cells[:20]])
-        ys, taus, live = F.apply_batch(xs)
-        assert live.all()
-        for x, y, t in zip(xs, ys, taus):
-            y1, t1 = F.apply(float(x))
-            assert y1 == pytest.approx(y, abs=1e-12)
-            assert t1 == t
-
-    def test_apply_batch_marks_deficit_points_dead(self, tower_doubling12):
-        ys, taus, live = tower_doubling12.apply_batch(np.array([0.1, 0.5 - 2.0 ** -14]))
-        assert list(live) == [True, False]
-
     def test_apply_outside_cells_is_censored(self, tower_doubling12):
         with pytest.raises(sl.ArgumentError, match="deficit"):
             tower_doubling12.apply(0.5 - 2.0 ** -14)
@@ -208,7 +194,7 @@ class TestTowerEvaluation:
             x = 0.5 * (c.lo + c.hi)
             for i in c.itinerary:
                 assert F.base.branch_containing(x) == i
-                x = F.base.f_scalar(x)
+                x = F.base.f_batch([x])[0]
 
     @settings(max_examples=40, deadline=None)
     @given(F=_TOWERS, seed=st.integers(0, 2 ** 32 - 1))
