@@ -240,15 +240,10 @@ def _bin_log_det(m: MapSystem, grid: Grid1D,
             clipped.reshape(grid.n, strata).mean(axis=1), float(np.abs(logs).max()))
 
 
-def entropy_pesin(m: MapSystem, mu_f: GridDensity,
-                  return_clip: bool = False) -> float | tuple[float, float]:
-    """Quadrature of ``log |det Df|`` against a unit-mass ambient density.
-
-    Each bin contributes through 16 stratified points (a 4 x 4 grid on
-    cylinder bins).  Near the critical set the integrand is clipped at
-    the floor ``log(1e-15)``; pass ``return_clip=True`` to also get the
-    total density mass whose integrand was clipped.
-    """
+def _pesin_integral(m: MapSystem, mu_f: GridDensity) -> tuple[float, float]:
+    """Quadrature of clipped ``log |det Df|`` against a unit-mass ambient
+    density; returns the integral and the density mass whose integrand
+    was clipped."""
     if abs(mu_f.mass - 1.0) > 1e-8:
         raise ArgumentError(f"ambient density must have unit mass, got {mu_f.mass!r}")
     grid = mu_f.grid
@@ -267,8 +262,30 @@ def entropy_pesin(m: MapSystem, mu_f: GridDensity,
             clip_frac[flat:flat + grid.n_x] = cl.reshape(grid.n_x, -1).mean(axis=1)
             flat += grid.n_x
     weights = mu_f.bin_measures
-    value = float((weights * logs).sum())
-    clip_mass = float((weights * clip_frac).sum())
+    return float((weights * logs).sum()), float((weights * clip_frac).sum())
+
+
+def _positive_part(m: MapSystem, exponent: float) -> float:
+    """Entropy from a Pesin integral: ``max(lambda, 0)`` in 1D, and on the
+    cylinder ``log d + max(lambda_fibre, 0)``, which is ``max(integral,
+    log d)``, so a positive value keeps its bits."""
+    return max(exponent, 0.0 if m.dimension == 1 else math.log(m.d))
+
+
+def entropy_pesin(m: MapSystem, mu_f: GridDensity,
+                  return_clip: bool = False) -> float | tuple[float, float]:
+    """Pesin entropy: the positive part of the quadrature of ``log |det Df|``
+    against a unit-mass ambient density.
+
+    Each bin contributes through 16 stratified points (a 4 x 4 grid on
+    cylinder bins).  Near the critical set the integrand is clipped at
+    the floor ``log(1e-15)``; pass ``return_clip=True`` to also get the
+    total density mass whose integrand was clipped.  A negative exponent
+    (an attracting periodic orbit, say) gives 0, or ``log d`` on the
+    cylinder, as in the Lyapunov route, which clips each orbit at 0.
+    """
+    exponent, clip_mass = _pesin_integral(m, mu_f)
+    value = _positive_part(m, exponent)
     return (value, clip_mass) if return_clip else value
 
 
@@ -289,12 +306,14 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     column: one ``f_batch`` call per step on 1D maps, while the cylinder
     map steps its base circle alone, takes the forcing of the whole block
     at once and leaves ``x -> c_j - x^2`` per step.  The derivative, the
-    near-critical test and the logarithm then run once per block, and the
-    log rows are added one at a time, so each slot sums its ``log |f'|``
-    in orbit order.  A slot whose step comes within the near-critical
-    floor of the critical set drops its sum and, after the block, restarts
-    from a fresh draw of its own stream and row map, up to
-    ``retry_budget`` times.  Block lengths do not depend on the other rows,
+    distance to the critical set (one ``crit_dist_batch`` call, for every
+    map) and the logarithm then run once per block, and the log rows are
+    added one at a time, so each slot sums its ``log |f'|`` in orbit
+    order.  A slot whose step has ``crit_dist < NEAR_CRITICAL_FLOOR``, the
+    test of :func:`~srblab.orbits.lyapunov_exponents` and
+    :func:`~srblab.maps.log_jacobian`, drops its sum and, after the
+    block, restarts from a fresh draw of its own stream and row map, up
+    to ``retry_budget`` times.  Block lengths do not depend on the other rows,
     so every row restarts at the same steps as in its one-row run and gets
     that run's result bit for bit.
 
@@ -344,8 +363,9 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
             d = np.abs(step.df_batch(buf[:k]))
         else:
             d = np.abs(2.0 * buf[:k, :, 1])
+        dist = step.crit_dist_batch(buf[:k])
         rows = np.arange(k)[:, None]
-        bad = (d < NEAR_CRITICAL_FLOOR) & (rows < left)
+        bad = (dist < NEAR_CRITICAL_FLOOR) & (rows < left)
         first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
         # rows past a slot's end or first bad step add log 1 = 0, exactly
         logs = np.log(np.where(rows < np.minimum(first_bad, left), d, 1.0))
@@ -359,7 +379,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
                 continue
             retries[i] += 1
             if retries[i] > retry_budget:
-                failed[r] = NearCriticalError(float(d[first_bad[j], j]))
+                failed[r] = NearCriticalError(float(dist[first_bad[j], j]))
                 steps[row == r] = n  # the row stops; the others go on
                 continue
             pts[i] = maps[r].sample_uniform(rngs[i], 1)[0]
@@ -589,7 +609,8 @@ class EntropyReport:
     Estimator fields are NaN when a route is unavailable (no tower for
     cylinder maps, for instance); the reason is kept in ``errors``.
     ``density`` is the one-step stationary density behind ``h_pesin``
-    (None when its solve failed).
+    (None when its solve failed), and ``pesin_exponent`` the raw integral
+    of ``log |det Df|`` against it, whose positive part is ``h_pesin``.
     """
 
     family: str
@@ -597,6 +618,7 @@ class EntropyReport:
     h_lyapunov: float = math.nan
     lyapunov_se: float = math.nan
     h_pesin: float = math.nan
+    pesin_exponent: float = math.nan
     pesin_clip_mass: float = math.nan
     h_induced: float = math.nan
     h_abramov: float = math.nan
@@ -660,7 +682,8 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     try:
         rep.density = stationary_density(one_step_ulam(m, bins), tol=ulam_tol,
                                          max_iters=ulam_max_iters)
-        rep.h_pesin, rep.pesin_clip_mass = entropy_pesin(m, rep.density, return_clip=True)
+        rep.pesin_exponent, rep.pesin_clip_mass = _pesin_integral(m, rep.density)
+        rep.h_pesin = _positive_part(m, rep.pesin_exponent)
     except SrbLabError as exc:
         rep.errors["h_pesin"] = str(exc)
 

@@ -145,8 +145,12 @@ class MapSystem:
 
     # -- critical set -------------------------------------------------
     def crit_dist_batch(self, x: np.ndarray) -> np.ndarray:
-        """Distances of the points ``x`` to the critical set (inf when empty)."""
-        return np.full(np.shape(x)[0] if np.ndim(x) else (), np.inf)
+        """Distances of the points ``x`` to the critical set, one per point:
+        the shape of ``x``, less the trailing coordinate axis of a 2D map.
+        With no critical set, a read-only broadcast of inf that takes no
+        memory, since the orbit driver asks for a whole block's distances."""
+        shape = np.shape(x)
+        return np.broadcast_to(np.inf, shape if self.dimension == 1 else shape[:-1])
 
     @property
     def has_critical_set(self) -> bool:
@@ -555,8 +559,7 @@ class VianaMap(MapSystem):
         return a * e
 
     def crit_dist_batch(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.abs(p[:, 1])
+        return np.abs(np.asarray(p, dtype=float)[..., 1])
 
     @property
     def has_critical_set(self):

@@ -12,7 +12,8 @@ bin ``j``, assembled from the exact inverse branches of the map
 induced map sum to one minus the local mass deficit.  Each monotone
 piece is cut at the preimages of the grid edges, whose order also gives
 every sliver its target bin, and the slivers stream into CSR rows that
-are converted as soon as they are complete.  Stationary
+are converted as soon as they are complete; the sampled cylinder matrix
+is converted likewise, one chunk of bins at a time.  Stationary
 densities are found by one lazy iteration started from Lebesgue, which
 cannot stall on maps that swap bands, and never by dense factorisation,
 so towers with thousands of bins stay cheap.
@@ -48,7 +49,8 @@ _CYLINDER_SIDE = 16
 _GRADING_POWER = 2
 _POSTCRITICAL_DEPTH = 3
 
-# pending slivers past which the Ulam assembly converts its complete rows
+# pending slivers past which the Ulam assembly converts its complete rows;
+# also the most sample points of one chunk of the cylinder assembly
 _ASSEMBLY_CHUNK = 1 << 16
 
 
@@ -312,20 +314,21 @@ def stratified_points(starts: np.ndarray, lengths: np.ndarray,
     return np.asarray(starts)[:, None] + np.asarray(lengths)[:, None] * offsets[None, :]
 
 
-def cylinder_row_points(t0: float, tw: float, x0s: np.ndarray, xws,
-                        side: int) -> np.ndarray:
-    """Stratified points of the bins of one theta-row of a cylinder grid.
+def cylinder_row_points(t0, tw, x0s: np.ndarray, xws, side: int) -> np.ndarray:
+    """Stratified points of bins of a cylinder grid.
 
-    Bin ``k`` spans ``[t0, t0 + tw] x [x0s[k], x0s[k] + xws[k]]`` (``xws``
-    may be one width for all); it gets the ``side x side`` product of
+    Bin ``k`` spans ``[t0, t0 + tw] x [x0s[k], x0s[k] + xws[k]]`` (``t0``,
+    ``tw`` and ``xws`` may each be one value for all bins, as on one
+    theta-row); it gets the ``side x side`` product of
     :func:`stratified_points` in each coordinate, theta-major.  Returns
     shape ``(len(x0s) * side^2, 2)``, bin by bin.
     """
     x0s = np.asarray(x0s)
-    ts = stratified_points([t0], [tw], side)[0]
+    ts = stratified_points(np.broadcast_to(t0, x0s.shape), np.broadcast_to(tw, x0s.shape),
+                           side)
     xs = stratified_points(x0s, np.broadcast_to(xws, x0s.shape), side)
     pts = np.empty((x0s.size, side, side, 2))
-    pts[..., 0] = ts[None, :, None]
+    pts[..., 0] = ts[:, :, None]
     pts[..., 1] = xs[:, None, :]
     return pts.reshape(-1, 2)
 
@@ -418,7 +421,7 @@ def _piece_slivers(grid: Grid1D, xlo: float, xhi: float, cuts: np.ndarray, k0: i
             np.clip(k0 - 1 + below, 0, grid.n - 1).astype(index), ends - starts)
 
 
-def _csr_rows(grid: Grid1D, pending, lo: int, hi: int):
+def _csr_rows(grid: Grid1D | Grid2D, pending, lo: int, hi: int):
     """Convert the pending slivers of rows ``lo .. hi - 1`` (every sliver of
     those rows) into a CSR block; returns the block and the slivers left."""
     src, dst, val = (np.concatenate(part) for part in zip(*pending))
@@ -553,9 +556,15 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     map with a critical set, where the invariant density has inverse
     square-root spikes that a regular mesh resolves only slowly, and
     regular otherwise.  The cylinder skew product falls back to
-    stratified sampling (``_CYLINDER_SIDE^2`` points per bin, one
-    theta-row of bins per map call) on a regular grid since its bins are
-    not intervals.
+    stratified sampling (``_CYLINDER_SIDE^2`` points per bin) on a regular
+    grid since its bins are not intervals.  It samples chunks of whole
+    bins, at most ``_ASSEMBLY_CHUNK`` points and one map call each, and
+    converts each chunk's rows, which are complete, to CSR through
+    :func:`_csr_rows`; the blocks are stacked at the end.  So working
+    memory follows the chunk and the matrix, not the sample.  Every entry
+    is a sum of ``1 / _CYLINDER_SIDE^2``, a power of two, so the sums are
+    exact in any order and the matrix equals a single conversion of all
+    points bit for bit.
     """
     if bins < 1:
         raise ArgumentError("one_step_ulam needs at least one bin")
@@ -578,16 +587,18 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     grid = Grid2D(m.domain.lo, m.domain.hi, n_theta, n_x)
     nper = _CYLINDER_SIDE ** 2
     t_edges, x_edges = grid.theta_edges, grid.x_edges
-    x_widths = np.diff(x_edges)
-    cols = []
-    for it in range(grid.n_theta):
-        pts = cylinder_row_points(t_edges[it], t_edges[it + 1] - t_edges[it], x_edges[:-1],
-                                  x_widths, _CYLINDER_SIDE)
-        cols.append(grid.locate(m.f_batch(pts)))
-    rows = np.repeat(np.arange(grid.n), nper)
-    cols = np.concatenate(cols)
-    vals = np.full(rows.size, 1.0 / nper)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n, grid.n)).tocsr()
+    t_widths, x_widths = np.diff(t_edges), np.diff(x_edges)
+    chunk = max(_ASSEMBLY_CHUNK // nper, 1)
+    blocks = []
+    for b0 in range(0, grid.n, chunk):
+        b1 = min(b0 + chunk, grid.n)
+        it, ix = np.divmod(np.arange(b0, b1), grid.n_x)
+        cols = grid.locate(m.f_batch(cylinder_row_points(
+            t_edges[it], t_widths[it], x_edges[ix], x_widths[ix], _CYLINDER_SIDE)))
+        rows = np.repeat(np.arange(b0, b1), nper)
+        vals = np.full(rows.size, 1.0 / nper)
+        blocks.append(_csr_rows(grid, [(rows, cols, vals)], b0, b1)[0])
+    mat = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
     return UlamOperator(grid, mat, np.zeros(grid.n), np.zeros(grid.n, dtype=bool),
                         f"{m.family} one-step {grid.n_theta}x{grid.n_x} bins")
 

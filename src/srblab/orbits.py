@@ -7,9 +7,11 @@ the horizon; the recurrence time is the analogous index for the running
 average of ``-log dist_delta(., C)`` against the budget ``2 epsilon``,
 where ``dist_delta`` is the distance to the critical set truncated to 1
 outside a ``delta``-neighbourhood.  Points that fail at the horizon are
-censored and reported as ``n_max + 1``.  One walk of each orbit yields
-both summands, so a tail profile, ``expansion_time`` and
-``recurrence_time`` call the map once per step.
+censored and reported as ``n_max + 1``.  One walk of each orbit keeps
+the running sums of both summands and the last step at which each broke
+its budget; a tail profile, ``expansion_time`` and ``recurrence_time``
+(its one-point case) call the map once per step, and their memory
+follows the number of points, not points x horizon.
 """
 
 from __future__ import annotations
@@ -135,50 +137,37 @@ class TailProfile:
     seed: int
 
 
-def _summand_logs(m: MapSystem, pts: np.ndarray, delta: float,
-                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of ``log |Df^-1|`` and ``-log dist_delta(., C)`` summands along
-    the orbits of ``pts``, from one walk; shape (npts, n_max) each.
+def _settle_walk(m: MapSystem, pts: np.ndarray, lam: float, delta: float, eps: float,
+                 n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion and recurrence times of the points ``pts``, from one walk.
 
-    The second matrix is zeros for maps without a critical set.
+    Each step adds the ``log |Df^-1|`` and ``-log dist_delta(., C)``
+    summands of every point to its two running sums, in orbit order, and
+    records step ``n`` as the last failing one of a sum above its budget,
+    ``-lam/2 * n`` or ``2 eps * n``.  A time is the last failing step plus
+    one: 1 when no step fails, ``n_max + 1`` (censored) when step
+    ``n_max`` fails.  Only per-point state is kept, so memory follows the
+    points and not the horizon.  Maps without a critical set have zero
+    recurrence summands, so their recurrence times are 1.
     """
-    # one row per step, so every step writes contiguous memory
-    inverse_norm = np.empty((n_max, pts.shape[0]))
-    truncated_dist = np.zeros_like(inverse_norm)
+    sums = np.zeros((2, pts.shape[0]))
+    last_fail = np.zeros((2, pts.shape[0]), dtype=int)
+    budgets = np.array([[-0.5 * lam], [2.0 * eps]])
     cur = pts.copy()
-    for j in range(n_max):
+    for n in range(1, n_max + 1):
         if m.dimension == 1:
             d = np.abs(m.df_batch(cur))
         else:
             a, c, e = m.jac_entries_batch(cur)
             _, d = _op_norms_2x2_lower(a, c, e)
-        inverse_norm[j] = -np.log(np.maximum(d, _LOG_CLAMP))
+        sums[0] -= np.log(np.maximum(d, _LOG_CLAMP))
         if m.has_critical_set:
             dist = m.crit_dist_batch(cur)
-            truncated_dist[j] = -np.log(np.where(dist < delta,
-                                                 np.maximum(dist, _LOG_CLAMP), 1.0))
-        cur = m.f_batch(cur)
-    return inverse_norm.T, truncated_dist.T
-
-
-def _settle_times(summands: np.ndarray, budget_per_step: float) -> np.ndarray:
-    """First index N with running mean <= budget for all n in [N, n_max].
-
-    ``summands`` has shape (npts, n_max); returns integer times with
-    ``n_max + 1`` marking censored points.
-    """
-    npts, n_max = summands.shape
-    sums = np.cumsum(summands, axis=1)
-    steps = np.arange(1, n_max + 1)
-    ok = sums <= budget_per_step * steps
-    fail = ~ok
-    any_fail = fail.any(axis=1)
-    # index (1-based) of the last failing n; 0 when none fail
-    last_fail = np.where(any_fail, n_max - np.argmax(fail[:, ::-1], axis=1), 0)
-    times = last_fail + 1
-    censored = fail[:, -1]
-    times[censored] = n_max + 1
-    return times
+            sums[1] -= np.log(np.where(dist < delta, np.maximum(dist, _LOG_CLAMP), 1.0))
+        last_fail[~(sums <= budgets * n)] = n
+        if n < n_max:
+            cur = m.f_batch(cur)
+    return last_fail[0] + 1, last_fail[1] + 1
 
 
 def expansion_time(m: MapSystem, x, lam: float, n_max: int) -> int:
@@ -192,9 +181,9 @@ def expansion_time(m: MapSystem, x, lam: float, n_max: int) -> int:
     if n_max < 1:
         raise ArgumentError("expansion horizon must be >= 1")
     m.check_point(x)
-    # any delta will do: only the expansion summands are read
-    logs, _ = _summand_logs(m, np.asarray([x], dtype=float), 1.0, n_max)
-    return int(_settle_times(logs, -0.5 * lam)[0])
+    # any delta and eps will do: only the expansion time is read
+    texp, _ = _settle_walk(m, np.asarray([x], dtype=float), lam, 1.0, 1.0, n_max)
+    return int(texp[0])
 
 
 def recurrence_time(m: MapSystem, x, delta: float, eps: float, n_max: int) -> int:
@@ -209,8 +198,9 @@ def recurrence_time(m: MapSystem, x, delta: float, eps: float, n_max: int) -> in
     if n_max < 1:
         raise ArgumentError("recurrence horizon must be >= 1")
     m.check_point(x)
-    _, logs = _summand_logs(m, np.asarray([x], dtype=float), delta, n_max)
-    return int(_settle_times(logs, 2.0 * eps)[0])
+    # any lambda will do: only the recurrence time is read
+    _, trec = _settle_walk(m, np.asarray([x], dtype=float), 1.0, delta, eps, n_max)
+    return int(trec[0])
 
 
 def tail_profile(m: MapSystem, params: TailParams, seed: int = 0) -> TailProfile:
@@ -220,7 +210,9 @@ def tail_profile(m: MapSystem, params: TailParams, seed: int = 0) -> TailProfile
     ``(seed, index)``, so the profile is independent of evaluation order
     and worker count.  For each ``n`` the profile records the fraction of
     points whose expansion time exceeds ``n``, likewise for the recurrence
-    time, and for the union of the two events.
+    time, and for the union of the two events: a count divided by the
+    sample size.  The orbits are walked once, keeping per-point state
+    only, so memory follows the sample and not sample x horizon.
     """
     npts = params.sample_size
     if m.dimension == 1:
@@ -230,18 +222,16 @@ def tail_profile(m: MapSystem, params: TailParams, seed: int = 0) -> TailProfile
     for i in range(npts):
         pts[i] = m.sample_uniform(stream(seed, i), 1)[0]
 
-    exp_logs, rec_logs = _summand_logs(m, pts, params.delta, params.n_max)
-    texp = _settle_times(exp_logs, -0.5 * params.lam)
-    trec = _settle_times(rec_logs, 2.0 * params.eps)
+    texp, trec = _settle_walk(m, pts, params.lam, params.delta, params.eps, params.n_max)
 
-    ns = np.arange(1, params.n_max + 1)
-    over_e = texp[:, None] > ns[None, :]
-    over_r = trec[:, None] > ns[None, :]
-    frac_e = over_e.mean(axis=0)
-    frac_r = over_r.mean(axis=0)
-    frac_u = (over_e | over_r).mean(axis=0)
+    def frac_over(times):
+        # points with time > n, for n = 1 .. n_max: times run from 1 to n_max + 1
+        at_most = np.cumsum(np.bincount(times, minlength=params.n_max + 2))[1:-1]
+        return (npts - at_most) / npts
+
     censored = int(np.sum((texp > params.n_max) | (trec > params.n_max)))
-    return TailProfile(ns, frac_e, frac_r, frac_u, npts, censored, params, seed)
+    return TailProfile(np.arange(1, params.n_max + 1), frac_over(texp), frac_over(trec),
+                       frac_over(np.maximum(texp, trec)), npts, censored, params, seed)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
-from srblab.maps import TentMap, VianaMap
+from srblab.maps import QuadraticMap, TentMap, VianaMap
 from srblab.rng import stream
 
 LOG2 = math.log(2.0)
@@ -70,6 +70,33 @@ class TestPesin:
         assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))
         assert errs[-1] <= 1e-5
 
+    @pytest.mark.parametrize("a", [1.7501, 1.76])
+    def test_the_period_three_window_gives_zero(self, a):
+        # an attracting 3-cycle: the integral is negative (-0.0377 and
+        # -0.2692 at 1024 bins), the entropy is its positive part
+        m = sl.make_map("quadratic", a=a)
+        rep = sl.entropy_report(m, bins=1024, n_orbits=8, n_iters=2000)
+        assert rep.pesin_exponent < -0.03
+        assert rep.h_pesin == 0.0
+        assert sl.entropy_pesin(m, rep.density) == 0.0
+        assert rep.h_lyapunov == pytest.approx(0.0, abs=0.01)
+
+    def test_a_positive_exponent_keeps_its_bits(self, quadratic_map):
+        rep = sl.entropy_report(quadratic_map, bins=1024, n_orbits=2, n_iters=10)
+        assert rep.h_pesin == rep.pesin_exponent > 0.69
+        assert sl.entropy_pesin(quadratic_map, rep.density) == rep.h_pesin
+
+    def test_the_cylinder_keeps_log_d(self):
+        # all mass on the fibre bins next to x = 0, where log |2x| < -log d
+        m = sl.make_map("viana", alpha=0.01, d=16)
+        grid = sl.Grid2D(m.domain.lo, m.domain.hi, 8, 64)
+        values = np.zeros(grid.shape)
+        values[:, 31:33] = 1.0 / (2 * grid.n_theta * grid.cell_area)
+        mu = sl.GridDensity(grid=grid, values=values.ravel(), provenance="normalized")
+        exponent, _ = sl.entropy._pesin_integral(m, mu)
+        assert exponent < math.log(16)
+        assert sl.entropy_pesin(m, mu) == math.log(16)
+
     def test_requires_unit_mass(self, tent2_map):
         grid = sl.Grid1D(0.0, 1.0, 64)
         heavy = sl.GridDensity(grid=grid, values=2 * np.ones(64), provenance="normalized")
@@ -100,6 +127,22 @@ class _Countdown(sl.MapSystem):
 
     def crit_dist_batch(self, x):
         return self.df_batch(x)
+
+
+class _Pinned(QuadraticMap):
+    """Quadratic map at a = 2 whose draws above 1 start at
+    ``x = 1.4142135623730947``, whose image is 8.9e-16; counts its draws."""
+
+    x = 1.4142135623730947
+
+    def __init__(self):
+        super().__init__(2.0)
+        self.draws = 0
+
+    def sample_uniform(self, rng, n):
+        self.draws += n
+        x = super().sample_uniform(rng, n)
+        return np.where(x > 1.0, self.x, x)
 
 
 def _per_slot_reference(m, sample_size, n, seed, retry_budget=8):
@@ -157,6 +200,15 @@ class TestLyapunovEstimator:
         m = _Countdown()
         assert sl.entropy_lyapunov(m, sample_size, n, seed=6) == \
             _per_slot_reference(m, sample_size, n, 6)
+
+    def test_driver_and_reference_share_the_near_critical_test(self):
+        # f(x) = 8.9e-16 from x = 1.4142135623730947: |f'| = 1.8e-15 passes
+        # a derivative test, crit_dist fails the floor, so the slot restarts
+        m = _Pinned()
+        assert m.f_batch(np.array([_Pinned.x]))[0] == pytest.approx(8.9e-16, rel=0.01)
+        got = sl.entropy_lyapunov(m, 8, 300, seed=1)
+        assert m.draws > 8  # a pinned slot restarted
+        assert got == _per_slot_reference(m, 8, 300, 1)
 
     def test_an_exhausted_retry_budget_raises(self):
         with pytest.raises(sl.NearCriticalError):
@@ -481,6 +533,18 @@ class TestEntropyReport:
         solved = sl.stationary_density(sl.one_step_ulam(m, bins))
         assert rep.density.grid == solved.grid
         assert rep.density.values.tobytes() == solved.values.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.one_of(
+        st.floats(1.4, 2.0).map(lambda a: sl.make_map("quadratic", a=a)),
+        st.floats(1.5, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
+        st.floats(0.0, 0.4).map(lambda t: sl.make_map("circle_perturbed", t=t))))
+    @example(m=sl.make_map("quadratic", a=1.7501))
+    @example(m=sl.make_map("quadratic", a=1.76))
+    def test_every_ambient_route_is_non_negative(self, m):
+        rep = sl.entropy_report(m, None, bins=256, n_orbits=8, n_iters=2000)
+        assert rep.h_pesin >= 0.0
+        assert rep.h_lyapunov >= 0.0
 
     def test_discrepancies_cover_the_estimator_pairs(self, doubling_map, tower_doubling20):
         rep = sl.entropy_report(doubling_map, tower_doubling20, bins=512,

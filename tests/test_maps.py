@@ -90,6 +90,23 @@ def test_quadratic_critical_set(quadratic_map):
         sl.log_jacobian(quadratic_map, 0.0)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("doubling", {}), ("tent", {"slope": 1.7}), ("quadratic", {"a": 2.0}),
+    ("viana", {"alpha": 0.01, "d": 16}),
+])
+def test_crit_dist_of_an_orbit_block_has_one_value_per_point(family, params):
+    # an orbit block holds steps x slots points: (k, n), or (k, n, 2) on the cylinder
+    m = sl.make_map(family, **params)
+    block = m.orbit(m.sample_uniform(np.random.default_rng(0), 5), 3)
+    dist = m.crit_dist_batch(block)
+    assert dist.shape == block.shape[:2]
+    if m.has_critical_set:
+        fibre = block if m.dimension == 1 else block[..., 1]
+        assert np.array_equal(dist, np.abs(fibre))
+    else:
+        assert np.all(dist == np.inf)
+
+
 def test_critical_points_are_zeros_of_the_derivative(quadratic_map, doubling_map,
                                                      tent17_map):
     np.testing.assert_array_equal(quadratic_map.critical_points, [0.0])
