@@ -36,7 +36,7 @@ from .orbits import (TailFit, TailParams, TailProfile, birkhoff_average,
                      recurrence_time, tail_profile)
 from .reporting import emit_svg, read_csv, write_csv
 from .rng import dither, stream
-from .towers import (Cell, InducedMarkovMap, VerificationReport,
+from .towers import (CellTable, InducedMarkovMap, VerificationReport,
                      doubling_first_return_exact, first_return_map, kac_breakdown,
                      kac_mass, return_time_l1_distance, trivial_tower,
                      verify_axioms)

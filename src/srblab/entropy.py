@@ -16,15 +16,14 @@ Four independent routes to the metric entropy of an expanding map:
 The base-map orbit loops, ``entropy_lyapunov_rows`` and the base loop of
 ``lyapunov_quotient_check``, step in blocks: up to 256 steps of every
 orbit go into one (steps, orbits) buffer, and the log-derivatives of the
-whole block take one call each.  The buffer comes from
-:func:`~srblab.maps.orbit_block`, one map call per step, or for
-``entropy_lyapunov_rows`` from the map's ``orbit``, which on the cylinder
-steps the base circle alone and leaves two ufunc calls per fibre step.
-The block is summed row by row, so every orbit sum keeps its order and
-the numbers match a per-step loop bit for bit.  A sweep runs all its
-rows through one driver call: each block covers every row's orbits, with
-the swept parameter as a per-orbit column, and each row's result equals
-its one-row run bit for bit.  Tower orbits take one itinerary walk per
+whole block take one call each.  The buffer comes from the map's
+``orbit``: one ``f_batch`` call per step, or on the cylinder the base
+circle stepped alone and two ufunc calls per fibre step.  The block is
+summed row by row, so every orbit sum keeps its order and the numbers
+match a per-step loop bit for bit.  A sweep runs all its rows through one
+driver call: each block covers every row's orbits, with the swept
+parameter as a per-orbit column, and each row's result equals its one-row
+run bit for bit.  Tower orbits take one itinerary walk per
 step, which yields the images and ``log |DF|`` together.
 
 Quadrature points and bin slivers come from the stratification in
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
-from .maps import NEAR_CRITICAL_FLOOR, MapSystem, orbit_block
+from .maps import NEAR_CRITICAL_FLOOR, MapSystem
 from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_points,
                        interval_measure, one_step_ulam, spread_measure,
                        stationary_density, stratified_points, ulam_matrix)
@@ -94,9 +93,9 @@ def entropy_induced(F: InducedMarkovMap, mu_F: GridDensity) -> float:
     _require_verified(F)
     F.check_density(mu_F)
     if F.affine:
-        terms = interval_measure(mu_F, F._los_arr, F._his_arr) * F._log_slope_arr
+        terms = interval_measure(mu_F, F.cells.lo, F.cells.hi) * F.cells.log_slope
     else:
-        owner, idx, a, b = bin_slivers(mu_F.grid, F._los_arr, F._his_arr)
+        owner, idx, a, b = bin_slivers(mu_F.grid, F.cells.lo, F.cells.hi)
         pts = stratified_points(a, b - a).ravel()
         logj = F.evaluate(np.repeat(owner, _STRATA), pts, jacobian=True)[1]
         terms = mu_F.values[idx] * (b - a) * logj.reshape(-1, _STRATA).mean(axis=1)
@@ -175,17 +174,17 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     if n < 1:
         raise ArgumentError("cylinder depth n must be at least 1")
     drng = stream(int(np.float64(x).view(np.uint64)), 29)
+    lo, hi = F.delta.lo, F.delta.hi
     cells = []
-    y = x
+    y = np.array([x], dtype=float)
     for k in range(n):
-        i = F.cell_index(y)
-        if i is None:
+        i = int(F.cell_index_batch(y)[0])
+        if i < 0:
             raise CensoredOrbitError(k)
         cells.append(i)
-        y, _ = F.apply(y)
-        y = dither(y, drng, F.delta.lo, F.delta.hi)
+        y = dither(np.clip(F.evaluate(i, y), lo, np.nextafter(hi, lo)), drng, lo, hi)
     if F.affine:
-        return sum(math.log(abs(F.cells[i].slope)) for i in cells) / n
+        return sum(F.cells.log_slope[cells].tolist()) / n
 
     # pull the base interval back one cell at a time, from cell n-1 down to
     # the switch row k: the first row narrower than 1e-6 of the base
@@ -458,8 +457,11 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     itinerary walk, giving the images and ``log |DF|`` of all orbits.
     The mean return time comes from the censored Kac integral of
     ``mu_F``, and ``lambda_f`` is measured independently along base-map
-    orbits of matching length, whose log-derivatives are taken a block of
-    steps at a time.
+    orbits of matching length, stepped by the map's ``orbit`` and
+    differentiated a block of steps at a time.  These orbits are not
+    dithered: of the built-in families only maps of constant ``|f'|``
+    (power-of-two slopes) drain to a dyadic cycle, where the exponent is
+    still that constant.
 
     Raises
     ------
@@ -485,21 +487,19 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
         # one walk gives the images and log |DF| of every point
         ys, logj, _ = F.evaluate(idx, pts, jacobian=True)
         total_logj += float(logj.sum())
-        base_steps += int(F._tau_arr[idx].sum())
+        base_steps += int(F.cells.tau[idx].sum())
         pts = dither(np.clip(ys, lo, top), drng, lo, hi)
     lambda_F = total_logj / (sample * n)
     mean_return = kac_mass(F, mu_F)
     quotient = lambda_F / mean_return
-    # independent base-map measurement of matching orbit length, dithered
-    # step by step and differentiated a block at a time
+    # independent base-map measurement of matching orbit length, stepped
+    # and differentiated a block at a time
     n_base = max(base_steps // sample, 1)
-    dlo, dhi = m.domain.lo, m.domain.hi
-    base_pts = np.array([r.uniform(dlo, dhi) for r in rngs])
+    base_pts = np.array([r.uniform(m.domain.lo, m.domain.hi) for r in rngs])
     base_sum = 0.0
     done = 0
     while done < n_base:
-        buf = orbit_block(lambda p: dither(m.f_batch(p), drng, dlo, dhi), base_pts,
-                          min(n_base - done, _block_steps(sample)))
+        buf = m.orbit(base_pts, min(n_base - done, _block_steps(sample)))
         done += len(buf) - 1
         base_pts = buf[-1]
         logs = np.log(np.maximum(np.abs(m.df_batch(buf[:-1])), NEAR_CRITICAL_FLOOR))
@@ -582,7 +582,7 @@ def majorant_check(F: InducedMarkovMap, samples_per_cell: int = 64,
     top = np.empty(len(F.cells))  # largest sampled log |DF| of each cell
     for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), samples_per_cell)):
         top[cells] = np.maximum.reduceat(F.evaluate(rows, xs, jacobian=True)[1], first)
-        ys, taus = xs, F._tau_arr[rows]
+        ys, taus = xs, F.cells.tau[rows]
         for j in range(int(taus.max())):
             ys, taus = ys[taus > j], taus[taus > j]
             sup_det = max(sup_det, float(np.abs(m.df_batch(ys)).max()))
@@ -593,7 +593,7 @@ def majorant_check(F: InducedMarkovMap, samples_per_cell: int = 64,
     # dividing by C * tau > 0 keeps the order of a cell's samples, so the
     # ratio of its largest log-Jacobian is its largest ratio; the -inf
     # stands for a tower without cells
-    ratios = np.append(top / (C * F._tau_arr), -math.inf)
+    ratios = np.append(top / (C * F.cells.tau), -math.inf)
     worst_cell = int(np.argmax(ratios))
     return MajorantCheck(C, float(ratios[worst_cell]), worst_cell)
 
@@ -680,8 +680,9 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     else:
         rep.h_lyapunov, rep.lyapunov_se = lyapunov
     try:
-        rep.density = stationary_density(one_step_ulam(m, bins), tol=ulam_tol,
-                                         max_iters=ulam_max_iters)
+        op = one_step_ulam(m, bins)
+        rep.bins = op.grid.n  # a cylinder grid of whole rows may hold fewer bins
+        rep.density = stationary_density(op, tol=ulam_tol, max_iters=ulam_max_iters)
         rep.pesin_exponent, rep.pesin_clip_mass = _pesin_integral(m, rep.density)
         rep.h_pesin = _positive_part(m, rep.pesin_exponent)
     except SrbLabError as exc:

@@ -66,16 +66,6 @@ def wrap_unit_batch(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def orbit_block(step, x: np.ndarray, k: int) -> np.ndarray:
-    """Rows ``x, step(x), ..., step^k(x)`` of the orbits ``x``, one call of
-    ``step`` per row."""
-    buf = np.empty((k + 1,) + x.shape)
-    buf[0] = x
-    for j in range(k):
-        buf[j + 1] = step(buf[j])
-    return buf
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval ``[lo, hi]`` used for domains and induction regions."""
@@ -137,8 +127,13 @@ class MapSystem:
         raise NotImplementedError
 
     def orbit(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Rows ``x, f(x), ..., f^k(x)`` of the orbits of the points ``x``."""
-        return orbit_block(self.f_batch, np.asarray(x, dtype=float), k)
+        """Rows ``x, f(x), ..., f^k(x)`` of the orbits of the points ``x``,
+        one ``f_batch`` call per row."""
+        buf = np.empty((k + 1,) + np.shape(x))
+        buf[0] = x
+        for j in range(k):
+            buf[j + 1] = self.f_batch(buf[j])
+        return buf
 
     def df_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -521,7 +516,7 @@ class VianaMap(MapSystem):
 
     # state is a pair (theta, x); batches are arrays of shape (n, 2)
     def f_batch(self, p):
-        return self.orbit(p, 1)[1]
+        return self.orbit(p, 1)[1].copy()  # a view would keep the whole orbit buffer
 
     def base_step(self, theta: np.ndarray) -> np.ndarray:
         """``d theta (mod 1)``: one step of the base circle.

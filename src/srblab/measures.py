@@ -489,12 +489,12 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
     if bins < 1:
         raise ArgumentError("ulam_matrix needs at least one bin")
     grid = Grid1D(F.delta.lo, F.delta.hi, bins)
-    ends = np.array([(c.lo, c.hi) for c in F.cells]).reshape(-1, 2)
-    ia, ib = F.evaluate(np.repeat(np.arange(len(ends)), 2), ends.ravel()).reshape(-1, 2).T
-    los, his = ends.T
+    los, his = F.cells.lo, F.cells.hi
+    ends = np.column_stack([los, his]).ravel()
+    ia, ib = F.evaluate(np.repeat(np.arange(len(los)), 2), ends).reshape(-1, 2).T
     k0, k1 = _inner_edges(grid, ia, ib)
     j0, j1 = _inner_edges(grid, los, his)
-    pres = [None] * len(ends)
+    pres = [None] * len(los)
     for i, pre in F.invert_cells(grid.edges):
         pres[i] = pre[k0[i]:k1[i]].copy()
 
@@ -679,21 +679,20 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | N
     F.check_density(mu_F)
     grid = Grid1D(m.domain.lo, m.domain.hi, bins)
     censor = F.tau_max + 1
-    pieces = []  # (lo, hi, return time) of the cells and the deficit gaps, in order
-    cursor = F.delta.lo
-    for cell in F.cells:
-        if cell.lo - cursor > 1e-15:
-            pieces.append((cursor, cell.lo, censor))
-        pieces.append((cell.lo, cell.hi, cell.tau))
-        cursor = max(cursor, cell.hi)
-    if F.delta.hi - cursor > 1e-15:
-        pieces.append((cursor, F.delta.hi, censor))
-
-    los, his, taus = zip(*pieces)
-    owner, idx, starts, ends = bin_slivers(mu_F.grid, los, his)
+    # the cells and the deficit gaps in order: gap i ends where cell i
+    # starts, and the last gap where the base interval does
+    cells = F.cells
+    los, his = np.empty(2 * len(cells) + 1), np.empty(2 * len(cells) + 1)
+    los[0::2] = np.maximum.accumulate(np.append(F.delta.lo, cells.hi))
+    his[0::2] = np.append(cells.lo, F.delta.hi)
+    los[1::2], his[1::2] = cells.lo, cells.hi
+    keep = np.ones(los.size, dtype=bool)
+    keep[0::2] = his[0::2] - los[0::2] > 1e-15
+    taus = np.insert(cells.tau, np.arange(len(cells) + 1), censor)[keep]
+    owner, idx, starts, ends = bin_slivers(mu_F.grid, los[keep], his[keep])
     lens = ends - starts
     weights = mu_F.values[idx] * lens
-    taus = np.asarray(taus)[owner]
+    taus = taus[owner]
     pts = stratified_points(starts, lens).ravel()
     w = np.repeat(weights / _STRATA, _STRATA)
     t = np.repeat(taus, _STRATA)

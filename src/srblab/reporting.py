@@ -133,8 +133,8 @@ def write_tower_csv(path: str, F, samples_per_cell: int = 64) -> None:
         d = np.abs(F.evaluate(rows, xs, jacobian=True)[2])
         low[cells] = np.minimum.reduceat(d, first)
         high[cells] = np.maximum.reduceat(d, first)
-    rows = [[i, cell.lo, cell.hi, cell.tau, lo, hi]
-            for i, (cell, lo, hi) in enumerate(zip(F.cells, low.tolist(), high.tolist()))]
+    columns = (F.cells.lo, F.cells.hi, F.cells.tau, low, high)
+    rows = [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
     write_csv(path, comments, header, rows)
 
 

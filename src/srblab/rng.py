@@ -30,7 +30,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 DITHER_SCALE = 2.0 ** -26
 
 
-def dither(x, rng: np.random.Generator, lo: float, hi: float):
+def dither(x: np.ndarray, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
     """Re-randomize the low-order bits of orbit points in ``[lo, hi)``.
 
     Branches whose slopes are powers of two act on doubles as exact bit
@@ -48,16 +48,13 @@ def dither(x, rng: np.random.Generator, lo: float, hi: float):
 
     Parameters
     ----------
-    x : float or ndarray
-        Point(s) in ``[lo, hi)``.
+    x : ndarray
+        Points in ``[lo, hi)``; one point goes in as an array of one.
     rng : numpy.random.Generator
         Stream supplying the refresh bits.
     lo, hi : float
         Interval bounds.
     """
     q = (hi - lo) * DITHER_SCALE
-    if np.isscalar(x) or np.ndim(x) == 0:
-        y = lo + (np.floor((float(x) - lo) / q) + rng.uniform()) * q
-        return y if y < hi else float(x)
     y = lo + (np.floor((x - lo) / q) + rng.uniform(size=np.shape(x))) * q
     return np.where(y < hi, y, x)

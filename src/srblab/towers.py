@@ -3,7 +3,9 @@
 An induced map collects the monotone branches of first returns to a base
 interval ``delta``: each cell ``[lo, hi)`` returns after ``tau`` steps and
 is mapped by ``f^tau`` onto ``delta``.  Every cell carries its
-itinerary, the base branches its points visit before they return.
+itinerary, the base branches its points visit before they return.  A
+tower keeps its cells once, as the columns of one :class:`CellTable`, and
+evaluates, inverts and locates points in batches only.
 
 One walk, :func:`_walk`, evaluates every branch of a non-affine tower.  It
 steps points through the base branches of their cells' itineraries:
@@ -16,7 +18,7 @@ without masks.  Shared inverse chains are walked once:
 grid edges) back into every cell over the trie of reversed itineraries,
 one ``branch_inverse`` call per distinct suffix, and
 :func:`first_return_map` walks a segment's cut points and the targets of
-its pieces back in one chain.  Cell endpoints and the images checked by
+its pieces back in one chain.  The ends of cells and the images checked by
 :func:`verify_axioms` take compensated (double-double) steps: a float
 orbit that passes near a critical value keeps only ``ulp * |DF|`` of the
 image, 1e-6 on depth-18 quadratic cells.  Towers of piecewise-affine maps
@@ -31,6 +33,7 @@ each branch is Lipschitz in the image distance (bounded distortion).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import exp, log
 
 import numpy as np
@@ -43,29 +46,65 @@ _MAX_SEGMENTS = 200_000
 _BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One monotone first-return branch.
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """The monotone first-return branches of a tower, one column each.
 
-    ``slope``/``intercept`` hold the exact affine data ``F(x) = slope*x +
-    intercept`` when available (``slope`` is signed); both are ``None``
-    for branches of non-affine base maps.  ``itinerary`` lists the base
-    branches of ``x, f x, ..., f^(tau-1) x`` for ``x`` in the cell; a
-    non-affine cell is evaluated and inverted through it, so it must have
-    ``tau`` entries.
+    Row ``i`` is the cell ``[lo[i], hi[i])`` with return time ``tau[i]``
+    and orientation +1 or -1.  ``slope``/``intercept`` hold the exact
+    affine data ``F(x) = slope*x + intercept`` (``slope`` is signed), and
+    are ``None`` on non-affine tables.  Row ``i`` of the padded
+    ``itineraries`` matrix lists the base branches of ``x, f x, ...,
+    f^(tau-1) x`` for ``x`` in the cell, ``-1`` after its end; a non-affine
+    cell is evaluated and inverted through it, so it must have ``tau``
+    entries.  The rows are sorted by ``lo`` (stably) and the columns are
+    read-only.
+
+    Raises
+    ------
+    ConstructionError
+        If a non-affine cell lacks its itinerary or two cells overlap.
     """
 
-    lo: float
-    hi: float
-    tau: int
-    orientation: int
-    slope: float | None = None
-    intercept: float | None = None
-    itinerary: tuple = ()
+    lo: np.ndarray
+    hi: np.ndarray
+    tau: np.ndarray
+    orientation: np.ndarray
+    slope: np.ndarray | None = None
+    intercept: np.ndarray | None = None
+    itineraries: np.ndarray | None = None
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
+    def __post_init__(self):
+        order = np.argsort(np.asarray(self.lo, dtype=float), kind="stable")
+        for name, dtype in (("lo", float), ("hi", float), ("tau", int), ("orientation", int),
+                            ("slope", float), ("intercept", float), ("itineraries", None)):
+            column = getattr(self, name)
+            if column is not None:
+                column = np.asarray(column, dtype=dtype)[order]
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+        def span(i):
+            return f"[{float(self.lo[i])}, {float(self.hi[i])})"
+
+        if self.slope is None:
+            steps = 0 if self.itineraries is None else (self.itineraries >= 0).sum(axis=1)
+            short = np.flatnonzero(steps != self.tau)
+            if short.size:
+                raise ConstructionError(f"non-affine cell {span(short[0])} needs an "
+                                        f"itinerary of length {int(self.tau[short[0]])}")
+        overlap = np.flatnonzero(self.lo[1:] < self.hi[:-1] - 1e-12)
+        if overlap.size:
+            i = overlap[0]
+            raise ConstructionError(f"overlapping cells {span(i)} and {span(i + 1)}")
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    @cached_property
+    def log_slope(self) -> np.ndarray:
+        """``log |slope|`` of every affine cell, taken once by :func:`math.log`."""
+        return np.array([log(abs(s)) for s in self.slope.tolist()])
 
 
 @dataclass(frozen=True)
@@ -101,7 +140,7 @@ class InducedMarkovMap:
         The underlying one-dimensional map.
     delta : Interval
         Base interval of the induction.
-    cells : list of Cell
+    cells : CellTable
         Monotone return branches, sorted and pairwise disjoint.
     tau_max : int
         Cap on tracked return times; longer returns live in the deficit.
@@ -113,62 +152,38 @@ class InducedMarkovMap:
     provenance : str
         ``"exact"``, ``"numeric"`` or ``"trivial"``.
     affine : bool
-        Whether every cell carries exact affine data.
-    itineraries : numpy.ndarray or None
-        The cells' itineraries as the rows of one matrix, ``-1`` after
-        ``tau``; ``None`` for affine towers.
+        Whether the cells carry exact affine data.
+
+    Points are evaluated, inverted and located in batches only; one point
+    goes in as a batch of one.
     """
 
-    def __init__(self, base: MapSystem, delta: Interval, cells: list[Cell],
+    def __init__(self, base: MapSystem, delta: Interval, cells: CellTable,
                  tau_max: int, provenance: str, partial_mass: float = 0.0):
         if base.dimension != 1:
             raise ConstructionError("towers are built over one-dimensional maps")
-        cells = sorted(cells, key=lambda c: c.lo)
-        self.affine = bool(cells) and all(c.slope is not None for c in cells)
-        for c in cells:
-            if not self.affine and len(c.itinerary) != c.tau:
-                raise ConstructionError(
-                    f"non-affine cell [{c.lo}, {c.hi}) needs an itinerary of length {c.tau}")
-        for a, b in zip(cells, cells[1:]):
-            if b.lo < a.hi - 1e-12:
-                raise ConstructionError(
-                    f"overlapping cells [{a.lo}, {a.hi}) and [{b.lo}, {b.hi})")
+        self.affine = bool(cells) and cells.slope is not None
         self.base = base
         self.delta = delta
         self.cells = cells
         self.tau_max = int(tau_max)
         self.provenance = provenance
         self.partial_mass = float(partial_mass)
-        covered = sum(c.width for c in cells)
+        covered = sum((cells.hi - cells.lo).tolist())  # cell by cell, in order
         self.deficit = max(delta.width - covered, 0.0)
-        self._los_arr = np.array([c.lo for c in cells])
-        self._his_arr = np.array([c.hi for c in cells])
-        self._tau_arr = np.array([c.tau for c in cells], dtype=int)
-        self.itineraries = None if self.affine else _pad([c.itinerary for c in cells])
-        if self.affine:
-            self._slope_arr = np.array([c.slope for c in cells])
-            self._icpt_arr = np.array([c.intercept for c in cells])
-            self._log_slope_arr = np.array([log(abs(c.slope)) for c in cells])
         self.verification: VerificationReport | None = None
 
     # -- lookup ------------------------------------------------------------
 
-    def cell_index(self, x: float) -> int | None:
-        """Index of the cell containing ``x``, or ``None`` (deficit)."""
-        i = int(np.searchsorted(self._los_arr, x, side="right")) - 1
-        if i < 0:
-            return None
-        c = self.cells[i]
-        return i if c.lo <= x < c.hi else None
-
     def cell_index_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Cell indices of many points; deficit points get -1."""
+        """Indices of the cells containing many points; deficit points get -1."""
         xs = np.asarray(xs, dtype=float)
         if not self.cells:
             return np.full(xs.shape, -1, dtype=int)
-        idx = np.searchsorted(self._los_arr, xs, side="right") - 1  # at most n - 1
+        los, his = self.cells.lo, self.cells.hi
+        idx = np.searchsorted(los, xs, side="right") - 1  # at most n - 1
         clipped = np.maximum(idx, 0)
-        ok = (idx >= 0) & (xs >= self._los_arr[clipped]) & (xs < self._his_arr[clipped])
+        ok = (idx >= 0) & (xs >= los[clipped]) & (xs < his[clipped])
         return np.where(ok, clipped, -1)
 
     # -- branch evaluation ---------------------------------------------------
@@ -179,18 +194,18 @@ class InducedMarkovMap:
         xs = np.asarray(xs, dtype=float)
         if not self.affine:
             return self._walk_cells(cells, xs, jacobian=jacobian)
-        slope = self._slope_arr[cells]
-        ys = slope * xs + self._icpt_arr[cells]
+        slope = self.cells.slope[cells]
+        ys = slope * xs + self.cells.intercept[cells]
         if not jacobian:
             return ys
-        return ys, np.full(xs.shape, self._log_slope_arr[cells]), np.full(xs.shape, slope)
+        return ys, np.full(xs.shape, self.cells.log_slope[cells]), np.full(xs.shape, slope)
 
     def invert(self, cells, ys: np.ndarray) -> np.ndarray:
         """Preimages of ``ys[k]`` in cells ``cells[k]``, indexed as in :meth:`evaluate`."""
         ys = np.asarray(ys, dtype=float)
         if not self.affine:
             return self._walk_cells(cells, ys, inverse=True)
-        return (ys - self._icpt_arr[cells]) / self._slope_arr[cells]
+        return (ys - self.cells.intercept[cells]) / self.cells.slope[cells]
 
     def invert_cells(self, ys: np.ndarray):
         """Preimages of all of ``ys`` in every cell, as ``(cell, xs)`` pairs.
@@ -208,9 +223,10 @@ class InducedMarkovMap:
                 yield i, self.invert(i, ys)
             return
         trie = {}  # branch -> subtrie; the key None lists the cells ending here
-        for i, c in enumerate(self.cells):
+        for i, (row, tau) in enumerate(zip(self.cells.itineraries.tolist(),
+                                           self.cells.tau.tolist())):
             node = trie
-            for branch in reversed(c.itinerary):
+            for branch in reversed(row[:tau]):
                 node = node.setdefault(branch, {})
             node.setdefault(None, []).append(i)
 
@@ -224,24 +240,10 @@ class InducedMarkovMap:
         yield from visit(trie, ys)
 
     def _walk_cells(self, cells, xs, **kw):
+        steps = self.cells.itineraries
         if isinstance(cells, (int, np.integer)):
-            return _walk(self.base, self.cells[cells].itinerary, None, xs, **kw)
-        return _walk(self.base, self.itineraries, cells, xs, **kw)
-
-    def apply(self, x: float) -> tuple[float, int]:
-        """One tower step: ``(F(x), tau(x))``.
-
-        Raises
-        ------
-        ArgumentError
-            If ``x`` falls into the deficit region.
-        """
-        i = self.cell_index(x)
-        if i is None:
-            raise ArgumentError(f"point {x} lies in the tower deficit region")
-        y = self.evaluate(i, [x])[0]
-        return float(np.clip(y, self.delta.lo, np.nextafter(self.delta.hi, self.delta.lo))), \
-            self.cells[i].tau
+            return _walk(self.base, steps[cells, :self.cells.tau[cells]].tolist(), None, xs, **kw)
+        return _walk(self.base, steps, cells, xs, **kw)
 
     def check_density(self, mu: GridDensity) -> None:
         """Raise :class:`ArgumentError` unless ``mu`` is a unit-mass density
@@ -272,14 +274,12 @@ def doubling_first_return_exact(k_max: int) -> InducedMarkovMap:
     """
     if k_max < 1:
         raise ArgumentError("k_max must be at least 1")
-    cells = []
-    for k in range(1, k_max + 1):
-        lo = 0.5 - 2.0 ** (-k)
-        hi = 0.5 - 2.0 ** (-k - 1)
-        slope = 2.0 ** k
-        intercept = 1.0 - 2.0 ** (k - 1) if k > 1 else 0.0
-        # the left branch first, then the right one until the return
-        cells.append(Cell(lo, hi, k, 1, slope, intercept, (0,) + (1,) * (k - 1)))
+    k = np.arange(1, k_max + 1)
+    # the left branch first, then the right one until the return
+    steps = np.where(np.arange(k_max) < k[:, None], 1, -1).astype(np.int8)
+    steps[:, 0] = 0
+    cells = CellTable(0.5 - np.ldexp(1.0, -k), 0.5 - np.ldexp(1.0, -k - 1), k, np.ones(k_max),
+                      np.ldexp(1.0, k), 1.0 - np.ldexp(1.0, k - 1), steps)
     from .maps import DoublingMap
 
     return InducedMarkovMap(DoublingMap(), Interval(0.0, 0.5), cells, k_max, "exact")
@@ -294,7 +294,7 @@ def trivial_tower(m: MapSystem) -> InducedMarkovMap:
     if m.dimension != 1:
         raise ConstructionError("trivial towers need a one-dimensional map")
     lo, hi = m.domain.lo, m.domain.hi
-    cells = []
+    rows = []
     for i in range(m.n_branches):
         blo, bhi = m.branch_bounds(i)
         ia, ib = m.branch_lift(i, np.array([blo, bhi])).tolist()
@@ -302,13 +302,17 @@ def trivial_tower(m: MapSystem) -> InducedMarkovMap:
         if abs(ylo - lo) > 1e-9 or abs(yhi - hi) > 1e-9:
             raise ConstructionError(
                 f"branch {i} maps onto [{ylo:g}, {yhi:g}], not the full domain")
-        orientation = 1 if ib >= ia else -1
-        if m.piecewise_affine:
-            slope = (ib - ia) / (bhi - blo)
-            cells.append(Cell(blo, bhi, 1, orientation, slope, ia - slope * blo, (i,)))
-        else:
-            cells.append(Cell(blo, bhi, 1, orientation, itinerary=(i,)))
-    return InducedMarkovMap(m, Interval(lo, hi), cells, 1, "trivial")
+        slope = (ib - ia) / (bhi - blo)
+        rows.append((blo, bhi, 1, 1 if ib >= ia else -1, slope, ia - slope * blo, (i,)))
+    return InducedMarkovMap(m, Interval(lo, hi), _table(rows, m.piecewise_affine), 1, "trivial")
+
+
+def _table(rows, affine: bool) -> CellTable:
+    """The cell table of ``(lo, hi, tau, orientation, slope, intercept,
+    itinerary)`` rows, with the affine columns only if ``affine``."""
+    lo, hi, tau, orientation, slope, intercept, itineraries = zip(*rows) if rows else ((),) * 7
+    return CellTable(lo, hi, tau, orientation, slope if affine else None,
+                     intercept if affine else None, _pad(itineraries))
 
 
 def _pad(itineraries) -> np.ndarray:
@@ -422,7 +426,7 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
     affine = m.piecewise_affine
     xtol = min(tol, 1e-12) * 1e-2
 
-    cells: list[Cell] = []
+    cells = []  # (lo, hi, tau, orientation, slope, intercept, itinerary)
     returns = []  # (tau, orientation, itinerary) of the non-affine cells
     partial_mass = 0.0
     # segment = (xl, xh, yl, yh, orient, slope, itinerary): f^k maps [xl,xh]
@@ -480,8 +484,8 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
                     clo, chi = sorted((float(p[1]), float(p[2])))
                     if chi - clo > 1e-15:
                         target = dlo if new_slope > 0 else dhi
-                        cells.append(Cell(clo, chi, k, new_orient, new_slope,
-                                          target - new_slope * clo, piece[6]))
+                        cells.append((clo, chi, k, new_orient, new_slope,
+                                      target - new_slope * clo, piece[6]))
                 else:
                     partial_mass += abs(float(p[2]) - float(p[1]))
                 # the parts clear of delta keep going either way
@@ -504,8 +508,8 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
         for (k, orient, itinerary), (cl, ch) in zip(returns, ends.reshape(-1, 2)):
             clo, chi = (cl, ch) if cl <= ch else (ch, cl)
             if chi - clo > 1e-15:
-                cells.append(Cell(float(clo), float(chi), k, orient, itinerary=itinerary))
-    return InducedMarkovMap(m, delta, cells, tau_max, "numeric", partial_mass)
+                cells.append((float(clo), float(chi), k, orient, None, None, itinerary))
+    return InducedMarkovMap(m, delta, _table(cells, affine), tau_max, "numeric", partial_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +533,7 @@ def cell_samples(F: InducedMarkovMap, counts: np.ndarray):
         n = counts[cells]
         first = np.cumsum(n) - n
         rows = np.repeat(cells, n)
-        los, his = F._los_arr[cells], F._his_arr[cells]
+        los, his = F.cells.lo[cells], F.cells.hi[cells]
         k = np.arange(rows.size) - np.repeat(first, n)
         xs = k * np.repeat((his - los) / (n - 1), n) + np.repeat(los, n)
         xs[first + n - 1] = his
@@ -566,18 +570,18 @@ def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
     diameter = F.base.domain.width
 
     n = len(F.cells)
-    ends = np.column_stack([F._los_arr, F._his_arr]).ravel()
+    ends = np.column_stack([F.cells.lo, F.cells.hi]).ravel()
     if F.affine:
         images = F.evaluate(np.arange(n).repeat(2), ends)
     else:
         # in compensated arithmetic: a plain forward orbit through the
         # critical value loses ~ulp * |DF|
-        images = _walk(F.base, F.itineraries, np.arange(n).repeat(2), ends, dd=True)
+        images = _walk(F.base, F.cells.itineraries, np.arange(n).repeat(2), ends, dd=True)
     images = images.reshape(-1, 2)
     defects = np.maximum(np.abs(images.min(axis=1) - F.delta.lo),
                          np.abs(images.max(axis=1) - F.delta.hi))
     kappas, distortions = np.empty(n), np.empty(n)
-    counts = np.maximum(samples_per_cell, np.ceil((F._his_arr - F._los_arr) / 1e-4).astype(int))
+    counts = np.maximum(samples_per_cell, np.ceil((F.cells.hi - F.cells.lo) / 1e-4).astype(int))
     for cells, first, rows, xs in cell_samples(F, counts):
         imgs, logj, _ = F.evaluate(rows, xs, jacobian=True)
         kappas[cells] = np.exp(-np.minimum.reduceat(logj, first))
@@ -632,22 +636,14 @@ def return_time_l1_distance(F1: InducedMarkovMap, F2: InducedMarkovMap) -> float
     if abs(F1.delta.lo - F2.delta.lo) > 1e-12 or abs(F1.delta.hi - F2.delta.hi) > 1e-12:
         raise ArgumentError("towers live over different base intervals")
     censor = max(F1.tau_max, F2.tau_max) + 1
-    points = {F1.delta.lo, F1.delta.hi}
-    for F in (F1, F2):
-        for c in F.cells:
-            points.add(c.lo)
-            points.add(c.hi)
-    pts = sorted(points)
+    pts = np.unique(np.concatenate([[F1.delta.lo, F1.delta.hi], F1.cells.lo, F1.cells.hi,
+                                    F2.cells.lo, F2.cells.hi]))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    # the deficit index -1 picks the appended censoring time
+    t1, t2 = (np.append(F.cells.tau, censor)[F.cell_index_batch(mids)] for F in (F1, F2))
     total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= 0:
-            continue
-        mid = 0.5 * (a + b)
-        i1 = F1.cell_index(mid)
-        i2 = F2.cell_index(mid)
-        t1 = F1.cells[i1].tau if i1 is not None else censor
-        t2 = F2.cells[i2].tau if i2 is not None else censor
-        total += abs(t1 - t2) * (b - a)
+    for term in (np.abs(t1 - t2) * np.diff(pts)).tolist():
+        total += term  # piece by piece: the sum keeps its order
     return total
 
 
@@ -660,7 +656,7 @@ def kac_breakdown(F: InducedMarkovMap, mu: GridDensity) -> tuple[float, float]:
     F.check_density(mu)
     covered = 0.0
     covered_measure = 0.0
-    for tau, w in zip(F._tau_arr.tolist(), interval_measure(mu, F._los_arr, F._his_arr).tolist()):
+    for tau, w in zip(F.cells.tau.tolist(), interval_measure(mu, F.cells.lo, F.cells.hi).tolist()):
         covered += tau * w
         covered_measure += w
     censored = (F.tau_max + 1) * max(1.0 - covered_measure, 0.0)

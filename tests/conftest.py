@@ -3,12 +3,26 @@
 Everything heavy is session-scoped; towers are verified once and reused.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import srblab as sl
 
 ROOT2 = float(np.sqrt(2.0))
+
+
+@pytest.fixture(scope="session")
+def mutant():
+    """``mutant(F, column, value)``: tower ``F`` with ``value`` as its first
+    cell's entry of the cell-table ``column``."""
+    def build(F, column, value):
+        values = getattr(F.cells, column).copy()
+        values[0] = value
+        return sl.InducedMarkovMap(F.base, F.delta, replace(F.cells, **{column: values}),
+                                   F.tau_max, provenance=F.provenance)
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -156,7 +156,7 @@ def test_05_transfer_identity_on_all_towers(doubling_map, tower_doubling12,
 
 def test_06_linear_majorant_on_all_towers(tower_doubling12, tower_tent2,
                                           tower_tent17, tower_quadratic,
-                                          tower_circle3):
+                                          tower_circle3, mutant):
     """log J_F <= C tau holds on every built-in tower, and an inflated-slope
     mutant is caught by the same check."""
     towers = {"doubling": tower_doubling12, "tent2": tower_tent2,
@@ -165,12 +165,7 @@ def test_06_linear_majorant_on_all_towers(tower_doubling12, tower_tent2,
     ratios = {name: sl.majorant_check(F).worst_ratio for name, F in towers.items()}
 
     F = tower_doubling12
-    c = F.cells[0]
-    fat = sl.Cell(lo=c.lo, hi=c.hi, tau=c.tau, orientation=c.orientation,
-                  slope=1.5 * c.slope, intercept=c.intercept)
-    mutated = sl.InducedMarkovMap(F.base, F.delta, [fat] + list(F.cells[1:]),
-                                  F.tau_max, provenance="exact")
-    mutant_ratio = sl.majorant_check(mutated).worst_ratio
+    mutant_ratio = sl.majorant_check(mutant(F, "slope", 1.5 * F.cells.slope[0])).worst_ratio
 
     ok = all(r <= 1.0 + 1e-9 for r in ratios.values()) and mutant_ratio > 1.0 + 1e-9
     _verdict(ok, "acceptance 6 (linear majorant)",
@@ -181,18 +176,14 @@ def test_06_linear_majorant_on_all_towers(tower_doubling12, tower_tent2,
     assert mutant_ratio > 1.0 + 1e-9
 
 
-def test_07_axiom_verification_and_shrunken_cell():
+def test_07_axiom_verification_and_shrunken_cell(mutant):
     """The exact doubling tower passes all three axioms with its closed-form
     constants; a 1% cell shrinkage is flagged by the onto check."""
     F = sl.doubling_first_return_exact(20)
     rep = sl.verify_axioms(F)
 
-    c = F.cells[0]
-    bad = sl.Cell(lo=c.lo, hi=c.lo + 0.99 * (c.hi - c.lo), tau=c.tau,
-                  orientation=c.orientation, slope=c.slope, intercept=c.intercept)
-    mutated = sl.InducedMarkovMap(F.base, F.delta, [bad] + list(F.cells[1:]),
-                                  F.tau_max, provenance="exact")
-    mrep = sl.verify_axioms(mutated)
+    c = F.cells
+    mrep = sl.verify_axioms(mutant(F, "hi", c.lo[0] + 0.99 * (c.hi[0] - c.lo[0])))
 
     ok = (rep.all_ok and rep.kappa == 0.5 and rep.distortion == 0.0
           and rep.markov_defect == 0.0 and not mrep.markov_ok

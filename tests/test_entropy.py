@@ -329,7 +329,7 @@ class TestSmb:
     def test_depth_one_reads_off_the_cell_mass(self, tower_doubling20):
         # cell k has conditional Lebesgue mass 2^-(k+1) on the base
         for k, x in [(0, 0.1), (1, 0.3), (3, 0.45)]:
-            assert tower_doubling20.cell_index(x) == k
+            assert tower_doubling20.cell_index_batch([x]).tolist() == [k]
             v = sl.entropy_smb(tower_doubling20, x, 1)
             assert v == pytest.approx((k + 1) * LOG2, abs=1e-12)
 
@@ -373,13 +373,14 @@ def _smb_full_pull_back(F, x, n):
     back through all n cells, down to row 0, and the anchor pulled back
     from the switch row: the reference for stopping at the switch row."""
     drng = stream(int(np.float64(x).view(np.uint64)), 29)
-    cells, y = [], x
+    lo, hi = F.delta.lo, F.delta.hi
+    cells, y = [], np.array([x])
     for k in range(n):
-        i = F.cell_index(y)
-        if i is None:
+        i = int(F.cell_index_batch(y)[0])
+        if i < 0:
             raise sl.CensoredOrbitError(k)
         cells.append(i)
-        y = sl.dither(F.apply(y)[0], drng, F.delta.lo, F.delta.hi)
+        y = sl.dither(np.clip(F.evaluate(i, y), lo, np.nextafter(hi, lo)), drng, lo, hi)
     ends, ys = np.empty((n, 2)), np.array([F.delta.lo, F.delta.hi])
     for j in range(n - 1, -1, -1):
         ys = ends[j] = F.invert(cells[j], ys)
@@ -455,14 +456,9 @@ class TestMajorant:
         assert mc.C == pytest.approx(math.log(4.0), rel=1e-12)
         assert mc.worst_ratio <= 1.0 + 1e-9
 
-    def test_inflated_jacobian_is_caught(self, tower_doubling12):
+    def test_inflated_jacobian_is_caught(self, tower_doubling12, mutant):
         F = tower_doubling12
-        c = F.cells[0]
-        fat = sl.Cell(lo=c.lo, hi=c.hi, tau=c.tau, orientation=c.orientation,
-                      slope=1.5 * c.slope, intercept=c.intercept)
-        mutated = sl.InducedMarkovMap(F.base, F.delta, [fat] + list(F.cells[1:]),
-                                      F.tau_max, provenance="exact")
-        mc = sl.majorant_check(mutated)
+        mc = sl.majorant_check(mutant(F, "slope", 1.5 * F.cells.slope[0]))
         assert mc.worst_ratio > 1.0 + 1e-9
         assert mc.worst_cell == 0
 
@@ -545,6 +541,13 @@ class TestEntropyReport:
         rep = sl.entropy_report(m, None, bins=256, n_orbits=8, n_iters=2000)
         assert rep.h_pesin >= 0.0
         assert rep.h_lyapunov >= 0.0
+
+    @pytest.mark.parametrize("bins,held", [(1000, 992), (5000, 4970), (4096, 4096)])
+    def test_report_records_the_bins_its_cylinder_grid_holds(self, viana_map, bins, held):
+        # a cylinder grid is whole rows of theta cells: 32 x 31 for 1000 bins
+        rep = sl.entropy_report(viana_map, None, bins=bins, lyapunov="not run")
+        assert rep.density.grid.n == held
+        assert rep.bins == held
 
     def test_discrepancies_cover_the_estimator_pairs(self, doubling_map, tower_doubling20):
         rep = sl.entropy_report(doubling_map, tower_doubling20, bins=512,

@@ -231,7 +231,7 @@ class TestRunners:
                           "deriv_min", "deriv_max"]
         assert len(rows) == len(F.cells)
         taus = [int(r[3]) for r in rows]
-        assert sorted(taus) == sorted(c.tau for c in F.cells)
+        assert sorted(taus) == sorted(F.cells.tau.tolist())
 
     def test_run_density_emits_bin_values(self, tmp_path):
         cfg = sl.ExperimentConfig(family="tent", map_params={"slope": 2.0},

@@ -156,6 +156,17 @@ def test_viana_domain_is_forward_invariant(viana_map):
     assert np.all(pts[:, 1] <= viana_map.domain.hi + 1e-12)
 
 
+@pytest.mark.parametrize("d,alpha", [(3, 0.05), (16, 0.01)])
+def test_viana_f_batch_owns_its_image(d, alpha):
+    # a view into the orbit buffer would keep the starting points alive too
+    m = sl.make_map("viana", alpha=alpha, d=d)
+    pts = m.sample_uniform(np.random.default_rng(d), 64)
+    image = m.f_batch(pts)
+    assert image.flags.owndata
+    assert image.shape == pts.shape
+    assert image.tobytes() == m.orbit(pts, 1)[1].tobytes()
+
+
 def _skew_step(p, d, alpha, a0):
     """One step of the skew product in one expression per coordinate, the
     reference for ``VianaMap.orbit``, which splits the base from the fibre."""

@@ -195,13 +195,12 @@ def _cell_by_cell_ulam(F, bins):
     edges, widths = grid.edges, grid.widths
     rows, cols, vals = [], [], []
     covered = np.zeros(bins)
-    for i, c in enumerate(F.cells):
-        ylo, yhi = sorted(F.evaluate(i, np.array([c.lo, c.hi])).tolist())
+    for i, (lo, hi) in enumerate(zip(F.cells.lo.tolist(), F.cells.hi.tolist())):
+        ylo, yhi = sorted(F.evaluate(i, np.array([lo, hi])).tolist())
         targets = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
         pre = F.invert(i, targets) if targets.size else np.empty(0)
-        cuts = np.concatenate([[c.lo, c.hi], pre,
-                               edges[(edges > c.lo + 1e-15) & (edges < c.hi - 1e-15)]])
-        cuts = np.unique(np.clip(cuts, c.lo, c.hi))
+        cuts = np.concatenate([[lo, hi], pre, edges[(edges > lo + 1e-15) & (edges < hi - 1e-15)]])
+        cuts = np.unique(np.clip(cuts, lo, hi))
         starts, ends = cuts[:-1], cuts[1:]
         keep = ends - starts > 1e-15
         starts, ends = starts[keep], ends[keep]
@@ -247,9 +246,11 @@ class TestUlamSuffixTrie:
     def test_one_branch_inverse_call_per_distinct_suffix(self):
         m = _CountingCircle(0.2)
         F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 20)
-        suffixes = {c.itinerary[j:] for c in F.cells for j in range(c.tau)}
+        taus = F.cells.tau.tolist()
+        suffixes = {tuple(row[j:tau]) for row, tau in zip(F.cells.itineraries.tolist(), taus)
+                    for j in range(tau)}
         # 39 distinct suffixes against 210 inverse steps cell by cell
-        assert len(suffixes) == 39 and sum(c.tau for c in F.cells) == 210
+        assert len(suffixes) == 39 and sum(taus) == 210
         m.inverse_calls = 0
         sl.ulam_matrix(F, 512)
         assert m.inverse_calls == len(suffixes)
@@ -335,10 +336,10 @@ def _overlapping_tower():
     short, so that rows of the first cell wait behind rows of the second."""
     spans = [(0.0, 0.3 + 4e-13, 1.0, 0.0), (0.3 - 4e-13, 0.31, -1.0, 1.0),
              (0.31, 0.8, 0.7, 0.0), (0.8, 1.0, 1.0, 0.0)]
-    cells = []
-    for lo, hi, rise, y0 in spans:
-        slope = rise / (hi - lo)
-        cells.append(sl.Cell(lo, hi, 1, 1 if rise > 0 else -1, slope, y0 - slope * lo, (0,)))
+    lo, hi, rise, y0 = (np.array(c) for c in zip(*spans))
+    slope = rise / (hi - lo)
+    cells = sl.CellTable(lo, hi, np.ones(4), np.sign(rise), slope, y0 - slope * lo,
+                         np.zeros((4, 1), dtype=int))
     return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 1,
                                provenance="numeric")
 
@@ -578,7 +579,59 @@ class TestBoundsCheck:
             sl.density_bounds_check(d)
 
 
+def _cell_loop_spread(m, F, mu_F, bins):
+    """``spread_measure`` with the cells and deficit gaps collected by a
+    loop over the cells: the reference for reading them off the columns."""
+    censor = F.tau_max + 1
+    pieces, cursor = [], F.delta.lo
+    for lo, hi, tau in zip(F.cells.lo.tolist(), F.cells.hi.tolist(), F.cells.tau.tolist()):
+        if lo - cursor > 1e-15:
+            pieces.append((cursor, lo, censor))
+        pieces.append((lo, hi, tau))
+        cursor = max(cursor, hi)
+    if F.delta.hi - cursor > 1e-15:
+        pieces.append((cursor, F.delta.hi, censor))
+    los, his, taus = zip(*pieces)
+    owner, idx, starts, ends = bin_slivers(mu_F.grid, los, his)
+    weights = mu_F.values[idx] * (ends - starts)
+    taus = np.asarray(taus)[owner]
+    pts = sl.measures.stratified_points(starts, ends - starts).ravel()
+    w = np.repeat(weights / sl.measures._STRATA, sl.measures._STRATA)
+    t = np.repeat(taus, sl.measures._STRATA)
+    grid, acc = sl.Grid1D(m.domain.lo, m.domain.hi, bins), np.zeros(bins)
+    for j in range(min(int(t.max()), F.tau_max + 1)):
+        active = t > j
+        pts, w, t = pts[active], w[active], t[active]
+        np.add.at(acc, grid.locate(pts), w)
+        pts = m.f_batch(pts)
+    return acc / grid.widths, float(weights[taus == censor].sum())
+
+
+def _nested_tower():
+    """Cells of return time 1 and 2 where the second ends inside the first,
+    within the 1e-12 overlap a cell table accepts."""
+    cells = sl.CellTable([0.0, 0.5 - 2e-13, 0.5], [0.5, 0.5 - 1e-13, 1.0], [1, 2, 1], [1, 1, 1],
+                         [2.0, 1.0, 2.0], [0.0, 0.0, -1.0])
+    return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 2,
+                               provenance="numeric")
+
+
 class TestSpreadMeasure:
+    @pytest.mark.parametrize("name", ["doubling", "tent 1.8", "quadratic", "circle", "overlap",
+                                      "nested"])
+    def test_pieces_from_the_columns_match_the_cell_loop(self, name):
+        F = {"doubling": lambda: sl.doubling_first_return_exact(12),
+             "tent 1.8": lambda: sl.first_return_map(sl.make_map("tent", slope=1.8),
+                                                     sl.Interval(0.0, 0.5), 12),
+             "quadratic": lambda: _suffix_tower("quadratic tau=12"),
+             "circle": lambda: _suffix_tower("circle t=0.4"),
+             "overlap": _overlapping_tower, "nested": _nested_tower}[name]()
+        mu_F = sl.lebesgue_density(sl.Grid1D(F.delta.lo, F.delta.hi, 96))
+        spread = sl.spread_measure(F.base, F, mu_F, 128)
+        values, censored = _cell_loop_spread(F.base, F, mu_F, 128)
+        assert spread.values.tobytes() == values.tobytes()
+        assert spread.truncation_bound == censored
+
     def test_spread_mass_equals_kac_mass(self, tent2_map, tower_tent2, mu_tent2):
         spread = sl.spread_measure(tent2_map, tower_tent2, mu_tent2, 4096)
         kac = sl.kac_mass(tower_tent2, mu_tent2)

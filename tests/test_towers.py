@@ -1,6 +1,7 @@
 """First-return towers: construction, verification, Kac averages."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,10 @@ import srblab as sl
 ROOT2 = float(np.sqrt(2.0))
 
 
-def _quadratic_tower(a):
+def _quadratic_tower(a, tau_max=10):
     # [0, p) with p the positive fixed point has return cells for every a
     p = (math.sqrt(1.0 + 4.0 * a) - 1.0) / 2.0
-    return sl.first_return_map(sl.make_map("quadratic", a=a), sl.Interval(0.0, p), 10)
+    return sl.first_return_map(sl.make_map("quadratic", a=a), sl.Interval(0.0, p), tau_max)
 
 
 _TOWERS = st.one_of(
@@ -29,10 +30,54 @@ _TOWERS = st.one_of(
 )
 
 
+def _random_tower(family, value, tau_max):
+    if family == "quadratic":
+        return _quadratic_tower(value, tau_max)
+    m = sl.make_map(family, **{"tent": {"slope": value}, "circle_perturbed": {"t": value}}[family])
+    return sl.first_return_map(m, sl.Interval(0.0, 0.5), tau_max)
+
+
+_TOWER_PARAMS = st.tuples(
+    st.one_of(st.tuples(st.just("tent"), st.floats(1.5, 2.0, exclude_min=True)),
+              st.tuples(st.just("circle_perturbed"), st.floats(0.0, 0.4)),
+              st.tuples(st.just("quadratic"), st.floats(1.5, 2.0))),
+    st.integers(1, 12))
+
+
+class TestTowerStructure:
+    @settings(max_examples=60, deadline=None)
+    @given(params=_TOWER_PARAMS)
+    def test_cell_table_invariants(self, params):
+        (family, value), tau_max = params
+        F = _random_tower(family, value, tau_max)
+        c = F.cells
+        assert np.all(c.lo < c.hi)
+        assert np.all(np.diff(c.lo) >= 0)
+        # disjoint up to the table's 1e-12: the ends of neighbouring cells are
+        # pulled back apart and may round 1 ulp into each other
+        assert np.all(c.hi[:-1] <= c.lo[1:] + 1e-12)
+        assert np.all((1 <= c.tau) & (c.tau <= tau_max))
+        steps = c.itineraries >= 0
+        assert steps.sum(axis=1).tolist() == c.tau.tolist()
+        assert np.all(steps[:, :-1] >= steps[:, 1:])  # -1 only after the end
+        widths = math.fsum((c.hi - c.lo).tolist())
+        assert F.deficit == pytest.approx(max(F.delta.width - widths, 0.0), abs=1e-12)
+        mids = 0.5 * (c.lo + c.hi)
+        assert F.cell_index_batch(mids).tolist() == list(range(len(c)))
+        assert sl.return_time_l1_distance(F, F) == 0.0
+
+    def test_columns_are_read_only(self, tower_quadratic):
+        c = tower_quadratic.cells
+        for column in (c.lo, c.hi, c.tau, c.orientation, c.itineraries):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
 class TestExactDoublingTower:
     def test_cell_layout(self):
         F = sl.doubling_first_return_exact(4)
-        got = [(c.lo, c.hi, c.tau, c.slope) for c in F.cells]
+        c = F.cells
+        got = list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(), c.slope.tolist()))
         want = [
             (0.0, 0.25, 1, 2.0),
             (0.25, 0.375, 2, 4.0),
@@ -48,14 +93,15 @@ class TestExactDoublingTower:
 
     def test_branches_return_via_the_base_map(self, tower_doubling12, doubling_map):
         F = tower_doubling12
-        for c in F.cells[:6]:
-            x = 0.5 * (c.lo + c.hi)
-            y = x
-            for _ in range(c.tau):
-                y = doubling_map.f_batch([y])[0]
-            fx, tau = F.apply(x)
-            assert tau == c.tau
-            assert fx == pytest.approx(y, abs=1e-12)
+        c = F.cells
+        xs = 0.5 * (c.lo[:6] + c.hi[:6])
+        i = F.cell_index_batch(xs)
+        assert i.tolist() == list(range(6))
+        fx = F.evaluate(i, xs)
+        for x, tau, y in zip(xs.tolist(), c.tau[:6].tolist(), fx.tolist()):
+            for _ in range(tau):
+                x = doubling_map.f_batch([x])[0]
+            assert y == pytest.approx(x, abs=1e-12)
 
     def test_verification_constants_are_exact(self, tower_doubling12):
         rep = sl.verify_axioms(tower_doubling12)
@@ -74,15 +120,15 @@ class TestNumericTowers:
         F = tower_tent2
         assert len(F.cells) == 20
         assert F.deficit == pytest.approx(2.0 ** -21, rel=1e-6)
-        assert sorted(c.tau for c in F.cells) == list(range(1, 21))
-        taus = [c.tau for c in F.cells]
+        taus = F.cells.tau.tolist()
+        assert sorted(taus) == list(range(1, 21))
         assert taus[:5] == [1, 3, 5, 7, 9]
         assert taus[-3:] == [6, 4, 2]
 
     def test_tent2_branches_are_onto(self, tower_tent2):
         F = tower_tent2
-        for i, c in enumerate(F.cells[:8]):
-            ends = sorted(F.evaluate(i, [c.lo, c.hi]))
+        for i in range(8):
+            ends = sorted(F.evaluate(i, [F.cells.lo[i], F.cells.hi[i]]))
             assert ends[0] == pytest.approx(F.delta.lo, abs=1e-9)
             assert ends[1] == pytest.approx(F.delta.hi, abs=1e-9)
 
@@ -105,14 +151,13 @@ class TestNumericTowers:
     def test_tent17_single_onto_branch(self, tower_tent17):
         F = tower_tent17
         assert len(F.cells) == 1
-        (c,) = F.cells
-        assert c.tau == 1
+        assert F.cells.tau.tolist() == [1]
         assert F.deficit == pytest.approx(0.5 - 0.5 / 1.7)
 
     def test_trivial_tower_circle3(self, tower_circle3):
         F = tower_circle3
         assert len(F.cells) == 3
-        assert all(c.tau == 1 for c in F.cells)
+        assert F.cells.tau.tolist() == [1, 1, 1]
         assert F.deficit == 0.0
         rep = sl.verify_axioms(F)
         assert rep.kappa == pytest.approx(1.0 / 3.0)
@@ -140,8 +185,8 @@ class TestDeepAndSmoothTowers:
         assert rep.markov_defect <= 1e-8
         assert rep.all_ok
         # branch images are lifted, so no endpoint wraps to the far side of 1
-        for i, c in enumerate(F.cells):
-            ends = sorted(F.evaluate(i, [c.lo, c.hi]))
+        for i in range(len(F.cells)):
+            ends = sorted(F.evaluate(i, [F.cells.lo[i], F.cells.hi[i]]))
             assert ends == pytest.approx([0.0, 0.5], abs=1e-8)
         mu = sl.stationary_density(sl.ulam_matrix(F, 1024), max_iters=2000)
         assert mu.mass == pytest.approx(1.0)
@@ -157,29 +202,25 @@ class TestDeepAndSmoothTowers:
 class TestTowerEvaluation:
     def test_cell_index_matches_cells(self, tower_tent2, tower_doubling12):
         F = tower_tent2
-        for i, c in enumerate(F.cells[:10]):
-            assert F.cell_index(0.5 * (c.lo + c.hi)) == i
+        mids = 0.5 * (F.cells.lo[:10] + F.cells.hi[:10])
+        assert F.cell_index_batch(mids).tolist() == list(range(10))
         # the exact doubling deficit is the sliver left of the base's right edge
-        assert tower_doubling12.cell_index(0.5 - 2.0 ** -14) is None
-
-    def test_apply_outside_cells_is_censored(self, tower_doubling12):
-        with pytest.raises(sl.ArgumentError, match="deficit"):
-            tower_doubling12.apply(0.5 - 2.0 ** -14)
+        assert tower_doubling12.cell_index_batch([0.5 - 2.0 ** -14]).tolist() == [-1]
 
     def test_log_jacobian_batch_matches_slopes(self, tower_doubling12):
         F = tower_doubling12
-        for i, c in enumerate(F.cells[:6]):
-            x = np.array([0.5 * (c.lo + c.hi)])
+        for i, slope in enumerate(F.cells.slope[:6].tolist()):
+            x = np.array([0.5 * (F.cells.lo[i] + F.cells.hi[i])])
             lj = F.evaluate(i, x, jacobian=True)[1][0]
-            assert lj == pytest.approx(math.log(abs(c.slope)), abs=1e-12)
+            assert lj == pytest.approx(math.log(abs(slope)), abs=1e-12)
 
     def test_branch_invert_is_a_right_inverse(self, tower_quadratic):
         F = tower_quadratic
-        for i, c in enumerate(F.cells[:10]):
+        for i, (lo, hi) in enumerate(zip(F.cells.lo[:10].tolist(), F.cells.hi[:10].tolist())):
             y = 0.3 * F.delta.lo + 0.7 * F.delta.hi
             x = float(F.invert(i, [y])[0])
-            assert c.lo - 1e-9 <= x <= c.hi + 1e-9
-            fx, _ = F.apply(min(max(x, c.lo), c.hi))
+            assert lo - 1e-9 <= x <= hi + 1e-9
+            fx = float(F.evaluate(i, [min(max(x, lo), hi)])[0])
             # these cells start within 0.03 of the critical point, so their
             # orbits pass the critical value 2 and then linger by the fixed
             # point -2: a float64 orbit there is good to about 1e-10
@@ -189,10 +230,12 @@ class TestTowerEvaluation:
                                        "tower_circle3"])
     def test_itineraries_follow_the_base_orbit(self, tower, request):
         F = request.getfixturevalue(tower)
-        for c in F.cells:
-            assert len(c.itinerary) == c.tau
-            x = 0.5 * (c.lo + c.hi)
-            for i in c.itinerary:
+        c = F.cells
+        for lo, hi, tau, row in zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(),
+                                    c.itineraries.tolist()):
+            assert row[tau:] == [-1] * (len(row) - tau)
+            x = 0.5 * (lo + hi)
+            for i in row[:tau]:
                 assert F.base.branch_containing(x) == i
                 x = F.base.f_batch([x])[0]
 
@@ -204,8 +247,7 @@ class TestTowerEvaluation:
         assume(F.cells)
         rng = np.random.default_rng(seed)
         cells = rng.integers(0, len(F.cells), 96)
-        los = np.array([F.cells[c].lo for c in cells])
-        his = np.array([F.cells[c].hi for c in cells])
+        los, his = F.cells.lo[cells], F.cells.hi[cells]
         xs = los + rng.uniform(0.0, 1.0, cells.size) * (his - los)
         ys = F.delta.lo + rng.uniform(0.0, 1.0, cells.size) * F.delta.width
         together = F.evaluate(cells, xs, jacobian=True) + (F.invert(cells, ys),)
@@ -217,10 +259,11 @@ class TestTowerEvaluation:
 
     def test_non_affine_cells_need_their_itinerary(self, tower_quadratic):
         F = tower_quadratic
-        c = F.cells[0]
-        bare = sl.Cell(lo=c.lo, hi=c.hi, tau=c.tau, orientation=c.orientation)
+        c = F.cells
         with pytest.raises(sl.ConstructionError, match="itinerary"):
-            sl.InducedMarkovMap(F.base, F.delta, [bare], F.tau_max, provenance="numeric")
+            sl.CellTable(c.lo[:1], c.hi[:1], c.tau[:1], c.orientation[:1])
+        with pytest.raises(sl.ConstructionError, match="itinerary"):
+            replace(c, itineraries=c.itineraries[:, :1])
 
 
 def _per_piece_first_return(m, delta, tau_max, tol=1e-12):
@@ -307,7 +350,10 @@ class TestFirstReturnChains:
         delta = sl.Interval(0.0, hi)
         F = sl.first_return_map(m, delta, tau_max)
         cells, partial, deficit = _per_piece_first_return(m, delta, tau_max)
-        assert [(c.lo, c.hi, c.tau, c.orientation, c.itinerary) for c in F.cells] == cells
+        c = F.cells
+        assert list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(), c.orientation.tolist(),
+                        (tuple(r[:t]) for r, t in zip(c.itineraries.tolist(),
+                                                      c.tau.tolist())))) == cells
         assert F.partial_mass == partial and F.deficit == deficit
 
 
@@ -337,7 +383,32 @@ class TestKac:
             sl.kac_mass(tower_doubling12, heavy)
 
 
+def _breakpoint_loop_l1(F1, F2):
+    """``return_time_l1_distance`` with one lookup per piece between sorted
+    breakpoints: the reference for the one batched lookup."""
+    censor = max(F1.tau_max, F2.tau_max) + 1
+
+    def tau(F, x):
+        i = int(F.cell_index_batch([x])[0])
+        return int(F.cells.tau[i]) if i >= 0 else censor
+
+    pts = sorted({F1.delta.lo, F1.delta.hi, *F1.cells.lo.tolist(), *F1.cells.hi.tolist(),
+                  *F2.cells.lo.tolist(), *F2.cells.hi.tolist()})
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (a + b)
+        total += abs(tau(F1, mid) - tau(F2, mid)) * (b - a)
+    return total
+
+
 class TestReturnTimeDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(first=_TOWER_PARAMS, second=_TOWER_PARAMS)
+    def test_batched_lookup_matches_the_breakpoint_loop(self, first, second):
+        F1, F2 = (_random_tower(*family_value, tau_max) for family_value, tau_max in (first, second))
+        assume(F1.delta == F2.delta)
+        assert sl.return_time_l1_distance(F1, F2) == _breakpoint_loop_l1(F1, F2)
+
     def test_identical_towers_are_at_distance_zero(self, tower_tent2):
         assert sl.return_time_l1_distance(tower_tent2, tower_tent2) == 0.0
 
@@ -348,26 +419,19 @@ class TestReturnTimeDistance:
 
 
 class TestVerificationFailures:
-    def test_shrunken_cell_breaks_the_onto_axiom(self, tower_doubling12):
+    def test_shrunken_cell_breaks_the_onto_axiom(self, tower_doubling12, mutant):
         F = tower_doubling12
-        c = F.cells[0]
-        bad = sl.Cell(lo=c.lo, hi=c.lo + 0.99 * (c.hi - c.lo), tau=c.tau,
-                      orientation=c.orientation, slope=c.slope, intercept=c.intercept)
-        mutated = sl.InducedMarkovMap(F.base, F.delta, [bad] + list(F.cells[1:]),
-                                      F.tau_max, provenance="exact")
+        c = F.cells
+        mutated = mutant(F, "hi", c.lo[0] + 0.99 * (c.hi[0] - c.lo[0]))
         rep = sl.verify_axioms(mutated)
         assert not rep.markov_ok
         assert rep.defect_cell == 0
         assert rep.markov_defect == pytest.approx(0.005, rel=1e-6)
 
-    def test_overlapping_cells_are_rejected(self, tower_doubling12):
+    def test_overlapping_cells_are_rejected(self, tower_doubling12, mutant):
         F = tower_doubling12
-        c = F.cells[0]
-        wide = sl.Cell(lo=c.lo, hi=c.hi + 0.1, tau=c.tau,
-                       orientation=c.orientation, slope=c.slope, intercept=c.intercept)
         with pytest.raises(sl.ConstructionError, match="overlap"):
-            sl.InducedMarkovMap(F.base, F.delta, [wide] + list(F.cells[1:]),
-                                F.tau_max, provenance="exact")
+            mutant(F, "hi", F.cells.hi[0] + 0.1)
 
     def test_unverified_tower_cannot_run_the_quotient_check(self, doubling_map):
         F = sl.doubling_first_return_exact(6)  # fresh, never verified
