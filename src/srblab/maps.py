@@ -209,8 +209,16 @@ class MapSystem:
         return np.asarray(cuts)
 
     # -- sampling -----------------------------------------------------
+    def from_unit(self, u: np.ndarray) -> np.ndarray:
+        """Points of the domain from uniform doubles ``u`` in [0, 1), one row
+        of ``dimension`` doubles per point: ``lo + (hi - lo) u``, the formula
+        of ``Generator.uniform``."""
+        return self.domain.lo + (self.domain.hi - self.domain.lo) * u[:, 0]
+
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.domain.lo, self.domain.hi, size=n)
+        """``n`` uniform points of the domain; each coordinate takes ``n``
+        consecutive draws of ``rng``."""
+        return self.from_unit(rng.random((self.dimension, n)).T)
 
     def check_point(self, x) -> None:
         if not self.domain.contains(float(x)):
@@ -560,11 +568,10 @@ class VianaMap(MapSystem):
     def has_critical_set(self):
         return True
 
-    def sample_uniform(self, rng, n):
-        out = np.empty((n, 2))
-        out[:, 0] = rng.uniform(0.0, 1.0, size=n)
-        out[:, 1] = rng.uniform(self.domain.lo, self.domain.hi, size=n)
-        return out
+    def from_unit(self, u):
+        """``theta = u[:, 0]`` and ``x = lo + (hi - lo) u[:, 1]``."""
+        return np.column_stack([u[:, 0], self.domain.lo
+                                + (self.domain.hi - self.domain.lo) * u[:, 1]])
 
     def check_point(self, p):
         if not self.domain.contains(float(p[1])):

@@ -330,8 +330,9 @@ def _walk(m: MapSystem, steps, rows, xs, inverse: bool = False,
     """Step points through the base branches of itineraries.
 
     Point ``k`` follows row ``rows[k]`` of the padded matrix ``steps``
-    (``-1`` after its end); with ``rows`` None every point follows the one
-    itinerary ``steps``, with no masks.  Steps are ``branch_lift``, or with
+    (``-1`` after its end), and the walk stops after the longest of those
+    rows; with ``rows`` None every point follows the one itinerary
+    ``steps``, with no masks.  Steps are ``branch_lift``, or with
     ``inverse`` ``branch_inverse`` from the last entry back, in
     double-double arithmetic with ``dd`` (``branch_lift_dd``,
     ``branch_inverse_dd``).  Returns the images; with ``jacobian`` (forward
@@ -342,7 +343,7 @@ def _walk(m: MapSystem, steps, rows, xs, inverse: bool = False,
     else:
         columns = range(steps.shape[1])
         if inverse:
-            last = (steps >= 0).sum(axis=1)[rows] - 1
+            last = (steps[rows] >= 0).sum(axis=-1) - 1
     if dd:
         step = m.branch_inverse_dd if inverse else m.branch_lift_dd
     else:
@@ -360,6 +361,8 @@ def _walk(m: MapSystem, steps, rows, xs, inverse: bool = False,
             else:
                 branch = steps[rows, column]
             groups = [(i, sel) for i in range(m.n_branches) if (sel := branch == i).any()]
+            if not groups:  # every row of the batch has ended
+                break
         for i, sel in groups:
             x = hi if rows is None else hi[sel]
             if jacobian:

@@ -186,6 +186,28 @@ def test_tail_profile_matches_the_per_point_times(family, params, tail):
     assert prof.censored_count == int(np.sum((texp > tail.n_max) | (trec > tail.n_max)))
 
 
+@pytest.mark.parametrize("family,params", [("quadratic", {"a": 1.9}),
+                                           ("viana", {"alpha": 0.01, "d": 16})])
+def test_tail_profile_builds_no_generator(monkeypatch, family, params):
+    # the sample comes from one batched draw; the per-point streams are the
+    # reference of test_tail_profile_matches_the_per_point_times
+    m = sl.make_map(family, **params)
+    tail = sl.TailParams(lam=0.3, eps=0.075, delta=1e-2, n_max=30, sample_size=500)
+    want = sl.tail_profile(m, tail, seed=6)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("tail_profile built a generator")
+
+    for owner, name in ((sl.rng, "stream"), (np.random, "Generator"),
+                        (np.random, "SeedSequence"), (np.random, "PCG64")):
+        monkeypatch.setattr(owner, name, no_generator)
+    got = sl.tail_profile(m, tail, seed=6)
+    for a, b in ((got.frac_expansion, want.frac_expansion),
+                 (got.frac_recurrence, want.frac_recurrence), (got.frac_union, want.frac_union)):
+        assert np.array_equal(a, b)
+    assert got.censored_count == want.censored_count
+
+
 def _summand_matrices(m, pts, delta, n_max):
     """The (points, n_max) matrices of the expansion and recurrence
     summands, one map step per column."""

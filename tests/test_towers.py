@@ -226,6 +226,23 @@ class TestTowerEvaluation:
             # point -2: a float64 orbit there is good to about 1e-10
             assert fx == pytest.approx(y, abs=1e-9)
 
+    def test_a_one_cell_batch_walks_its_own_itinerary_only(self):
+        # the tau-16 matrix is 16 columns wide; a batch stops once all its
+        # rows have ended, one column after the longest of them
+        m = _CountingQuadratic(2.0)
+        F = sl.first_return_map(m, sl.Interval(0.0, ROOT2), 16)
+        c = int(np.argmin(F.cells.tau))
+        tau = int(F.cells.tau[c])
+        assert tau <= 2 and F.cells.itineraries.shape[1] == 16
+        y = np.array([0.3 * F.delta.lo + 0.7 * F.delta.hi])
+        m.inverse_calls = m.branch_count_reads = 0
+        x = F.invert(np.array([c]), y)
+        assert m.inverse_calls == tau and m.branch_count_reads <= tau + 1
+        m.branch_count_reads = 0
+        fx = F.evaluate(np.array([c]), x)
+        assert m.branch_count_reads <= tau + 1
+        assert np.array_equal(x, F.invert(c, y)) and np.array_equal(fx, F.evaluate(c, x))
+
     @pytest.mark.parametrize("tower", ["tower_doubling12", "tower_tent2", "tower_quadratic",
                                        "tower_circle3"])
     def test_itineraries_follow_the_base_orbit(self, tower, request):
@@ -334,6 +351,23 @@ def _per_piece_first_return(m, delta, tau_max, tol=1e-12):
             cells.append((clo, chi, k, o, itinerary))
     cells.sort(key=lambda c: c[0])
     return cells, partial, max(delta.width - sum(c[1] - c[0] for c in cells), 0.0)
+
+
+class _CountingQuadratic(sl.maps.QuadraticMap):
+    """quadratic map that counts its ``branch_inverse`` calls and the reads
+    of its branch count, which a masked tower walk makes once per column."""
+
+    inverse_calls = 0
+    branch_count_reads = 0
+
+    def branch_inverse(self, i, y):
+        self.inverse_calls += 1
+        return super().branch_inverse(i, y)
+
+    @property
+    def n_branches(self):
+        self.branch_count_reads += 1
+        return super().n_branches
 
 
 class TestFirstReturnChains:
