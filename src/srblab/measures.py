@@ -634,7 +634,9 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10,
     if s <= 0:
         raise ArgumentError("every bin is flagged as deficit; nothing to solve")
     p /= s
-    pt = op.matrix.T.tocsr()
+    # the CSC view of P^T adds each output's terms in increasing row order
+    # of P, as a CSR copy of P^T would, without building that copy
+    pt = op.matrix.T
     diff = np.inf
     for it in range(1, max_iters + 1):
         q = pt @ p

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
-from srblab.maps import wrap_unit_batch
+from srblab.maps import PerturbedDoublingMap, wrap_unit_batch
 
 
 @pytest.mark.parametrize("family,params,dim", [
@@ -271,6 +271,79 @@ def test_perturbed_inverse_of_a_point_does_not_depend_on_its_batch(t, seed, bran
     batch = m.branch_inverse(branch, ys)
     for k in range(ys.size):
         assert m.branch_inverse(branch, ys[k:k + 1])[0] == batch[k]
+
+
+def test_math_sin_and_cos_equal_numpys_float64_sin_and_cos():
+    # precondition of the per-point Newton in circle_perturbed's
+    # branch_inverse: small batches use math.sin/math.cos, large ones
+    # numpy's, and the two paths agree bit for bit only if these do
+    x = np.random.default_rng(16).uniform(0.0, 2 * np.pi, 10 ** 5)
+    for name in ("sin", "cos"):
+        want = getattr(np, name)(x)
+        got = np.array([getattr(math, name)(v) for v in x.tolist()])
+        differ = int(np.count_nonzero(got != want))
+        assert differ == 0, (
+            f"math.{name} differs from numpy.{name} on {differ} of {x.size} doubles, so "
+            "PerturbedDoublingMap.branch_inverse is no longer bit-identical across batch sizes")
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.2, 0.4, 1.0, 1.9])
+@pytest.mark.parametrize("branch", [0, 1])
+def test_perturbed_inverse_per_point_path_equals_the_array_path_bit_for_bit(t, branch):
+    m = sl.make_map("circle_perturbed", t=t)
+    ys = np.concatenate([np.random.default_rng(int(10 * t)).uniform(0.0, 1.0, 20_000),
+                         [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0]])
+    cut = sl.maps._POINTWISE_MAX
+    whole = m.branch_inverse(branch, ys)  # one array loop
+    pieces = [m.branch_inverse(branch, ys[k:k + cut]) for k in range(0, ys.size, cut)]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["0-d", (1,), "cut", "cut+1", (2, 3), (0,)])
+def test_perturbed_inverse_keeps_the_shape_of_its_batch(shape):
+    m = sl.make_map("circle_perturbed", t=0.3)
+    cut = sl.maps._POINTWISE_MAX
+    shape = {"0-d": (), "cut": (cut,), "cut+1": (cut + 1,)}.get(shape, shape)
+    ys = np.random.default_rng(3).uniform(0.0, 1.0, shape)
+    back = m.branch_inverse(1, ys)
+    assert np.shape(back) == shape
+    assert np.asarray(back).tobytes() == m._newton_batch(1, ys + 1).tobytes()
+    if shape == ():
+        assert m.branch_inverse(1, float(ys)) == back
+
+
+def test_perturbed_inverse_of_non_finite_targets_matches_the_array_path():
+    # math.sin(inf) raises where np.sin gives nan: such a batch takes the array loop
+    m = sl.make_map("circle_perturbed", t=0.3)
+    ys = np.array([np.inf, np.nan, 0.3])
+    with np.errstate(invalid="ignore"):
+        for k in range(1, ys.size + 1):
+            want = m._newton_batch(0, ys[k - 1:])
+            assert m.branch_inverse(0, ys[k - 1:]).tobytes() == want.tobytes()
+
+
+def test_tower_chains_invert_point_by_point(monkeypatch):
+    # most chain calls of first_return_map pass 2 to 6 points; the array
+    # loop sees only the calls above the cut-off
+    cut = sl.maps._POINTWISE_MAX
+    sizes, array_sizes = [], []
+    inverse, array_loop = PerturbedDoublingMap.branch_inverse, PerturbedDoublingMap._newton_batch
+
+    def counted_inverse(self, i, y):
+        sizes.append(np.size(y))
+        return inverse(self, i, y)
+
+    def counted_array_loop(self, i, target):
+        array_sizes.append(target.size)
+        return array_loop(self, i, target)
+
+    monkeypatch.setattr(PerturbedDoublingMap, "branch_inverse", counted_inverse)
+    monkeypatch.setattr(PerturbedDoublingMap, "_newton_batch", counted_array_loop)
+    sl.first_return_map(sl.make_map("circle_perturbed", t=0.2), sl.Interval(0.0, 0.5), 20)
+    small = [n for n in sizes if n <= cut]
+    assert len(small) > 200
+    assert all(n > cut for n in array_sizes)
+    assert len(array_sizes) == len(sizes) - len(small)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Discretized transfer operators, stationary densities and the spreading step."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -520,6 +521,21 @@ class TestStationaryDensity:
         with pytest.raises(sl.ConvergenceError) as short:
             sl.stationary_density(op, tol=1e-10, max_iters=mu.iterations - 1)
         assert short.value.residual > 1e-10
+
+    @pytest.mark.parametrize("case", ["quadratic tau=16", "circle t=0.2", "viana"])
+    def test_the_transpose_view_solves_as_a_csr_copy_would_bit_for_bit(self, case):
+        if case == "viana":  # the cylinder's 64 x 64 one-step operator
+            op = sl.one_step_ulam(sl.make_map("viana", alpha=0.01, d=16), 4096)
+        else:
+            op = sl.ulam_matrix(_suffix_tower(case), 4096 if case.startswith("quad") else 1024)
+        # the solve multiplies by op.matrix.T; here that is P.T.tocsr()
+        copy = dataclasses.replace(op, matrix=op.matrix.T.tocsr().T)
+        assert copy.matrix.T.format == "csr"
+        mu, ref = sl.stationary_density(op), sl.stationary_density(copy)
+        assert mu.values.tobytes() == ref.values.tobytes()
+        assert (mu.iterations, mu.residual) == (ref.iterations, ref.residual)
+        p = mu.bin_measures
+        assert (op.matrix.T @ p).tobytes() == (op.matrix.T.tocsr() @ p).tobytes()
 
     def test_iteration_budget_is_enforced(self, tower_quadratic):
         op = sl.ulam_matrix(tower_quadratic, 1024)
