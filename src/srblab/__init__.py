@@ -11,7 +11,7 @@ consistency checks tying the routes to one another.
 """
 
 from .config import ExperimentConfig, load_config, parse, save_config, serialize
-from .entropy import (EntropyReport, MajorantCheck, QuotientCheck, TransferCheck,
+from .entropy import (EntropyReport, MajorantCheck, QuotientCheck, Route, TransferCheck,
                       entropy_abramov, entropy_induced, entropy_lyapunov,
                       entropy_lyapunov_fast, entropy_lyapunov_rows, entropy_pesin,
                       entropy_report, entropy_smb, entropy_truncation_bound,

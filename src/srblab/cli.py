@@ -84,11 +84,13 @@ def _fmt(x) -> str:
 def _cmd_entropy(args) -> int:
     rep = run_entropy(_load(args))
     print(f"family: {rep.family} {rep.params}")
-    print(f"h_lyapunov = {_fmt(rep.h_lyapunov)} (se {_fmt(rep.lyapunov_se)})")
-    print(f"h_pesin    = {_fmt(rep.h_pesin)} (clip mass {_fmt(rep.pesin_clip_mass)})")
-    print(f"h_induced  = {_fmt(rep.h_induced)}")
-    print(f"h_abramov  = {_fmt(rep.h_abramov)} (kac mass {_fmt(rep.kac)})")
-    print(f"h_smb      = {_fmt(rep.h_smb)}")
+    for route in rep.routes.values():
+        line = f"{route.name:<10} = {_fmt(route.estimate)}"
+        if route.std_error is not None:
+            line += f" (se {_fmt(route.std_error)})"
+        if route.truncation_bound is not None:
+            line += f" (truncation bound {_fmt(route.truncation_bound)})"
+        print(line)
     for k, v in sorted(rep.discrepancies.items()):
         print(f"discrepancy {k}: {_fmt(v)}")
     for k, v in sorted(rep.errors.items()):

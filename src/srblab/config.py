@@ -53,7 +53,6 @@ _FLOAT_KEYS = {
     "sweep.from", "sweep.to", "ulam.tol", "induce.lo", "induce.hi",
     "induce.tol", "tail.lam", "tail.eps", "tail.delta",
 }
-_STR_KEYS = {"map.family", "sweep.parameter", "tail.inject", "out_dir"}
 
 _KEY_TO_FIELD = {
     "map.family": "family",

@@ -28,11 +28,14 @@ step, which yields the images and ``log |DF|`` together.
 
 Quadrature points and bin slivers come from the stratification in
 :mod:`srblab.measures`.  ``entropy_report`` runs all of them on one
-system, solving each operator and integrating each density once, and
-records their pairwise discrepancies; the three ``*_check`` functions
-probe the identities that make the routes agree (orbit-exponent
-quotient, Jacobian transfer under spreading, and the
-linear-in-return-time Jacobian bound).
+system, solving each operator and integrating each density once.  It
+keeps one :class:`Route` record per route (lyapunov, pesin, induced,
+abramov, smb, and the kac mass that links the last three), and that one
+list drives entropy.csv, the sweep rows, the ``srblab entropy`` printout
+and the pairwise discrepancies.  The three ``*_check`` functions probe
+the identities that make the routes agree (orbit-exponent quotient,
+Jacobian transfer under spreading, and the linear-in-return-time
+Jacobian bound).
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
 from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_points,
-                       interval_measure, one_step_ulam, spread_measure,
-                       stationary_density, stratified_points, ulam_matrix)
+                       interval_measure, one_step_ulam, stationary_density,
+                       stratified_points, ulam_matrix)
 from .rng import dither, stream
 from .towers import InducedMarkovMap, cell_samples, kac_breakdown, kac_mass, verify_axioms
 
@@ -271,21 +274,19 @@ def _positive_part(m: MapSystem, exponent: float) -> float:
     return max(exponent, 0.0 if m.dimension == 1 else math.log(m.d))
 
 
-def entropy_pesin(m: MapSystem, mu_f: GridDensity,
-                  return_clip: bool = False) -> float | tuple[float, float]:
+def entropy_pesin(m: MapSystem, mu_f: GridDensity) -> float:
     """Pesin entropy: the positive part of the quadrature of ``log |det Df|``
     against a unit-mass ambient density.
 
     Each bin contributes through 16 stratified points (a 4 x 4 grid on
     cylinder bins).  Near the critical set the integrand is clipped at
-    the floor ``log(1e-15)``; pass ``return_clip=True`` to also get the
-    total density mass whose integrand was clipped.  A negative exponent
-    (an attracting periodic orbit, say) gives 0, or ``log d`` on the
-    cylinder, as in the Lyapunov route, which clips each orbit at 0.
+    the floor ``log(1e-15)``; :func:`entropy_report` keeps the density
+    mass whose integrand was clipped as the pesin route's
+    ``truncation_bound``.  A negative exponent (an attracting periodic
+    orbit, say) gives 0, or ``log d`` on the cylinder, as in the Lyapunov
+    route, which clips each orbit at 0.
     """
-    exponent, clip_mass = _pesin_integral(m, mu_f)
-    value = _positive_part(m, exponent)
-    return (value, clip_mass) if return_clip else value
+    return _positive_part(m, _pesin_integral(m, mu_f)[0])
 
 
 def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
@@ -603,63 +604,81 @@ def majorant_check(F: InducedMarkovMap, samples_per_cell: int = 64,
 
 
 @dataclass
+class Route:
+    """One route's outcome; its fields are the columns of entropy.csv.
+
+    ``estimate`` is NaN while the route is unavailable.  ``truncation_bound``
+    is the censoring bound on the tower rows (the abramov row repeats the
+    induced one) and the clipped density mass on the pesin row."""
+
+    method: str
+    estimate: float = math.nan
+    std_error: float | None = None
+    truncation_bound: float | None = None
+    n_orbits: int | None = None
+    n_iters: int | None = None
+    bins: int | None = None
+    tau_cap: int | None = None
+
+    @property
+    def name(self) -> str:
+        """Key in sweep rows, ``errors`` and the printout: ``h_<method>``,
+        or ``kac_mass``, which is a mean return time."""
+        return self.method if self.method == "kac_mass" else f"h_{self.method}"
+
+
+#: The route pairs whose gaps make up ``EntropyReport.discrepancies``.
+_PAIRS = (("abramov", "pesin"), ("abramov", "lyapunov"), ("pesin", "lyapunov"),
+          ("smb", "induced"))
+
+
+@dataclass
 class EntropyReport:
     """All entropy routes for one system, with cross-route discrepancies.
 
-    Estimator fields are NaN when a route is unavailable (no tower for
-    cylinder maps, for instance); the reason is kept in ``errors``.
-    ``density`` is the one-step stationary density behind ``h_pesin``
+    ``routes`` maps each method to its :class:`Route`, in the row order of
+    entropy.csv.  Why a route is unavailable (no tower for cylinder maps,
+    for instance) is kept in ``errors`` under the route's ``name``.
+    ``density`` is the one-step stationary density behind the pesin route
     (None when its solve failed), and ``pesin_exponent`` the raw integral
-    of ``log |det Df|`` against it, whose positive part is ``h_pesin``.
+    of ``log |det Df|`` against it, whose positive part is the estimate.
     """
 
     family: str
     params: dict
-    h_lyapunov: float = math.nan
-    lyapunov_se: float = math.nan
-    h_pesin: float = math.nan
+    routes: dict
     pesin_exponent: float = math.nan
-    pesin_clip_mass: float = math.nan
-    h_induced: float = math.nan
-    h_abramov: float = math.nan
-    h_smb: float = math.nan
-    kac: float = math.nan
-    spread_mass: float = math.nan
-    deficit: float = math.nan
-    truncation_bound: float = math.nan
-    bins: int = 0
-    n_orbits: int = 0
-    n_iters: int = 0
-    tau_cap: int = 0
     density: GridDensity | None = None
-    discrepancies: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
 
-    def recompute_discrepancies(self) -> dict:
-        pairs = {
-            "abramov_vs_pesin": (self.h_abramov, self.h_pesin),
-            "abramov_vs_lyapunov": (self.h_abramov, self.h_lyapunov),
-            "pesin_vs_lyapunov": (self.h_pesin, self.h_lyapunov),
-            "smb_vs_induced": (self.h_smb, self.h_induced),
-        }
-        return {k: abs(a - b) for k, (a, b) in pairs.items()
-                if not (math.isnan(a) or math.isnan(b))}
+    @property
+    def tau_cap(self) -> int:
+        """The tower's return-time cap, 0 without a tower."""
+        return self.routes["induced"].tau_cap or 0
+
+    @property
+    def discrepancies(self) -> dict:
+        """``{"<a>_vs_<b>": |a - b|}`` over the pairs whose estimates both exist."""
+        h = {method: route.estimate for method, route in self.routes.items()}
+        return {f"{a}_vs_{b}": abs(h[a] - h[b]) for a, b in _PAIRS
+                if not (math.isnan(h[a]) or math.isnan(h[b]))}
 
 
 def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
                    bins: int = 4096, n_orbits: int = 64, n_iters: int = 100_000,
-                   smb_depth: int = 64, seed: int = 0, j_cap: int | None = None,
-                   retry_budget: int = 8, ulam_tol: float = 1e-10,
-                   ulam_max_iters: int = 100_000,
+                   smb_depth: int = 64, seed: int = 0, retry_budget: int = 8,
+                   ulam_tol: float = 1e-10, ulam_max_iters: int = 100_000,
                    lyapunov: tuple[float, float] | str | None = None) -> EntropyReport:
-    """Run every applicable entropy route and collect the results.
+    """Run every applicable entropy route and fill its :class:`Route` record.
 
     Tower-based routes need a verified induced map ``F`` (towers that
     were not yet verified are verified here); ambient routes run for any
     map.  Each operator is solved once and each density integrated once:
-    ``h_abramov`` is ``h_induced / kac``, and the one-step density is
-    returned on the report.  Per-route failures are recorded in
-    ``report.errors`` instead of aborting the whole report.
+    the abramov estimate is the induced one over the kac mass, and the
+    one-step density is returned on the report.  The report holds all six
+    records; per-route failures are recorded in ``report.errors`` instead
+    of aborting the whole report.  A record's ``bins`` is the count the
+    one-step grid holds (a cylinder grid of whole rows may hold fewer).
 
     ``lyapunov`` is the Lyapunov route's outcome when the caller has run
     its orbits already (a sweep runs those of all its rows together):
@@ -667,8 +686,15 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     ``n_iters``, ``seed`` and ``retry_budget``, or the message of its
     error.  Left at None, the route runs here.
     """
-    rep = EntropyReport(m.family, dict(m.params), bins=bins, n_orbits=n_orbits,
-                        n_iters=n_iters, tau_cap=F.tau_max if F is not None else 0)
+    tau_cap = F.tau_max if F is not None else None
+    routes = {route.method: route for route in (
+        Route("lyapunov", n_orbits=n_orbits, n_iters=n_iters),
+        Route("pesin", bins=bins),
+        Route("induced", bins=bins, tau_cap=tau_cap),
+        Route("abramov", bins=bins, tau_cap=tau_cap),
+        Route("smb", tau_cap=tau_cap),
+        Route("kac_mass", bins=bins, tau_cap=tau_cap))}
+    rep = EntropyReport(m.family, dict(m.params), routes)
     if lyapunov is None:
         try:
             lyapunov = entropy_lyapunov(m, n_orbits, n_iters, seed=seed,
@@ -678,36 +704,38 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     if isinstance(lyapunov, str):
         rep.errors["h_lyapunov"] = lyapunov
     else:
-        rep.h_lyapunov, rep.lyapunov_se = lyapunov
+        routes["lyapunov"].estimate, routes["lyapunov"].std_error = lyapunov
+    pesin = routes["pesin"]
     try:
         op = one_step_ulam(m, bins)
-        rep.bins = op.grid.n  # a cylinder grid of whole rows may hold fewer bins
+        for route in routes.values():  # the bins the grid holds
+            if route.bins is not None:
+                route.bins = op.grid.n
         rep.density = stationary_density(op, tol=ulam_tol, max_iters=ulam_max_iters)
-        rep.pesin_exponent, rep.pesin_clip_mass = _pesin_integral(m, rep.density)
-        rep.h_pesin = _positive_part(m, rep.pesin_exponent)
+        rep.pesin_exponent, pesin.truncation_bound = _pesin_integral(m, rep.density)
+        pesin.estimate = _positive_part(m, rep.pesin_exponent)
     except SrbLabError as exc:
         rep.errors["h_pesin"] = str(exc)
 
     if F is not None:
+        induced, abramov = routes["induced"], routes["abramov"]
         try:
             if F.verification is None:
                 verify_axioms(F)
             mu_F = stationary_density(ulam_matrix(F, bins), tol=ulam_tol,
                                       max_iters=ulam_max_iters)
-            rep.deficit = F.deficit
-            rep.h_induced = entropy_induced(F, mu_F)
-            rep.kac = kac_mass(F, mu_F)
-            spread = spread_measure(m, F, mu_F, bins, j_cap)
-            rep.spread_mass = spread.mass
-            rep.h_abramov = rep.h_induced / rep.kac  # kac >= 1: a censored mean return time
-            rep.truncation_bound = entropy_truncation_bound(F, mu_F)
+            induced.estimate = entropy_induced(F, mu_F)
+            routes["kac_mass"].estimate = kac = kac_mass(F, mu_F)
+            abramov.estimate = induced.estimate / kac  # kac >= 1: a censored mean return time
+            induced.truncation_bound = abramov.truncation_bound = \
+                entropy_truncation_bound(F, mu_F)
         except SrbLabError as exc:
             rep.errors["h_induced"] = str(exc)
         smb_rng = stream(seed, 17)
         for _ in range(8):
             x0 = smb_rng.uniform(F.delta.lo, F.delta.hi)
             try:
-                rep.h_smb = entropy_smb(F, x0, smb_depth)
+                routes["smb"].estimate = entropy_smb(F, x0, smb_depth)
                 rep.errors.pop("h_smb", None)
                 break
             except CensoredOrbitError as exc:
@@ -715,5 +743,4 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
             except SrbLabError as exc:
                 rep.errors["h_smb"] = str(exc)
                 break
-    rep.discrepancies = rep.recompute_discrepancies()
     return rep

@@ -239,12 +239,9 @@ def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | s
             smb_depth=cfg.smb_depth, seed=_row_seed(cfg.seed, index),
             retry_budget=cfg.retry_budget, ulam_tol=cfg.ulam_tol,
             ulam_max_iters=cfg.ulam_max_iters, lyapunov=lyapunov)
-        row["h_lyapunov"] = rep.h_lyapunov
-        row["lyapunov_se"] = rep.lyapunov_se
-        row["h_pesin"] = rep.h_pesin
-        row["h_induced"] = rep.h_induced
-        row["h_abramov"] = rep.h_abramov
-        row["kac_mass"] = rep.kac
+        for route in rep.routes.values():
+            row[route.name] = route.estimate
+        row["lyapunov_se"] = rep.routes["lyapunov"].std_error
         if m.dimension == 1 and rep.density is not None:
             row["density"] = rep.density
     except SrbLabError as exc:

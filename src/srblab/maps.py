@@ -828,7 +828,6 @@ def nondegeneracy_probe(m: MapSystem, B: float, beta: float, points) -> Nondegen
         centre = 0.5 * (m.domain.lo + m.domain.hi)
         step = 0.4 * np.minimum(dist, m.domain.width)
         ys = pts + np.where(pts <= centre, step, -step)
-        ndist = dist
         ynorm = np.abs(m.df_batch(ys))
         ydfinv = 1.0 / ynorm
         ydetinv = ydfinv
@@ -848,9 +847,8 @@ def nondegeneracy_probe(m: MapSystem, B: float, beta: float, points) -> Nondegen
         step = 0.4 * np.minimum(dist, m.domain.width)
         ys = pts.copy()
         ys[:, 1] += np.where(pts[:, 1] >= 0, step, -step)
-        ndist = dist
         ya, yc, ye = m.jac_entries_batch(ys)
-        ysmax, ysmin = _op_norms_2x2_lower(ya, yc, ye)
+        ysmin = _op_norms_2x2_lower(ya, yc, ye)[1]
         ydfinv = 1.0 / ysmin
         ydetinv = 1.0 / np.abs(ya * ye)
         sep = step

@@ -659,25 +659,21 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10,
 # spreading a tower measure over the ambient space
 
 
-def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | None = None) -> GridDensity:
+def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int) -> GridDensity:
     """Transport a tower-stationary measure over the ambient interval.
 
     Pushes ``mu_F`` restricted to ``{tau > j}`` forward by the base map
-    ``j`` times and accumulates the results for ``j = 0 .. cap``, on a
-    fresh grid of ``bins`` bins over the ambient domain.  Mass in the
+    ``j`` times and accumulates the results for ``j = 0 .. tau_max``, on
+    a fresh grid of ``bins`` bins over the ambient domain.  Mass in the
     tower deficit region carries the censoring time ``tau_max + 1``.  The
     total mass equals the (censored) mean return time; the per-step mass
-    still unaccounted for beyond the cap is attached as
-    ``truncation_bound``.
+    still unaccounted for beyond ``tau_max`` is attached as
+    ``truncation_bound``, and ``tau_max`` as the density's ``cap``.
 
     Each sliver of each bin is transported through ``_STRATA`` (16)
     stratified sample points, deterministically, so results are
     reproducible bit for bit.
     """
-    if j_cap is None:
-        j_cap = F.tau_max
-    if j_cap < F.tau_max:
-        raise ArgumentError(f"spread cap {j_cap} below the tower cap {F.tau_max}")
     F.check_density(mu_F)
     grid = Grid1D(m.domain.lo, m.domain.hi, bins)
     censor = F.tau_max + 1
@@ -701,13 +697,10 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int, j_cap: int | N
 
     acc = np.zeros(grid.n)
     censored_mass = float(weights[taus == censor].sum())
-    max_steps = min(int(t.max()), j_cap + 1)
-    for j in range(max_steps):
+    for j in range(int(t.max())):
         active = t > j
-        if not active.any():
-            break
         pts, w, t = pts[active], w[active], t[active]
         np.add.at(acc, grid.locate(pts), w)
         pts = m.f_batch(pts)
     return GridDensity(grid, acc / grid.widths, "spread",
-                       truncation_bound=censored_mass, cap=int(j_cap))
+                       truncation_bound=censored_mass, cap=F.tau_max)

@@ -12,9 +12,11 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 
+from .entropy import Route
 from .errors import ArgumentError
 from .measures import Grid1D, Grid2D, GridDensity
 from .towers import cell_samples
@@ -175,30 +177,17 @@ def write_density_csv(path: str, density: GridDensity) -> None:
 
 
 def write_entropy_csv(path: str, report) -> None:
-    """Emit an entropy report, one row per estimation method."""
+    """Emit an entropy report, one row per route record; the columns are
+    the fields of :class:`~srblab.entropy.Route`."""
     comments = [f"family = {report.family}"]
     for k in sorted(report.params):
         comments.append(f"param.{k} = {_cell(report.params[k])}")
-    for k in sorted(report.discrepancies):
-        comments.append(f"discrepancy.{k} = {format_real(report.discrepancies[k])}")
+    for k, gap in sorted(report.discrepancies.items()):
+        comments.append(f"discrepancy.{k} = {format_real(gap)}")
     for k in sorted(report.errors):
         comments.append(f"error.{k} = {report.errors[k]}")
-    header = ["method", "estimate", "std_error", "truncation_bound",
-              "n_orbits", "n_iters", "bins", "tau_cap"]
-    tau_cap = report.tau_cap if report.tau_cap else None
-    rows = [
-        ["lyapunov", report.h_lyapunov, report.lyapunov_se, None,
-         report.n_orbits, report.n_iters, None, None],
-        ["pesin", report.h_pesin, None, report.pesin_clip_mass,
-         None, None, report.bins, None],
-        ["induced", report.h_induced, None, report.truncation_bound,
-         None, None, report.bins, tau_cap],
-        ["abramov", report.h_abramov, None, report.truncation_bound,
-         None, None, report.bins, tau_cap],
-        ["smb", report.h_smb, None, None, None, None, None, tau_cap],
-        ["kac_mass", report.kac, None, None, None, None, report.bins, tau_cap],
-    ]
-    write_csv(path, comments, header, rows)
+    header = [f.name for f in fields(Route)]
+    write_csv(path, comments, header, (astuple(r) for r in report.routes.values()))
 
 
 def write_sweep_csv(path: str, table) -> None:
@@ -212,15 +201,8 @@ def write_sweep_csv(path: str, table) -> None:
     header = ["parameter", "h_lyapunov", "lyapunov_se", "h_pesin", "h_induced",
               "h_abramov", "kac_mass", "kappa", "distortion",
               "density_l1_prev", "tau_l1_prev", "error"]
-    rows = []
-    for r in table.rows:
-        rows.append([
-            r["parameter"], r.get("h_lyapunov"), r.get("lyapunov_se"),
-            r.get("h_pesin"), r.get("h_induced"), r.get("h_abramov"),
-            r.get("kac_mass"), r.get("kappa"), r.get("distortion"),
-            r.get("density_l1_prev"), r.get("tau_l1_prev"), r.get("error"),
-        ])
-    write_csv(path, comments, header, rows)
+    # the columns are sweep-row keys; a key the row lacks leaves its cell blank
+    write_csv(path, comments, header, ([r.get(k) for k in header] for r in table.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,6 @@ class VerificationReport:
     kappa_cell: int
     distortion: float
     distortion_cell: int
-    expansion_factor: float
     distortion_multiplier: float
     comparison_constant: float
     diameter: float
@@ -606,7 +605,6 @@ def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
         markov_defect=defect, defect_cell=defect_cell,
         kappa=kappa, kappa_cell=kappa_cell,
         distortion=distortion, distortion_cell=distortion_cell,
-        expansion_factor=kappa,
         distortion_multiplier=multiplier,
         comparison_constant=comparison,
         diameter=diameter,

@@ -9,25 +9,28 @@ import sys
 
 import pytest
 
+import srblab as sl
+
 _TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
-def _stages():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.STAGES
+    return tracer
 
 
-@pytest.mark.parametrize("module,function", _stages())
+@pytest.mark.parametrize("module,function", _tracer().STAGES)
 def test_traced_stage_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"srblab.{module}"), function, None))
 
 
 def test_traced_benchmark_run_reads_its_counters(tmp_path):
     # one traced CLI run through the benchmark's child process: the tracer
-    # reads srblab's results (here the tower's cell count), so an API change
-    # that breaks those reads fails here and not only in the benchmark
+    # reads srblab's results (the tower's cell count, the entropy report's
+    # tau_cap and errors), so an API change that breaks those reads fails
+    # here and not only in the benchmark
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     config = tmp_path / "tent.cfg"
     config.write_text("map.family = tent\nmap.slope = 2.0\nulam.bins = 256\n"
@@ -41,4 +44,20 @@ def test_traced_benchmark_run_reads_its_counters(tmp_path):
     assert proc.returncode == 0, proc.stderr
     run = json.loads(result.read_text())
     assert run["rc"] == 0
-    assert run["trace"]["counters"]["towers.cells"] == 12
+    counters = run["trace"]["counters"]
+    assert counters["towers.cells"] == 12
+    # the tracer reads the report's tau_cap and errors keys
+    assert counters["entropy.reports_with_tower"] == 1
+    assert not [key for key in counters if key.startswith("entropy.route_errors.")]
+
+
+def test_report_errors_are_keyed_as_the_tracer_reads_them():
+    # the benchmark reports entropy.route_errors.<key> for each of the
+    # tracer's ROUTE_KEYS: a report in which every route fails must use
+    # exactly those keys, each the name of its route's record
+    m = sl.make_map("tent", slope=2.0)
+    F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 8)
+    rep = sl.entropy_report(m, F, bins=0, smb_depth=0, lyapunov="not run")
+    assert sorted(rep.errors) == sorted(_tracer().ROUTE_KEYS)
+    assert all(rep.routes[key[len("h_"):]].name == key for key in rep.errors)
+    assert rep.tau_cap == 8

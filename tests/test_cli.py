@@ -38,6 +38,9 @@ def test_entropy_subcommand(tmp_path):
     assert out.returncode == 0, out.stderr
     assert os.path.exists(tmp_path / "out" / "entropy.csv")
     assert "h_abramov" in out.stdout
+    # one line per route record, in the order of entropy.csv
+    names = [line.split(" = ")[0].strip() for line in out.stdout.splitlines()[1:7]]
+    assert names == ["h_lyapunov", "h_pesin", "h_induced", "h_abramov", "h_smb", "kac_mass"]
 
 
 def test_entropy_on_circle_linear_degree_three_runs_every_route(tmp_path):

@@ -52,12 +52,12 @@ class TestPesin:
         assert h == pytest.approx(0.6931518942745796, rel=1e-10)  # log 2 + O(clip)
         assert abs(h - LOG2) < 1e-4
 
-    def test_clip_mass_is_reported(self, quadratic_map, mu_quadratic, tower_quadratic):
-        spread, _ = sl.normalize(sl.spread_measure(quadratic_map, tower_quadratic,
-                                                   mu_quadratic, 4096))
-        h, clip = sl.entropy_pesin(quadratic_map, spread, return_clip=True)
-        assert np.isfinite(h)
-        assert 0.0 <= clip < 0.05
+    def test_clip_mass_is_reported(self, quadratic_map):
+        # the pesin route's truncation bound is the density mass whose
+        # integrand was clipped
+        pesin = sl.entropy_report(quadratic_map, bins=4096, lyapunov="not run").routes["pesin"]
+        assert np.isfinite(pesin.estimate)
+        assert 0.0 <= pesin.truncation_bound < 0.05
 
     def test_misiurewicz_parameter_converges_to_the_reference(self):
         # the quadratic at the viana fibre parameter swaps two bands; its
@@ -77,14 +77,15 @@ class TestPesin:
         m = sl.make_map("quadratic", a=a)
         rep = sl.entropy_report(m, bins=1024, n_orbits=8, n_iters=2000)
         assert rep.pesin_exponent < -0.03
-        assert rep.h_pesin == 0.0
+        assert rep.routes["pesin"].estimate == 0.0
         assert sl.entropy_pesin(m, rep.density) == 0.0
-        assert rep.h_lyapunov == pytest.approx(0.0, abs=0.01)
+        assert rep.routes["lyapunov"].estimate == pytest.approx(0.0, abs=0.01)
 
     def test_a_positive_exponent_keeps_its_bits(self, quadratic_map):
         rep = sl.entropy_report(quadratic_map, bins=1024, n_orbits=2, n_iters=10)
-        assert rep.h_pesin == rep.pesin_exponent > 0.69
-        assert sl.entropy_pesin(quadratic_map, rep.density) == rep.h_pesin
+        h_pesin = rep.routes["pesin"].estimate
+        assert h_pesin == rep.pesin_exponent > 0.69
+        assert sl.entropy_pesin(quadratic_map, rep.density) == h_pesin
 
     def test_the_cylinder_keeps_log_d(self):
         # all mass on the fibre bins next to x = 0, where log |2x| < -log d
@@ -500,23 +501,29 @@ class TestEntropyReport:
         rep = sl.entropy_report(doubling_map, tower_doubling20, bins=2048,
                                 n_orbits=16, n_iters=20000, smb_depth=32, seed=0)
         assert rep.errors == {}
-        assert rep.h_abramov == pytest.approx(LOG2, abs=2e-3)
-        assert rep.h_lyapunov == pytest.approx(LOG2, abs=1e-6)
-        assert rep.h_pesin == pytest.approx(LOG2, abs=2e-3)
-        assert rep.h_induced == pytest.approx(2 * LOG2, abs=2e-3)
-        assert rep.kac == pytest.approx(2.0, abs=1e-3)
-        assert rep.spread_mass == pytest.approx(rep.kac, abs=1e-9)
-        assert abs(rep.h_smb - rep.h_induced) < 0.5
-        assert rep.deficit == tower_doubling20.deficit
+        h = {method: route.estimate for method, route in rep.routes.items()}
+        assert h["abramov"] == pytest.approx(LOG2, abs=2e-3)
+        assert h["lyapunov"] == pytest.approx(LOG2, abs=1e-6)
+        assert h["pesin"] == pytest.approx(LOG2, abs=2e-3)
+        assert h["induced"] == pytest.approx(2 * LOG2, abs=2e-3)
+        assert h["kac_mass"] == pytest.approx(2.0, abs=1e-3)
+        assert abs(h["smb"] - h["induced"]) < 0.5
 
     def test_report_without_a_tower_keeps_ambient_estimators(self, tent2_map):
         rep = sl.entropy_report(tent2_map, None, bins=512, n_orbits=8,
                                 n_iters=5000, seed=0)
         assert rep.errors == {}
-        assert rep.h_lyapunov == pytest.approx(LOG2, abs=1e-8)
-        assert rep.h_pesin == pytest.approx(LOG2, abs=1e-8)
-        assert math.isnan(rep.h_induced)
-        assert math.isnan(rep.h_smb)
+        assert rep.routes["lyapunov"].estimate == pytest.approx(LOG2, abs=1e-8)
+        assert rep.routes["pesin"].estimate == pytest.approx(LOG2, abs=1e-8)
+        assert math.isnan(rep.routes["induced"].estimate)
+        assert math.isnan(rep.routes["smb"].estimate)
+
+    def test_a_report_without_a_tower_gaps_only_the_ambient_routes(self, quadratic_map):
+        rep = sl.entropy_report(quadratic_map, None, bins=256, n_orbits=4, n_iters=500)
+        h = {method: route.estimate for method, route in rep.routes.items()}
+        assert rep.discrepancies == {"pesin_vs_lyapunov": abs(h["pesin"] - h["lyapunov"])}
+        assert rep.tau_cap == 0
+        assert all(route.tau_cap is None for route in rep.routes.values())
 
     @settings(max_examples=10, deadline=None)
     @given(m=st.one_of(
@@ -539,20 +546,25 @@ class TestEntropyReport:
     @example(m=sl.make_map("quadratic", a=1.76))
     def test_every_ambient_route_is_non_negative(self, m):
         rep = sl.entropy_report(m, None, bins=256, n_orbits=8, n_iters=2000)
-        assert rep.h_pesin >= 0.0
-        assert rep.h_lyapunov >= 0.0
+        assert rep.routes["pesin"].estimate >= 0.0
+        assert rep.routes["lyapunov"].estimate >= 0.0
 
     @pytest.mark.parametrize("bins,held", [(1000, 992), (5000, 4970), (4096, 4096)])
     def test_report_records_the_bins_its_cylinder_grid_holds(self, viana_map, bins, held):
         # a cylinder grid is whole rows of theta cells: 32 x 31 for 1000 bins
         rep = sl.entropy_report(viana_map, None, bins=bins, lyapunov="not run")
         assert rep.density.grid.n == held
-        assert rep.bins == held
+        assert {r.method for r in rep.routes.values() if r.bins == held} == \
+            {"pesin", "induced", "abramov", "kac_mass"}
 
     def test_discrepancies_cover_the_estimator_pairs(self, doubling_map, tower_doubling20):
         rep = sl.entropy_report(doubling_map, tower_doubling20, bins=512,
                                 n_orbits=8, n_iters=5000, smb_depth=16, seed=0)
-        assert "abramov_vs_pesin" in rep.discrepancies
-        assert "abramov_vs_lyapunov" in rep.discrepancies
-        for gap in rep.discrepancies.values():
-            assert gap >= 0.0
+        h = {method: route.estimate for method, route in rep.routes.items()}
+        assert rep.discrepancies == {
+            "abramov_vs_pesin": abs(h["abramov"] - h["pesin"]),
+            "abramov_vs_lyapunov": abs(h["abramov"] - h["lyapunov"]),
+            "pesin_vs_lyapunov": abs(h["pesin"] - h["lyapunov"]),
+            "smb_vs_induced": abs(h["smb"] - h["induced"]),
+        }
+        assert rep.tau_cap == tower_doubling20.tau_max

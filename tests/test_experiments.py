@@ -214,12 +214,26 @@ class TestRunners:
         comments, header, rows = sl.read_csv(str(tmp_path / "entropy.csv"))
         assert header == ["method", "estimate", "std_error", "truncation_bound",
                           "n_orbits", "n_iters", "bins", "tau_cap"]
+        assert header == [f.name for f in dataclasses.fields(sl.Route)]
         assert [r[0] for r in rows] == ["lyapunov", "pesin", "induced",
                                         "abramov", "smb", "kac_mass"]
         by_method = {r[0]: float(r[1]) for r in rows}
-        assert by_method["abramov"] == pytest.approx(rep.h_abramov, rel=1e-15)
-        assert by_method["kac_mass"] == pytest.approx(rep.kac, rel=1e-15)
+        assert by_method["abramov"] == pytest.approx(rep.routes["abramov"].estimate, rel=1e-15)
+        assert by_method["kac_mass"] == pytest.approx(rep.routes["kac_mass"].estimate,
+                                                      rel=1e-15)
         assert any(c.startswith("family") for c in comments)
+        # every cell is its record's field: blank for None and NaN
+        def cell(v):
+            return "" if v is None else format_real(v) if isinstance(v, float) else str(v)
+        assert rows == [[cell(v) for v in dataclasses.astuple(r)]
+                        for r in rep.routes.values()]
+        assert all(r[1] for r in rows)
+        assert [r[4:] for r in rows] == [["8", "5000", "", ""], ["", "", "512", ""],
+                                         ["", "", "512", "12"], ["", "", "512", "12"],
+                                         ["", "", "", "12"], ["", "", "512", "12"]]
+        assert [bool(r[2]) for r in rows] == [True] + [False] * 5
+        assert [bool(r[3]) for r in rows] == [False, True, True, True, False, False]
+        assert rows[2][3] == rows[3][3]
 
     def test_run_induce_emits_the_cell_table(self, tmp_path):
         cfg = sl.ExperimentConfig(family="tent", map_params={"slope": 2.0},
@@ -309,6 +323,20 @@ class TestSweep:
             assert row["h_lyapunov"] == pytest.approx(math.log(s), abs=1e-8)
             assert row["h_pesin"] == pytest.approx(math.log(s), abs=1e-8)
 
+    def test_route_columns_are_their_rows_report_records(self, tent_sweep_cfg):
+        table = sl.run_sweep(tent_sweep_cfg, workers=1)
+        _, header, rows = sl.read_csv(table.csv_path)
+        for i, (value, r) in enumerate(zip(table.values, rows)):
+            m = sl.make_map("tent", slope=value)
+            rep = sl.entropy_report(m, sl.build_tower(m, tent_sweep_cfg), bins=256,
+                                    n_orbits=8, n_iters=3000, smb_depth=8,
+                                    seed=_row_seed(4, i))
+            cells = dict(zip(header, r))
+            for method in ("lyapunov", "pesin", "induced", "abramov"):
+                assert cells[f"h_{method}"] == format_real(rep.routes[method].estimate)
+            assert cells["lyapunov_se"] == format_real(rep.routes["lyapunov"].std_error)
+            assert cells["kac_mass"] == format_real(rep.routes["kac_mass"].estimate) != ""
+
     def test_worker_count_does_not_change_the_bytes(self, tent_sweep_cfg):
         t1 = sl.run_sweep(tent_sweep_cfg, workers=1)
         digest1 = hashlib.sha256(open(t1.csv_path, "rb").read()).hexdigest()
@@ -387,9 +415,10 @@ class TestSweep:
                                     n_orbits=4, n_iters=700, seed=_row_seed(5, i))
             cells = dict(zip(header, r))
             assert cells["error"] == ""
-            assert cells["h_lyapunov"] == format_real(rep.h_lyapunov)
-            assert cells["lyapunov_se"] == format_real(rep.lyapunov_se)
-            assert cells["h_pesin"] == format_real(rep.h_pesin)
+            lyapunov = rep.routes["lyapunov"]
+            assert cells["h_lyapunov"] == format_real(lyapunov.estimate)
+            assert cells["lyapunov_se"] == format_real(lyapunov.std_error)
+            assert cells["h_pesin"] == format_real(rep.routes["pesin"].estimate)
 
     def test_sweeps_into_a_directory_a_config_file_cannot_name(self, tmp_path,
                                                                 tent_sweep_cfg):
