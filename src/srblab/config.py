@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{_FIELD_TO_KEY[key]} must be at least 1")
         if self.retry_budget < 0:
             raise ConfigError("orbit.retry_budget must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if (self.induce_lo is None) != (self.induce_hi is None):
             raise ConfigError("induce.lo and induce.hi must be given together")
         if self.induce_lo is not None and not self.induce_hi > self.induce_lo:

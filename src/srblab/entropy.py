@@ -53,7 +53,8 @@ from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_p
                        interval_measure, one_step_ulam, stationary_density,
                        stratified_points, ulam_matrix)
 from .rng import dither, stream
-from .towers import InducedMarkovMap, cell_samples, kac_breakdown, kac_mass, verify_axioms
+from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown, kac_mass,
+                     verify_axioms)
 
 #: Orbit steps an orbit loop buffers before it takes their log-derivatives.
 _BLOCK_STEPS = 256
@@ -108,14 +109,14 @@ def entropy_induced(F: InducedMarkovMap, mu_F: GridDensity) -> float:
     return total
 
 
-def entropy_truncation_bound(F: InducedMarkovMap, mu_F: GridDensity,
-                             C: float | None = None) -> float:
+def entropy_truncation_bound(F: InducedMarkovMap, mu_F: GridDensity) -> float:
     """Scale of the entropy mass hidden in the tower deficit.
 
     Uses the linear majorant ``log |DF| <= C tau`` with the censoring time
     ``tau_max + 1`` standing in for the unknown return times, i.e.
     ``mu_F(deficit) * (tau_max + 1) * C``, whose first two factors are the
-    censored part of :func:`~srblab.towers.kac_breakdown`.
+    censored part of :func:`~srblab.towers.kac_breakdown` and whose ``C``
+    is :func:`majorant_check`'s.
 
     Raises
     ------
@@ -123,9 +124,7 @@ def entropy_truncation_bound(F: InducedMarkovMap, mu_F: GridDensity,
         If ``mu_F`` is not a unit-mass density on the tower's base interval.
     """
     _, censored = kac_breakdown(F, mu_F)
-    if C is None:
-        C = majorant_check(F).C
-    return censored * abs(C)
+    return censored * majorant_check(F).C
 
 
 def entropy_abramov(F: InducedMarkovMap, mu_F: GridDensity, mass: float) -> float:
@@ -567,21 +566,20 @@ class MajorantCheck:
         return self.worst_ratio <= 1.0 + 1e-9
 
 
-def majorant_check(F: InducedMarkovMap, samples_per_cell: int = 64,
-                   grid_samples: int = 4096) -> MajorantCheck:
+def majorant_check(F: InducedMarkovMap) -> MajorantCheck:
     """Check ``log |DF| <= C tau`` on cell samples, with
-    ``C = log(sup |det Df|)`` over a domain grid and the cells' own chain
-    factors.
+    ``C = log(sup |det Df|)`` over a domain grid of 4096 points and the
+    cells' own chain factors.
 
     The supremum includes every derivative factor encountered along the
     sampled branch chains, so a genuine tower can only fail through a
     Jacobian inconsistency (the mutation this check is designed to catch).
     """
     m = F.base
-    dense = np.linspace(m.domain.lo, m.domain.hi, grid_samples)
+    dense = np.linspace(m.domain.lo, m.domain.hi, 4096)
     sup_det = float(np.abs(m.df_batch(dense)).max())
     top = np.empty(len(F.cells))  # largest sampled log |DF| of each cell
-    for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), samples_per_cell)):
+    for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), CELL_SAMPLES)):
         top[cells] = np.maximum.reduceat(F.evaluate(rows, xs, jacobian=True)[1], first)
         ys, taus = xs, F.cells.tau[rows]
         for j in range(int(taus.max())):
@@ -637,8 +635,10 @@ class EntropyReport:
     """All entropy routes for one system, with cross-route discrepancies.
 
     ``routes`` maps each method to its :class:`Route`, in the row order of
-    entropy.csv.  Why a route is unavailable (no tower for cylinder maps,
-    for instance) is kept in ``errors`` under the route's ``name``.
+    entropy.csv.  Why a route failed is kept in ``errors`` under the
+    route's ``name``.  Without a tower (cylinder maps, for instance) the
+    tower routes do not run: their records stay blank, with no ``bins``,
+    and ``errors`` holds nothing for them.
     ``density`` is the one-step stationary density behind the pesin route
     (None when its solve failed), and ``pesin_exponent`` the raw integral
     of ``log |det Df|`` against it, whose positive part is the estimate.
@@ -677,8 +677,9 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     the abramov estimate is the induced one over the kac mass, and the
     one-step density is returned on the report.  The report holds all six
     records; per-route failures are recorded in ``report.errors`` instead
-    of aborting the whole report.  A record's ``bins`` is the count the
-    one-step grid holds (a cylinder grid of whole rows may hold fewer).
+    of aborting the whole report.  The ``bins`` of a record whose route
+    runs is the count the one-step grid holds (a cylinder grid of whole
+    rows may hold fewer).
 
     ``lyapunov`` is the Lyapunov route's outcome when the caller has run
     its orbits already (a sweep runs those of all its rows together):
@@ -686,14 +687,14 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     ``n_iters``, ``seed`` and ``retry_budget``, or the message of its
     error.  Left at None, the route runs here.
     """
-    tau_cap = F.tau_max if F is not None else None
+    tau_cap, tower_bins = (F.tau_max, bins) if F is not None else (None, None)
     routes = {route.method: route for route in (
         Route("lyapunov", n_orbits=n_orbits, n_iters=n_iters),
         Route("pesin", bins=bins),
-        Route("induced", bins=bins, tau_cap=tau_cap),
-        Route("abramov", bins=bins, tau_cap=tau_cap),
+        Route("induced", bins=tower_bins, tau_cap=tau_cap),
+        Route("abramov", bins=tower_bins, tau_cap=tau_cap),
         Route("smb", tau_cap=tau_cap),
-        Route("kac_mass", bins=bins, tau_cap=tau_cap))}
+        Route("kac_mass", bins=tower_bins, tau_cap=tau_cap))}
     rep = EntropyReport(m.family, dict(m.params), routes)
     if lyapunov is None:
         try:

@@ -81,8 +81,8 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = _DOMAIN_SLACK) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
+    def contains(self, x: float) -> bool:
+        return self.lo - _DOMAIN_SLACK <= x <= self.hi + _DOMAIN_SLACK
 
 
 class MapSystem:
@@ -209,16 +209,13 @@ class MapSystem:
         return np.asarray(cuts)
 
     # -- sampling -----------------------------------------------------
-    def from_unit(self, u: np.ndarray) -> np.ndarray:
-        """Points of the domain from uniform doubles ``u`` in [0, 1), one row
-        of ``dimension`` doubles per point: ``lo + (hi - lo) u``, the formula
-        of ``Generator.uniform``."""
-        return self.domain.lo + (self.domain.hi - self.domain.lo) * u[:, 0]
-
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` uniform points of the domain; each coordinate takes ``n``
-        consecutive draws of ``rng``."""
-        return self.from_unit(rng.random((self.dimension, n)).T)
+        """``n`` uniform points of the domain, ``lo + (hi - lo) u`` (the
+        formula of ``Generator.uniform``).  The draws are taken point by
+        point, ``dimension`` at a time, so the first ``j`` points do not
+        depend on ``n``."""
+        u = rng.random((n, self.dimension))
+        return self.domain.lo + (self.domain.hi - self.domain.lo) * u[:, 0]
 
     def check_point(self, x) -> None:
         if not self.domain.contains(float(x)):
@@ -634,8 +631,10 @@ class VianaMap(MapSystem):
     def has_critical_set(self):
         return True
 
-    def from_unit(self, u):
-        """``theta = u[:, 0]`` and ``x = lo + (hi - lo) u[:, 1]``."""
+    def sample_uniform(self, rng, n):
+        """``theta = u0`` and ``x = lo + (hi - lo) u1`` from each point's
+        pair of draws ``(u0, u1)``."""
+        u = rng.random((n, 2))
         return np.column_stack([u[:, 0], self.domain.lo
                                 + (self.domain.hi - self.domain.lo) * u[:, 1]])
 
@@ -647,15 +646,15 @@ class VianaMap(MapSystem):
 
 
 @lru_cache(maxsize=None)
-def misiurewicz_parameter(tol: float = 1e-12, max_landing: int = 64) -> float:
+def misiurewicz_parameter() -> float:
     """Parameter in (1, 2) whose critical orbit lands on the reversing fixed point.
 
     For ``p(x) = a - x^2`` the positive fixed point
     ``beta = (-1 + sqrt(1 + 4a)) / 2`` has derivative ``-2 beta < 0``.  The
     third image of the critical point, ``a - (a - a^2)^2``, crosses
     ``beta`` once on (1, 2); bisection on the difference pins the crossing
-    down to machine precision.  The landing is then confirmed: some
-    iterate within ``max_landing`` steps sits within ``tol`` of ``beta``.
+    down to machine precision.  The landing is then confirmed: one of the
+    first 64 iterates sits within 1e-12 of ``beta``.
 
     Returns
     -------
@@ -682,9 +681,9 @@ def misiurewicz_parameter(tol: float = 1e-12, max_landing: int = 64) -> float:
     a = 0.5 * (lo + hi)
     beta = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * a))
     x = 0.0
-    for _ in range(max_landing):
+    for _ in range(64):
         x = a - x * x
-        if abs(x - beta) <= tol:
+        if abs(x - beta) <= 1e-12:
             return a
     raise ArgumentError("critical orbit failed to land on the fixed point")
 

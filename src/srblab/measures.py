@@ -545,6 +545,8 @@ def postcritical_grid(m: MapSystem, bins: int) -> Grid1D:
             i = np.arange(min(end, far), max(end, far) + 1)
             t = np.abs(i - end) / abs(far - end)
             edges[i] = x_end + (x_far - x_end) * (t ** _GRADING_POWER if end in graded else t)
+    # a pin's neighbour pin reaches it through a rounded sum: restore the pins
+    edges[nodes] = [pins[i] for i in nodes]
     return Grid1D(lo, hi, bins, edges)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ArgumentError, InsufficientDataError, NearCriticalError
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem, _op_norms_2x2_lower
-from .rng import keyed_uniforms
+from .rng import stream
 
 _LOG_CLAMP = 1e-300
 
@@ -206,17 +206,17 @@ def recurrence_time(m: MapSystem, x, delta: float, eps: float, n_max: int) -> in
 def tail_profile(m: MapSystem, params: TailParams, seed: int = 0) -> TailProfile:
     """Monte Carlo tail profile of the settling times over a uniform sample.
 
-    Sample point ``i`` is ``m.sample_uniform(stream(seed, i), 1)[0]``, so
-    the profile is independent of evaluation order and worker count; all
-    points come from one :func:`~srblab.rng.keyed_uniforms` call, with no
-    generator built per point.  For each ``n`` the profile records the
-    fraction of points whose expansion time exceeds ``n``, likewise for
-    the recurrence time, and for the union of the two events: a count
-    divided by the sample size.  The orbits are walked once, keeping per-point state
-    only, so memory follows the sample and not sample x horizon.
+    The sample is ``m.sample_uniform(stream(seed, 31), sample_size)``:
+    one stream, read point by point, so point ``i`` does not depend on the
+    sample size, the evaluation order or the worker count.  For each ``n``
+    the profile records the fraction of points whose expansion time
+    exceeds ``n``, likewise for the recurrence time, and for the union of
+    the two events: a count divided by the sample size.  The orbits are
+    walked once, keeping per-point state only, so memory follows the
+    sample and not sample x horizon.
     """
     npts = params.sample_size
-    pts = m.from_unit(keyed_uniforms(seed, npts, m.dimension))
+    pts = m.sample_uniform(stream(seed, 31), npts)
     texp, trec = _settle_walk(m, pts, params.lam, params.delta, params.eps, params.n_max)
 
     def frac_over(times):

@@ -19,7 +19,7 @@ import numpy as np
 from .entropy import Route
 from .errors import ArgumentError
 from .measures import Grid1D, Grid2D, GridDensity
-from .towers import cell_samples
+from .towers import CELL_SAMPLES, cell_samples
 
 
 def format_real(x) -> str:
@@ -111,7 +111,7 @@ def write_tail_csv(path: str, profile, fits: dict | None = None) -> None:
     write_csv(path, comments, header, rows)
 
 
-def write_tower_csv(path: str, F, samples_per_cell: int = 64) -> None:
+def write_tower_csv(path: str, F) -> None:
     """Emit the cell table of an induced map with per-cell derivative ranges."""
     rep = F.verification
     comments = [
@@ -131,7 +131,7 @@ def write_tower_csv(path: str, F, samples_per_cell: int = 64) -> None:
         ]
     header = ["cell_index", "left", "right", "tau", "deriv_min", "deriv_max"]
     low, high = np.empty(len(F.cells)), np.empty(len(F.cells))
-    for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), samples_per_cell)):
+    for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), CELL_SAMPLES)):
         d = np.abs(F.evaluate(rows, xs, jacobian=True)[2])
         low[cells] = np.minimum.reduceat(d, first)
         high[cells] = np.maximum.reduceat(d, first)

@@ -44,6 +44,12 @@ from .measures import GridDensity, Grid1D, interval_measure
 
 _MAX_SEGMENTS = 200_000
 _BLOCK = 1 << 12
+#: Sample points per cell (at least) of the axiom and majorant checks and of tower.csv.
+CELL_SAMPLES = 64
+# axiom budgets: Markov defect per unit of base width, contraction, distortion
+_ONTO_TOL = 1e-6
+_KAPPA_CAP = 1.0 - 1e-9
+_DISTORTION_CAP = 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +126,6 @@ class VerificationReport:
     distortion_multiplier: float
     comparison_constant: float
     diameter: float
-    samples_per_cell: int
     markov_ok: bool
     expansion_ok: bool
     distortion_ok: bool
@@ -542,13 +547,10 @@ def cell_samples(F: InducedMarkovMap, counts: np.ndarray):
         yield cells, first, rows, xs
 
 
-def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
-                  onto_tol: float | None = None,
-                  kappa_cap: float = 1.0 - 1e-9,
-                  distortion_cap: float = 1e6) -> VerificationReport:
+def verify_axioms(F: InducedMarkovMap) -> VerificationReport:
     """Check the Markov, uniform-expansion and bounded-distortion axioms.
 
-    Each cell is sampled at ``max(samples_per_cell, width/1e-4)``
+    Each cell is sampled at ``max(CELL_SAMPLES, width/1e-4)``
     endpoint-inclusive points.  The report records the worst Markov
     image defect (endpoint images of non-affine cells are computed in
     compensated arithmetic), the contraction factor ``kappa = sup 1/|DF|``, the
@@ -561,14 +563,10 @@ def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
     Raises
     ------
     VerificationError
-        If the tower has no cells or fewer than two usable sample points.
+        If the tower has no cells.
     """
-    if samples_per_cell < 2:
-        raise VerificationError("need at least two sample points per cell")
     if not F.cells:
         raise VerificationError("tower has no cells to verify")
-    if onto_tol is None:
-        onto_tol = 1e-6 * F.delta.width
     diameter = F.base.domain.width
 
     n = len(F.cells)
@@ -583,7 +581,7 @@ def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
     defects = np.maximum(np.abs(images.min(axis=1) - F.delta.lo),
                          np.abs(images.max(axis=1) - F.delta.hi))
     kappas, distortions = np.empty(n), np.empty(n)
-    counts = np.maximum(samples_per_cell, np.ceil((F.cells.hi - F.cells.lo) / 1e-4).astype(int))
+    counts = np.maximum(CELL_SAMPLES, np.ceil((F.cells.hi - F.cells.lo) / 1e-4).astype(int))
     for cells, first, rows, xs in cell_samples(F, counts):
         imgs, logj, _ = F.evaluate(rows, xs, jacobian=True)
         kappas[cells] = np.exp(-np.minimum.reduceat(logj, first))
@@ -608,10 +606,9 @@ def verify_axioms(F: InducedMarkovMap, samples_per_cell: int = 64,
         distortion_multiplier=multiplier,
         comparison_constant=comparison,
         diameter=diameter,
-        samples_per_cell=samples_per_cell,
-        markov_ok=defect <= onto_tol,
-        expansion_ok=kappa < kappa_cap,
-        distortion_ok=distortion <= distortion_cap,
+        markov_ok=defect <= _ONTO_TOL * F.delta.width,
+        expansion_ok=kappa < _KAPPA_CAP,
+        distortion_ok=distortion <= _DISTORTION_CAP,
     )
     F.verification = report
     return report

@@ -285,8 +285,8 @@ def test_09_tail_machinery(tmp_path):
 
     ok = (empty and run.preferred == "stretched_exp" and rel <= 1e-4 and monotone
           and stretched.gamma > 0
-          and stretched.gamma == pytest.approx(1.3851821144901149, rel=1e-9)
-          and poly.gamma == pytest.approx(2.3802983338764063, rel=1e-9)
+          and stretched.gamma == pytest.approx(1.4413867117102834, rel=1e-9)
+          and poly.gamma == pytest.approx(2.670057724216518, rel=1e-9)
           and elapsed < 300.0)
     _verdict(ok, "acceptance 9 (tail machinery)",
              f"doubling empty={empty}; planted gamma rel err={rel:.2e}; "
@@ -298,9 +298,9 @@ def test_09_tail_machinery(tmp_path):
     assert rel <= 1e-4
     assert monotone
     assert stretched.gamma > 0
-    assert stretched.gamma == pytest.approx(1.3851821144901149, rel=1e-9)
-    assert stretched.C == pytest.approx(15.063542600257446, rel=1e-9)
-    assert poly.gamma == pytest.approx(2.3802983338764063, rel=1e-9)
+    assert stretched.gamma == pytest.approx(1.4413867117102834, rel=1e-9)
+    assert stretched.C == pytest.approx(18.82330879751948, rel=1e-9)
+    assert poly.gamma == pytest.approx(2.670057724216518, rel=1e-9)
     assert elapsed < 300.0
 
 

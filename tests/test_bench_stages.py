@@ -27,28 +27,41 @@ def test_traced_stage_resolves(module, function):
 
 
 def test_traced_benchmark_run_reads_its_counters(tmp_path):
-    # one traced CLI run through the benchmark's child process: the tracer
+    # traced CLI runs through the benchmark's child process: the tracer
     # reads srblab's results (the tower's cell count, the entropy report's
-    # tau_cap and errors), so an API change that breaks those reads fails
-    # here and not only in the benchmark
+    # tau_cap and errors, the tail profile's params), so an API change that
+    # breaks those reads fails here and not only in the benchmark
+    counters = _traced_run(tmp_path, "entropy",
+                           "map.family = tent\nmap.slope = 2.0\nulam.bins = 256\n"
+                           "induce.tau_max = 12\norbit.sample_size = 4\n"
+                           "orbit.n_iters = 200\n")
+    assert counters["towers.cells"] == 12
+    # the tracer reads the report's tau_cap and errors keys
+    assert counters["entropy.reports_with_tower"] == 1
+    assert not [key for key in counters if key.startswith("entropy.route_errors.")]
+    # a cylinder tail run: the tracer reads sample_size x n_max off the params
+    counters = _traced_run(tmp_path, "tail",
+                           "map.family = viana\nmap.alpha = 0.01\nmap.d = 16\n"
+                           "tail.lam = 0.3\ntail.eps = 0.075\ntail.delta = 1e-06\n"
+                           "tail.n_max = 20\ntail.sample_size = 200\n")
+    assert counters["orbits.tail_profile.point_steps"] == 4000
+
+
+def _traced_run(tmp_path, command, config_text):
+    """Counters of one traced ``srblab <command>`` run through perfbench/child.py."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    config = tmp_path / "tent.cfg"
-    config.write_text("map.family = tent\nmap.slope = 2.0\nulam.bins = 256\n"
-                      "induce.tau_max = 12\norbit.sample_size = 4\norbit.n_iters = 200\n")
-    result = tmp_path / "result.json"
+    config = tmp_path / f"{command}.cfg"
+    config.write_text(config_text)
+    result = tmp_path / f"{command}.json"
     spec = {"src": os.path.join(root, "src"), "config": str(config), "result": str(result),
-            "trace": True, "argv": ["entropy", "--config", str(config), "--seed", "1",
-                                    "--out", str(tmp_path / "out"), "--workers", "1"]}
+            "trace": True, "argv": [command, "--config", str(config), "--seed", "1",
+                                    "--out", str(tmp_path / command), "--workers", "1"]}
     proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "child.py"),
                            json.dumps(spec)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     run = json.loads(result.read_text())
     assert run["rc"] == 0
-    counters = run["trace"]["counters"]
-    assert counters["towers.cells"] == 12
-    # the tracer reads the report's tau_cap and errors keys
-    assert counters["entropy.reports_with_tower"] == 1
-    assert not [key for key in counters if key.startswith("entropy.route_errors.")]
+    return run["trace"]["counters"]
 
 
 def test_report_errors_are_keyed_as_the_tracer_reads_them():

@@ -148,6 +148,14 @@ def test_invalid_config_value_exits_2(tmp_path):
     assert "bins" in out.stderr
 
 
+@pytest.mark.parametrize("command", ["entropy", "tail"])
+def test_negative_seed_exits_2(tmp_path, command):
+    out = run_cli(command, "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert "config error" in out.stderr and "seed" in out.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_degenerate_induction_exits_3(tmp_path):
     path = write_cfg(tmp_path, family="tent", map_params={"slope": 1.5},
                      out_dir=str(tmp_path / "out"), induce_lo=0.45,

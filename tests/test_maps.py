@@ -144,6 +144,33 @@ def test_base_step_needs_no_fold(d):
     assert got.min() >= 0.0 and got.max() < 1.0
 
 
+_SAMPLED = [("quadratic", {"a": 1.9}), ("tent", {"slope": 1.7}),
+            ("viana", {"alpha": 0.01, "d": 16})]
+
+
+@pytest.mark.parametrize("family,params", _SAMPLED)
+def test_sample_uniform_is_the_generators_uniform_point_by_point(family, params):
+    # one dimension: Generator.uniform; the cylinder takes its draws in pairs
+    m = sl.make_map(family, **params)
+    many = m.sample_uniform(np.random.default_rng(4), 64)
+    rng = np.random.default_rng(4)
+    if m.dimension == 1:
+        assert np.array_equal(many, rng.uniform(m.domain.lo, m.domain.hi, 64))
+    else:
+        pairs = rng.random((64, 2))
+        assert np.array_equal(many[:, 0], pairs[:, 0])
+        assert np.array_equal(many[:, 1], m.domain.lo + (m.domain.hi - m.domain.lo)
+                              * pairs[:, 1])
+
+
+@pytest.mark.parametrize("family,params", _SAMPLED)
+@pytest.mark.parametrize("j", [1, 7, 100])
+def test_a_sample_prefix_does_not_depend_on_the_sample_size(family, params, j):
+    m = sl.make_map(family, **params)
+    full = m.sample_uniform(sl.rng.stream(3, 31), 100)
+    assert np.array_equal(full[:j], m.sample_uniform(sl.rng.stream(3, 31), j))
+
+
 def test_viana_domain_is_forward_invariant(viana_map):
     rng = np.random.default_rng(1)
     pts = np.column_stack([

@@ -742,6 +742,15 @@ class TestOneStepUlam:
                                    atol=1e-12)
         assert not op.flagged.any()
 
+    def test_neighbouring_pins_keep_the_domain_ends(self):
+        # at this a the 2-bin grid pins postcritical points on neighbouring
+        # nodes; the half reaching back to the lower pin ended a rounding
+        # error off it, and the grid refused edges that missed the domain
+        m = sl.make_map("quadratic", a=1.5601307747894477)
+        grid = postcritical_grid(m, 2)
+        assert (grid.edges[0], grid.edges[-1]) == (m.domain.lo, m.domain.hi)
+        sl.one_step_ulam(m, 2)
+
 
 class TestStatisticalStability:
     def test_perturbed_family_distance_grows_with_t(self):

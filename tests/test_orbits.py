@@ -174,7 +174,7 @@ def test_tail_profile_matches_the_per_point_times(family, params, tail):
     # the single-point settling times of the same sample points
     m = sl.make_map(family, **params)
     prof = sl.tail_profile(m, tail, seed=4)
-    pts = [m.sample_uniform(stream(4, i), 1)[0] for i in range(tail.sample_size)]
+    pts = m.sample_uniform(stream(4, 31), tail.sample_size)
     texp = np.array([sl.expansion_time(m, x, tail.lam, tail.n_max) for x in pts])
     trec = np.array([sl.recurrence_time(m, x, tail.delta, tail.eps, tail.n_max)
                      for x in pts])
@@ -189,23 +189,45 @@ def test_tail_profile_matches_the_per_point_times(family, params, tail):
 @pytest.mark.parametrize("family,params", [("quadratic", {"a": 1.9}),
                                            ("viana", {"alpha": 0.01, "d": 16})])
 def test_tail_profile_builds_no_generator(monkeypatch, family, params):
-    # the sample comes from one batched draw; the per-point streams are the
-    # reference of test_tail_profile_matches_the_per_point_times
+    # no generator per point: the whole sample comes from one keyed stream
     m = sl.make_map(family, **params)
     tail = sl.TailParams(lam=0.3, eps=0.075, delta=1e-2, n_max=30, sample_size=500)
     want = sl.tail_profile(m, tail, seed=6)
+    keys = []
 
-    def no_generator(*args, **kwargs):
-        raise AssertionError("tail_profile built a generator")
+    def counted(seed, *key):
+        keys.append((seed, *key))
+        return stream(seed, *key)
 
-    for owner, name in ((sl.rng, "stream"), (np.random, "Generator"),
-                        (np.random, "SeedSequence"), (np.random, "PCG64")):
-        monkeypatch.setattr(owner, name, no_generator)
+    monkeypatch.setattr(sl.orbits, "stream", counted)
     got = sl.tail_profile(m, tail, seed=6)
+    assert keys == [(6, 31)]
     for a, b in ((got.frac_expansion, want.frac_expansion),
                  (got.frac_recurrence, want.frac_recurrence), (got.frac_union, want.frac_union)):
         assert np.array_equal(a, b)
     assert got.censored_count == want.censored_count
+
+
+@pytest.mark.parametrize("family,params", [("quadratic", {"a": 1.9}),
+                                           ("viana", {"alpha": 0.01, "d": 16})])
+def test_tail_profile_settle_times_of_a_prefix_ignore_the_sample_size(
+        monkeypatch, family, params):
+    # point i of the sample, and so its settle times, is the same for any
+    # sample size: the first 50 points of 50 and of 400 walk alike
+    m = sl.make_map(family, **params)
+    walk, walked = sl.orbits._settle_walk, []
+
+    def recorded(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(sl.orbits, "_settle_walk", recorded)
+    for npts in (50, 400):
+        sl.tail_profile(m, sl.TailParams(lam=0.3, eps=0.075, delta=1e-2, n_max=60,
+                                         sample_size=npts), seed=8)
+    (texp, trec), (texp_all, trec_all) = walked
+    assert texp_all.size == 400 and (texp > 1).any() and (trec > 1).any()
+    assert np.array_equal(texp_all[:50], texp) and np.array_equal(trec_all[:50], trec)
 
 
 def _summand_matrices(m, pts, delta, n_max):
@@ -240,8 +262,7 @@ def _matrix_settle_times(summands, budget_per_step):
 
 def _matrix_tail_profile(m, params, seed):
     """The tail profile from the whole summand matrices and boolean means."""
-    pts = np.array([m.sample_uniform(stream(seed, i), 1)[0]
-                    for i in range(params.sample_size)])
+    pts = m.sample_uniform(stream(seed, 31), params.sample_size)
     exp_logs, rec_logs = _summand_matrices(m, pts, params.delta, params.n_max)
     texp = _matrix_settle_times(exp_logs, -0.5 * params.lam)
     trec = _matrix_settle_times(rec_logs, 2.0 * params.eps)
