@@ -1,61 +1,86 @@
-"""Keyed random streams: the batched first draws equal the generators'."""
+"""Seeded streams, the samples read from them, and the low-bit refresh."""
 
 import numpy as np
 import pytest
 
 import srblab as sl
-from srblab.rng import _KEY_CHUNK, keyed_uniforms, stream
+from srblab.rng import DITHER_SCALE, dither, stream
 
 # one seed word; two words, the second 1; two words, the top bit set; five words
 _SEEDS = [0, 12345, 2 ** 32 + 5, 2 ** 63 + 11, 2 ** 128 + 9]
+
+# a map whose points take k draws each
+_BY_DIM = {1: ("quadratic", {"a": 1.9}), 2: ("viana", {"alpha": 0.01, "d": 16})}
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("count", [0, 1, 300])
 def test_rows_equal_the_streams_bit_for_bit(seed, k, count):
-    got = keyed_uniforms(seed, count, k)
-    want = np.array([stream(seed, i).random(k) for i in range(count)]).reshape(count, k)
-    assert got.shape == (count, k) and got.dtype == np.float64
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("seed", [2 ** 32 + 5, 2 ** 63 + 11])
-@pytest.mark.parametrize("k", [1, 2])
-def test_rows_past_a_chunk_boundary_equal_the_streams(seed, k):
-    count = 70_000
-    assert count > _KEY_CHUNK
-    got = keyed_uniforms(seed, count, k)
-    rows = sorted({*range(0, count, 211), *range(_KEY_CHUNK - 8, _KEY_CHUNK + 8),
-                   count - 1})
-    want = np.array([stream(seed, i).random(k) for i in rows])
-    assert np.array_equal(got[rows], want)
-
-
-def test_chunk_size_changes_nothing(monkeypatch):
-    want = keyed_uniforms(7, 50, 2)
-    monkeypatch.setattr(sl.rng, "_KEY_CHUNK", 7)
-    assert np.array_equal(keyed_uniforms(7, 50, 2), want)
-
-
-@pytest.mark.parametrize("args", [(-1, 5, 1), (0, -1, 1), (0, 5, -1), (0, 2 ** 32 + 1, 1)])
-def test_bad_arguments_raise(args):
-    with pytest.raises(sl.ArgumentError):
-        keyed_uniforms(*args)
-
-
-@pytest.mark.parametrize("family,params", [("quadratic", {"a": 1.9}), ("tent", {"slope": 1.7}),
-                                           ("viana", {"alpha": 0.01, "d": 16})])
-def test_from_unit_gives_the_sampled_points(family, params):
-    # sample_uniform is from_unit of the generator's doubles, coordinate by coordinate
+    # point i of a sample takes draws i*k .. i*k + k - 1 of its one stream
+    family, params = _BY_DIM[k]
     m = sl.make_map(family, **params)
-    pts = np.array([m.sample_uniform(stream(9, i), 1)[0] for i in range(100)])
-    assert np.array_equal(m.from_unit(keyed_uniforms(9, 100, m.dimension)), pts)
-    rng = np.random.default_rng(4)
-    many = m.sample_uniform(rng, 64)
-    rng = np.random.default_rng(4)
-    if m.dimension == 1:
-        assert np.array_equal(many, rng.uniform(m.domain.lo, m.domain.hi, 64))
+    got = m.sample_uniform(stream(seed, 31), count)
+    u = stream(seed, 31).random(count * k).reshape(count, k)
+    lo, hi = m.domain.lo, m.domain.hi
+    assert got.dtype == np.float64
+    if k == 1:
+        assert got.shape == (count,)
+        assert np.array_equal(got, lo + (hi - lo) * u[:, 0])
     else:
-        assert np.array_equal(many[:, 0], rng.uniform(0.0, 1.0, 64))
-        assert np.array_equal(many[:, 1], rng.uniform(m.domain.lo, m.domain.hi, 64))
+        assert got.shape == (count, 2)
+        assert np.array_equal(got[:, 0], u[:, 0])
+        assert np.array_equal(got[:, 1], lo + (hi - lo) * u[:, 1])
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("key", [(31,), (11, 3)])
+def test_a_key_names_the_spawned_child(seed, key):
+    # stream(seed, i, j) is child j of child i of SeedSequence(seed)
+    ss = np.random.SeedSequence(seed)
+    for k in key:
+        ss = ss.spawn(k + 1)[k]
+    assert np.array_equal(stream(seed, *key).random(8), np.random.default_rng(ss).random(8))
+
+
+@pytest.mark.parametrize("args", [(-1,), (-1, 31), (0, -1), (0, 11, -3)])
+def test_bad_arguments_raise(args):
+    with pytest.raises(ValueError):
+        stream(*args)
+
+
+_INTERVALS = [(0.0, 1.0), (-1.71, 1.9), (0.25, 0.25 + 1e-3)]
+
+
+@pytest.mark.parametrize("lo,hi", _INTERVALS)
+def test_dither_stays_in_the_interval_within_one_grid_step(lo, hi):
+    q = (hi - lo) * DITHER_SCALE
+    x = np.concatenate([[lo, np.nextafter(hi, lo), hi - q / 2],
+                        stream(2, 0).uniform(lo, hi, 1000)])
+    y = dither(x, stream(2, 1), lo, hi)
+    assert y.shape == x.shape
+    assert np.all((lo <= y) & (y < hi))
+    assert np.all(np.abs(y - x) <= q)
+    assert np.array_equal(y, dither(x, stream(2, 1), lo, hi))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 4)])
+def test_dither_draws_one_double_per_point(shape):
+    x = np.full(shape, 0.5)
+    rng = stream(7, 0)
+    dither(x, rng, 0.0, 1.0)
+    ref = stream(7, 0)
+    ref.uniform(size=shape)
+    assert rng.random() == ref.random()
+
+
+def test_dither_keeps_a_doubling_orbit_off_its_dyadic_cycle():
+    # without the refresh x -> 2x mod 1 drains the mantissa and sits at 0
+    x = np.array([0.1, 0.3, 1 / 3])
+    plain = x.copy()
+    rng = stream(3, 0)
+    for _ in range(80):
+        plain = np.mod(2.0 * plain, 1.0)
+        x = dither(np.mod(2.0 * x, 1.0), rng, 0.0, 1.0)
+    assert np.all(plain == 0.0)
+    assert np.all(x > 0.0) and len(set(x.tolist())) == 3
