@@ -19,8 +19,8 @@ from .entropy import (EntropyReport, MajorantCheck, QuotientCheck, Route, Transf
                       majorant_check)
 from .errors import (ArgumentError, CensoredOrbitError, ConfigError,
                      ConstructionError, ConvergenceError, DomainViolationError,
-                     InsufficientDataError, NearCriticalError, SrbLabError,
-                     UnverifiedTowerError, VerificationError)
+                     InsufficientDataError, MapParameterError, NearCriticalError,
+                     SrbLabError, UnverifiedTowerError, VerificationError)
 from .experiments import (SweepTable, TailRun, build_system, build_tower,
                           default_induction, load_tail_csv, run_density,
                           run_entropy, run_induce, run_sweep, run_tail)
@@ -35,7 +35,7 @@ from .orbits import (TailFit, TailParams, TailProfile, birkhoff_average,
                      expansion_time, fit_tail_decay, lyapunov_exponents,
                      recurrence_time, tail_profile)
 from .reporting import emit_svg, read_csv, write_csv
-from .rng import dither, stream
+from .rng import StreamKey, dither, stream
 from .towers import (CellTable, InducedMarkovMap, VerificationReport,
                      doubling_first_return_exact, first_return_map, kac_breakdown,
                      kac_mass, return_time_l1_distance, trivial_tower,

@@ -27,7 +27,7 @@ from .experiments import (build_system, run_density, run_entropy, run_induce,
                           run_sweep, run_tail)
 from .maps import nondegeneracy_probe
 from .reporting import format_real
-from .rng import stream
+from .rng import StreamKey, stream
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -146,7 +146,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_probe(args) -> int:
     config = _load(args)
     m = build_system(config)
-    pts = m.sample_uniform(stream(config.seed, 23), args.points)
+    pts = m.sample_uniform(stream(config.seed, StreamKey.PROBE), args.points)
     rep = nondegeneracy_probe(m, args.constant, args.exponent, pts)
     print(f"B = {_fmt(rep.B)}, beta = {_fmt(rep.beta)}")
     print(f"derivative lower bound ratio: {_fmt(rep.norm_ratio)}")

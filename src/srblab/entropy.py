@@ -17,14 +17,14 @@ The base-map orbit loops, ``entropy_lyapunov_rows`` and the base loop of
 ``lyapunov_quotient_check``, step in blocks: up to 256 steps of every
 orbit go into one (steps, orbits) buffer, and the log-derivatives of the
 whole block take one call each.  The buffer comes from the map's
-``orbit``: one ``f_batch`` call per step, or on the cylinder the base
-circle stepped alone and two ufunc calls per fibre step.  The block is
-summed row by row, so every orbit sum keeps its order and the numbers
-match a per-step loop bit for bit.  A sweep runs all its rows through one
-driver call: each block covers every row's orbits, with the swept
-parameter as a per-orbit column, and each row's result equals its one-row
-run bit for bit.  Tower orbits take one itinerary walk per
-step, which yields the images and ``log |DF|`` together.
+``orbit``, and the derivatives from the derivative interface of
+:class:`~srblab.maps.MapSystem`, so no estimator asks for the dimension.
+The block is summed row by row, so every orbit sum keeps its order and
+the numbers match a per-step loop bit for bit.  A sweep runs all its rows
+through one driver call: each block covers every row's orbits, with the
+swept parameter as a per-orbit column, and each row's result equals its
+one-row run bit for bit.  Tower orbits take one itinerary walk per step,
+which yields the images and ``log |DF|`` together.
 
 Quadrature points and bin slivers come from the stratification in
 :mod:`srblab.measures`.  ``entropy_report`` runs all of them on one
@@ -52,7 +52,7 @@ from .maps import NEAR_CRITICAL_FLOOR, MapSystem
 from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_points,
                        interval_measure, one_step_ulam, stationary_density,
                        stratified_points, ulam_matrix)
-from .rng import dither, stream
+from .rng import StreamKey, dither, stream
 from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown, kac_mass,
                      verify_axioms)
 
@@ -175,7 +175,7 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     """
     if n < 1:
         raise ArgumentError("cylinder depth n must be at least 1")
-    drng = stream(int(np.float64(x).view(np.uint64)), 29)
+    drng = stream(int(np.float64(x).view(np.uint64)), StreamKey.SMB_DITHER)
     lo, hi = F.delta.lo, F.delta.hi
     cells = []
     y = np.array([x], dtype=float)
@@ -220,10 +220,7 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
 
 def _log_det_batch(m: MapSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clipped ``log |det Df|`` at many points; returns (values, clipped mask)."""
-    if m.dimension == 1:
-        det = np.abs(m.df_batch(pts))
-    else:
-        det = np.abs(m.det_batch(pts))
+    det = m.abs_det_batch(pts)
     clipped = det < NEAR_CRITICAL_FLOOR
     return np.log(np.maximum(det, NEAR_CRITICAL_FLOOR)), clipped
 
@@ -252,25 +249,15 @@ def _pesin_integral(m: MapSystem, mu_f: GridDensity) -> tuple[float, float]:
         logs, clip_frac, _ = _bin_log_det(m, grid)
     else:
         te, xe = grid.theta_edges, grid.x_edges
-        tw = te[1] - te[0]
-        xw = xe[1] - xe[0]
-        logs = np.empty(grid.n)
-        clip_frac = np.empty(grid.n)
-        flat = 0
+        tw, xw = te[1] - te[0], xe[1] - xe[0]
+        logs, clip_frac = np.empty((2, grid.n_theta, grid.n_x))
         for it in range(grid.n_theta):
             lg, cl = _log_det_batch(m, cylinder_row_points(te[it], tw, xe[:-1], xw, 4))
-            logs[flat:flat + grid.n_x] = lg.reshape(grid.n_x, -1).mean(axis=1)
-            clip_frac[flat:flat + grid.n_x] = cl.reshape(grid.n_x, -1).mean(axis=1)
-            flat += grid.n_x
+            logs[it] = lg.reshape(grid.n_x, -1).mean(axis=1)
+            clip_frac[it] = cl.reshape(grid.n_x, -1).mean(axis=1)
+        logs, clip_frac = logs.ravel(), clip_frac.ravel()
     weights = mu_f.bin_measures
     return float((weights * logs).sum()), float((weights * clip_frac).sum())
-
-
-def _positive_part(m: MapSystem, exponent: float) -> float:
-    """Entropy from a Pesin integral: ``max(lambda, 0)`` in 1D, and on the
-    cylinder ``log d + max(lambda_fibre, 0)``, which is ``max(integral,
-    log d)``, so a positive value keeps its bits."""
-    return max(exponent, 0.0 if m.dimension == 1 else math.log(m.d))
 
 
 def entropy_pesin(m: MapSystem, mu_f: GridDensity) -> float:
@@ -281,11 +268,11 @@ def entropy_pesin(m: MapSystem, mu_f: GridDensity) -> float:
     cylinder bins).  Near the critical set the integrand is clipped at
     the floor ``log(1e-15)``; :func:`entropy_report` keeps the density
     mass whose integrand was clipped as the pesin route's
-    ``truncation_bound``.  A negative exponent (an attracting periodic
-    orbit, say) gives 0, or ``log d`` on the cylinder, as in the Lyapunov
-    route, which clips each orbit at 0.
+    ``truncation_bound``.  The positive part is ``max(integral,
+    m.base_exponent)``: the base exponent plus the positive part of the
+    rest, as in the Lyapunov route, which clips each orbit at 0.
     """
-    return _positive_part(m, _pesin_integral(m, mu_f)[0])
+    return max(_pesin_integral(m, mu_f)[0], m.base_exponent)
 
 
 def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
@@ -293,28 +280,26 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     """:func:`entropy_lyapunov` of several maps of one family, in one lockstep run.
 
     Row ``r`` estimates ``maps[r]`` from ``sample_size`` orbits of ``n``
-    steps, its slot ``i`` drawing from ``stream(seeds[r], 11, i)``.  On the
-    cylinder the triangular cocycle keeps the fibre line invariant, so the
-    fibre sum ``log |2 x|`` is averaged and the base exponent ``log d``
-    added.
+    steps, its slot ``i`` drawing from ``stream(seeds[r],
+    StreamKey.LYAPUNOV, i)``.  Each slot averages the log of the map's
+    ``fibre_derivative_batch``, clipped at 0, and the row adds the map's
+    ``base_exponent``.
 
     The unfinished slots of all rows advance together in blocks of up to
     256 steps (fewer when steps x ``sample_size`` would pass 2^16).  Each
     block is one ``orbit`` call on all of them, through a copy of the first
     map in which every parameter that differs between rows is a per-slot
-    column: one ``f_batch`` call per step on 1D maps, while the cylinder
-    map steps its base circle alone, takes the forcing of the whole block
-    at once and leaves ``x -> c_j - x^2`` per step.  The derivative, the
-    distance to the critical set (one ``crit_dist_batch`` call, for every
-    map) and the logarithm then run once per block, and the log rows are
-    added one at a time, so each slot sums its ``log |f'|`` in orbit
-    order.  A slot whose step has ``crit_dist < NEAR_CRITICAL_FLOOR``, the
-    test of :func:`~srblab.orbits.lyapunov_exponents` and
-    :func:`~srblab.maps.log_jacobian`, drops its sum and, after the
-    block, restarts from a fresh draw of its own stream and row map, up
-    to ``retry_budget`` times.  Block lengths do not depend on the other rows,
-    so every row restarts at the same steps as in its one-row run and gets
-    that run's result bit for bit.
+    column.  The fibre derivative, the distance to the critical set (one
+    ``crit_dist_batch`` call, for every map) and the logarithm then run
+    once per block, and the log rows are added one at a time, so each slot
+    sums its logs in orbit order.  A slot whose step has ``crit_dist <
+    NEAR_CRITICAL_FLOOR``, the test of
+    :func:`~srblab.orbits.lyapunov_exponents` and
+    :func:`~srblab.maps.log_jacobian`, drops its sum and, after the block,
+    restarts from a fresh draw of its own stream and row map, up to
+    ``retry_budget`` times.  Block lengths do not depend on the other
+    rows, so every row restarts at the same steps as in its one-row run
+    and gets that run's result bit for bit.
 
     ``entropy_lyapunov_fast`` is a second name of this function: the stage
     tracer of ``perfbench/tracer.py`` wraps the driver under that name.
@@ -340,7 +325,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
             for key, value in first.params.items()
             if any(m.params[key] != value for m in maps)}
     row = np.repeat(np.arange(len(maps)), sample_size)  # the row of every slot
-    rngs = [stream(seed, 11, i) for seed in seeds for i in range(sample_size)]
+    rngs = [stream(seed, StreamKey.LYAPUNOV, i) for seed in seeds for i in range(sample_size)]
     pts = np.array([maps[r].sample_uniform(rng, 1)[0] for r, rng in zip(row, rngs)])
     sums = np.zeros(row.size)
     steps = np.zeros(row.size, dtype=int)
@@ -358,10 +343,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
         buf = step.orbit(pts[live], min(int(left.max()), block))
         k = len(buf) - 1
         pts[live] = buf[k]
-        if first.dimension == 1:
-            d = np.abs(step.df_batch(buf[:k]))
-        else:
-            d = np.abs(2.0 * buf[:k, :, 1])
+        d = step.fibre_derivative_batch(buf[:k])
         dist = step.crit_dist_batch(buf[:k])
         rows = np.arange(k)[:, None]
         bad = (dist < NEAR_CRITICAL_FLOOR) & (rows < left)
@@ -390,8 +372,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
         if error is not None:
             results.append(error)
             continue
-        if m.dimension != 1:
-            values += max(math.log(m.d), 0.0)
+        values += m.base_exponent
         mean = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(sample_size)) if sample_size > 1 else 0.0
         results.append((mean, se))
@@ -407,8 +388,8 @@ def entropy_lyapunov(m: MapSystem, sample_size: int, n: int, seed: int = 0,
 
     The one-row case of :func:`entropy_lyapunov_rows`, the one orbit
     driver: ``sample_size`` orbits of ``n`` steps, slot ``i`` drawing from
-    ``stream(seed, 11, i)``, so the result does not depend on how slots
-    are scheduled.
+    ``stream(seed, StreamKey.LYAPUNOV, i)``, so the result does not depend
+    on how slots are scheduled.
 
     Returns
     -------
@@ -452,8 +433,8 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
 
     ``lambda_F`` is the Birkhoff average of ``log |DF|`` over ``sample``
     tower orbits of ``n`` steps (slot ``i`` draws from
-    ``stream(seed, 13, i)``; deficit landings are replaced by a fresh
-    uniform draw from the same stream).  Each tower step is one
+    ``stream(seed, StreamKey.QUOTIENT, i)``; deficit landings are replaced
+    by a fresh uniform draw from the same stream).  Each tower step is one
     itinerary walk, giving the images and ``log |DF|`` of all orbits.
     The mean return time comes from the censored Kac integral of
     ``mu_F``, and ``lambda_f`` is measured independently along base-map
@@ -471,8 +452,8 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     _require_verified(F)
     if sample < 1 or n < 1:
         raise ArgumentError("sample and n must be at least 1")
-    rngs = [stream(seed, 13, i) for i in range(sample)]
-    drng = stream(seed, 13, sample)
+    rngs = [stream(seed, StreamKey.QUOTIENT, i) for i in range(sample)]
+    drng = stream(seed, StreamKey.QUOTIENT, sample)
     lo, hi = F.delta.lo, F.delta.hi
     pts = np.array([r.uniform(lo, hi) for r in rngs])
     top = np.nextafter(hi, lo)  # images are clipped into [lo, hi)
@@ -714,7 +695,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
                 route.bins = op.grid.n
         rep.density = stationary_density(op, tol=ulam_tol, max_iters=ulam_max_iters)
         rep.pesin_exponent, pesin.truncation_bound = _pesin_integral(m, rep.density)
-        pesin.estimate = _positive_part(m, rep.pesin_exponent)
+        pesin.estimate = max(rep.pesin_exponent, m.base_exponent)
     except SrbLabError as exc:
         rep.errors["h_pesin"] = str(exc)
 
@@ -732,7 +713,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
                 entropy_truncation_bound(F, mu_F)
         except SrbLabError as exc:
             rep.errors["h_induced"] = str(exc)
-        smb_rng = stream(seed, 17)
+        smb_rng = stream(seed, StreamKey.SMB_START)
         for _ in range(8):
             x0 = smb_rng.uniform(F.delta.lo, F.delta.hi)
             try:

@@ -19,6 +19,11 @@ class ArgumentError(SrbLabError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class MapParameterError(ConfigError, ArgumentError):
+    """A map family or parameter that does not exist, or a value of the
+    wrong type: a config error, or an argument error of ``make_map``."""
+
+
 class DomainViolationError(SrbLabError):
     """A point lies outside the declared domain of a map."""
 

@@ -22,14 +22,14 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .entropy import EntropyReport, entropy_lyapunov_rows, entropy_report
-from .errors import ConfigError, SrbLabError
+from .errors import ConfigError, MapParameterError, SrbLabError
 from .maps import Interval, MapSystem, make_map
 from .measures import (l1_distance, one_step_ulam, spread_measure, stationary_density,
                        ulam_matrix)
 from .orbits import TailParams, TailProfile, fit_tail_decay, tail_profile
 from .reporting import (emit_svg, read_csv, write_density_csv, write_entropy_csv,
                         write_sweep_csv, write_tail_csv, write_tower_csv)
-from .rng import stream
+from .rng import StreamKey
 from .towers import (InducedMarkovMap, first_return_map, return_time_l1_distance,
                      verify_axioms)
 
@@ -71,8 +71,8 @@ def build_tower(m: MapSystem, config: ExperimentConfig) -> InducedMarkovMap | No
 
 def _row_seed(seed: int, index: int) -> int:
     """Stable per-row seed, independent of worker scheduling."""
-    return int(np.random.SeedSequence(entropy=int(seed),
-                                      spawn_key=(19, int(index))).generate_state(1)[0])
+    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(
+        StreamKey.SWEEP_ROW, int(index))).generate_state(1)[0])
 
 
 def run_entropy(config: ExperimentConfig) -> EntropyReport:
@@ -260,8 +260,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     are assembled by row index and the successive-row L1 diagnostics
     (stationary density and return-time distances) are added afterwards,
     so the emitted ``sweep.csv`` is byte-identical for any worker count.
-    Row-level failures become an ``error`` tag in that row; the sweep
-    continues.
+    Row-level failures, such as a value out of the family's range, become
+    an ``error`` tag in that row; the sweep continues.  A parameter error
+    of any row's map is a ConfigError, raised before any row runs.
     """
     config.validate()
     if config.sweep_parameter is None:
@@ -275,6 +276,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
             params = dict(config.map_params)
             params[config.sweep_parameter] = float(v)
             built.append((i, float(v), make_map(config.family, **params)))
+        except MapParameterError:
+            raise
         except SrbLabError as exc:
             results.append({"index": i, "parameter": float(v), "error": str(exc)})
     lyapunov = entropy_lyapunov_rows(

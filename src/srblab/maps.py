@@ -17,17 +17,22 @@ overflowing.
 Each family writes its formula once, in batch methods (``f_batch``,
 ``df_batch``, ``crit_dist_batch``, ``orbit``, ...), the only way to evaluate
 a map: one point goes in as a batch of shape (1,), or (1, 2) on the cylinder.
+Every question about the derivative goes through the derivative interface
+of :class:`MapSystem`, which :class:`VianaMap` answers from its Jacobian.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, DomainViolationError, NearCriticalError
+from .errors import (ArgumentError, DomainViolationError, MapParameterError,
+                     NearCriticalError)
 
 #: points closer than this to the critical set have no usable log-Jacobian
 NEAR_CRITICAL_FLOOR = 1e-15
@@ -111,6 +116,12 @@ class MapSystem:
     at once; the base class calls ``f_batch`` once per step, and a family
     may override it with a faster loop that gives the same values bit for
     bit.
+
+    The derivative interface: ``base_exponent``, the exponent of an
+    invariant base direction (0.0 in 1D), and, one value per point,
+    ``fibre_derivative_batch`` (the other direction's expansion),
+    ``abs_det_batch`` and the least and largest singular values of ``Df``,
+    ``conorm_batch`` and ``norm_batch``; in 1D all four are ``|f'|``.
     """
 
     dimension = 1
@@ -118,6 +129,7 @@ class MapSystem:
     circle = False
     #: True when every monotone branch has constant slope
     piecewise_affine = False
+    base_exponent = 0.0
 
     def __init__(self):
         self.params: dict = {}
@@ -138,14 +150,18 @@ class MapSystem:
     def df_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def fibre_derivative_batch(self, x: np.ndarray) -> np.ndarray:
+        return np.abs(self.df_batch(x))
+
+    abs_det_batch = conorm_batch = norm_batch = fibre_derivative_batch
+
     # -- critical set -------------------------------------------------
     def crit_dist_batch(self, x: np.ndarray) -> np.ndarray:
         """Distances of the points ``x`` to the critical set, one per point:
         the shape of ``x``, less the trailing coordinate axis of a 2D map.
         With no critical set, a read-only broadcast of inf that takes no
         memory, since the orbit driver asks for a whole block's distances."""
-        shape = np.shape(x)
-        return np.broadcast_to(np.inf, shape if self.dimension == 1 else shape[:-1])
+        return np.broadcast_to(np.inf, np.shape(x))
 
     @property
     def has_critical_set(self) -> bool:
@@ -527,9 +543,10 @@ class VianaMap(MapSystem):
     :func:`misiurewicz_parameter`.  The fibre interval ``I`` must absorb
     its image; this is checked on a boundary sample at construction.
 
-    The critical set is the circle {x = 0}; the derivative matrix is lower
-    triangular with constant entry ``d`` in the base, so the base Lyapunov
-    exponent is ``log d`` exactly.
+    The critical set is the circle {x = 0}; the derivative matrix
+    ``[[d, 0], [2 pi alpha cos(2 pi theta), -2x]]`` is lower triangular, so
+    the base Lyapunov exponent is ``log d`` exactly and the fibre line is
+    invariant, with expansion ``|2x|``.
 
     The base never depends on the fibre, so :meth:`orbit` steps ``theta``
     alone (:meth:`base_step`), takes the forcing
@@ -549,7 +566,7 @@ class VianaMap(MapSystem):
         if d < 2:
             raise ArgumentError("viana needs integer d >= 2")
         alpha = float(alpha)
-        if alpha < 0:
+        if not alpha >= 0:
             raise ArgumentError("viana needs alpha >= 0")
         if a0 is None:
             a0 = misiurewicz_parameter()
@@ -557,6 +574,7 @@ class VianaMap(MapSystem):
         self.d = d
         self.alpha = alpha
         self.a0 = a0
+        self.base_exponent = math.log(d)
         self.domain = Interval(float(lo), float(hi))
         self.params = {"alpha": alpha, "d": d, "a0": a0, "lo": float(lo), "hi": float(hi)}
         self._check_invariance()
@@ -565,7 +583,7 @@ class VianaMap(MapSystem):
         thetas = np.linspace(0.0, 1.0, 257)
         for x in (self.domain.lo, self.domain.hi, 0.0):
             img = self.forcing(thetas) - x * x
-            if img.min() <= self.domain.lo or img.max() >= self.domain.hi:
+            if not (img.min() > self.domain.lo and img.max() < self.domain.hi):
                 raise ArgumentError(
                     "fibre interval is not mapped into its own interior; "
                     f"image range [{img.min():.4f}, {img.max():.4f}] vs "
@@ -613,16 +631,22 @@ class VianaMap(MapSystem):
         return out
 
     def jac_entries_batch(self, p):
-        """Entries (base, coupling, fibre) of the lower-triangular Jacobian."""
+        """Jacobian entries (base, coupling, fibre); the base is one float."""
         p = np.asarray(p, dtype=float)
-        a = np.full(p.shape[0], float(self.d))
-        c = self.alpha * 2 * np.pi * np.cos(2 * np.pi * p[:, 0])
-        e = -2.0 * p[:, 1]
-        return a, c, e
+        return (float(self.d), self.alpha * 2 * np.pi * np.cos(2 * np.pi * p[..., 0]),
+                -2.0 * p[..., 1])
 
-    def det_batch(self, p):
-        a, _, e = self.jac_entries_batch(p)
-        return a * e
+    def fibre_derivative_batch(self, p):
+        return np.abs(2.0 * np.asarray(p, dtype=float)[..., 1])
+
+    def abs_det_batch(self, p):
+        return np.abs(self.d * (-2.0 * np.asarray(p, dtype=float)[..., 1]))
+
+    def conorm_batch(self, p):
+        return _op_norms_2x2_lower(*self.jac_entries_batch(p))[1]
+
+    def norm_batch(self, p):
+        return _op_norms_2x2_lower(*self.jac_entries_batch(p))[0]
 
     def crit_dist_batch(self, p):
         return np.abs(np.asarray(p, dtype=float)[..., 1])
@@ -708,11 +732,22 @@ def make_map(family: str, **params) -> MapSystem:
         ``tent``, ``quadratic``, ``viana``.
     **params
         Family parameters (``d``, ``slope``, ``a``, ``t``, ``alpha`` ...).
+        An unknown family or name, a value that is not a real number and
+        a non-integral ``d`` raise :class:`MapParameterError`.
     """
     try:
         cls = _FAMILIES[family]
     except KeyError:
-        raise ArgumentError(f"unknown map family {family!r}") from None
+        raise MapParameterError(f"unknown map family {family!r}") from None
+    names = list(inspect.signature(cls).parameters)
+    for name, value in params.items():
+        if name not in names:
+            raise MapParameterError(f"{family} has no parameter {name!r}; its parameters: "
+                                    f"{', '.join(names) or 'none'}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise MapParameterError(f"{family} parameter {name} = {value!r} is not a number")
+        if name == "d" and not float(value).is_integer():
+            raise MapParameterError(f"{family} needs an integer d, got {value!r}")
     return cls(**params)
 
 
@@ -731,8 +766,7 @@ def log_jacobian(m: MapSystem, x) -> float:
     d = float(m.crit_dist_batch(p)[0])
     if d < NEAR_CRITICAL_FLOOR:
         raise NearCriticalError(d)
-    det = m.df_batch(p) if m.dimension == 1 else m.det_batch(p)
-    return math.log(abs(float(det[0])))
+    return math.log(float(m.abs_det_batch(p)[0]))
 
 
 def truncated_distance(m: MapSystem, x, delta: float) -> float:
@@ -750,13 +784,12 @@ def truncated_distance(m: MapSystem, x, delta: float) -> float:
 
 
 def _op_norms_2x2_lower(a, c, e):
-    """Largest/smallest singular values of [[a, 0], [c, e]] (vectorised)."""
-    tr = a * a + c * c + e * e
-    det2 = (a * e) ** 2
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det2, 0.0))
-    smax = np.sqrt(0.5 * (tr + disc))
-    smin2 = np.where(tr + disc > 0, 2.0 * det2 / (tr + disc), 0.0)
-    return smax, np.sqrt(smin2)
+    """Largest/smallest singular values of [[a, 0], [c, e]], ``a > 0``, to a
+    few ulps (vectorised): the mean ``s`` of the lengths of ``(a +- |e|, c)``
+    and ``a |e| / s``; the Gram matrix's eigenvalues lose 1e-8 near ``|e| = a``."""
+    ae, c2 = np.abs(e), c * c
+    smax = 0.5 * (np.sqrt(np.square(a + ae) + c2) + np.sqrt(np.square(a - ae) + c2))
+    return smax, a * ae / smax
 
 
 @dataclass(frozen=True)
@@ -814,66 +847,34 @@ def nondegeneracy_probe(m: MapSystem, B: float, beta: float, points) -> Nondegen
         # constant-distance convention: the conditions are vacuous
         return NondegeneracyReport(B, beta, 0.0, (), 0.0, (), 0.0, ())
 
+    dist = m.crit_dist_batch(pts)
+    keep = dist >= NEAR_CRITICAL_FLOOR
+    pts, dist = pts[keep], dist[keep]
+    if pts.shape[0] == 0:
+        raise ArgumentError("all probe points sit on the critical set")
+    step = 0.4 * np.minimum(dist, m.domain.width)
     if m.dimension == 1:
-        dist = m.crit_dist_batch(pts)
-        keep = dist >= NEAR_CRITICAL_FLOOR
-        pts, dist = pts[keep], dist[keep]
-        if pts.size == 0:
-            raise ArgumentError("all probe points sit on the critical set")
-        norm = np.abs(m.df_batch(pts))
-        dfinv = 1.0 / norm
-        detinv = dfinv
         # pair partner: step 0.4 dist towards the domain centre
         centre = 0.5 * (m.domain.lo + m.domain.hi)
-        step = 0.4 * np.minimum(dist, m.domain.width)
         ys = pts + np.where(pts <= centre, step, -step)
-        ynorm = np.abs(m.df_batch(ys))
-        ydfinv = 1.0 / ynorm
-        ydetinv = ydfinv
         sep = np.abs(pts - ys)
     else:
-        dist = m.crit_dist_batch(pts)
-        keep = dist >= NEAR_CRITICAL_FLOOR
-        pts, dist = pts[keep], dist[keep]
-        if pts.shape[0] == 0:
-            raise ArgumentError("all probe points sit on the critical set")
-        a, c, e = m.jac_entries_batch(pts)
-        smax, smin = _op_norms_2x2_lower(a, c, e)
-        norm = smax
-        dfinv = 1.0 / smin
-        detinv = 1.0 / np.abs(a * e)
         # perturb the fibre coordinate away from {x = 0}
-        step = 0.4 * np.minimum(dist, m.domain.width)
         ys = pts.copy()
         ys[:, 1] += np.where(pts[:, 1] >= 0, step, -step)
-        ya, yc, ye = m.jac_entries_batch(ys)
-        ysmin = _op_norms_2x2_lower(ya, yc, ye)[1]
-        ydfinv = 1.0 / ysmin
-        ydetinv = 1.0 / np.abs(ya * ye)
         sep = step
+    norm = m.norm_batch(pts)
+    dfinv, ydfinv = 1.0 / m.conorm_batch(pts), 1.0 / m.conorm_batch(ys)
+    detinv, ydetinv = 1.0 / m.abs_det_batch(pts), 1.0 / m.abs_det_batch(ys)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = B * dist ** beta / norm
         denom = B * dist ** (-beta) * sep
-        r2 = np.abs(np.log(dfinv) - np.log(ydfinv)) / denom
-        r3 = np.abs(np.log(detinv) - np.log(ydetinv)) / denom
-    r1 = np.nan_to_num(r1, nan=np.inf)
-    r2 = np.nan_to_num(r2, nan=np.inf)
-    r3 = np.nan_to_num(r3, nan=np.inf)
-
-    i1, i2, i3 = int(np.argmax(r1)), int(np.argmax(r2)), int(np.argmax(r3))
-
-    def _wit(i, pair):
-        p = pts[i]
-        p = tuple(np.atleast_1d(p).tolist())
-        if not pair:
-            return p
-        q = ys[i]
-        return (p, tuple(np.atleast_1d(q).tolist()))
-
-    return NondegeneracyReport(
-        B, beta,
-        float(r1[i1]), _wit(i1, False),
-        float(r2[i2]), _wit(i2, True),
-        float(r3[i3]), _wit(i3, True),
-    )
+        ratios = (B * dist ** beta / norm, np.abs(np.log(dfinv) - np.log(ydfinv)) / denom,
+                  np.abs(np.log(detinv) - np.log(ydetinv)) / denom)
+    worst = []
+    for r, pair in zip(ratios, (False, True, True)):
+        r = np.nan_to_num(r, nan=np.inf)
+        i = int(np.argmax(r))
+        p = tuple(np.atleast_1d(pts[i]).tolist())
+        worst += [float(r[i]), (p, tuple(np.atleast_1d(ys[i]).tolist())) if pair else p]
+    return NondegeneracyReport(B, beta, *worst)

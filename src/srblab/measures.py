@@ -158,6 +158,11 @@ class Grid2D:
     def cell_area(self) -> float:
         return (1.0 / self.n_theta) * ((self.x_hi - self.x_lo) / self.n_x)
 
+    @property
+    def widths(self) -> np.ndarray:
+        """Cell areas, one per flat bin, as ``Grid1D.widths`` are bin lengths."""
+        return np.full(self.n, self.cell_area)
+
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Flat bin indices of cylinder points, shape (n,)."""
         pts = np.asarray(pts)
@@ -211,9 +216,7 @@ class GridDensity:
 
     @property
     def bin_measures(self) -> np.ndarray:
-        if isinstance(self.grid, Grid1D):
-            return self.values * self.grid.widths
-        return self.values * self.grid.cell_area
+        return self.values * self.grid.widths
 
     @property
     def mass(self) -> float:
@@ -247,13 +250,12 @@ def l1_distance(d1: GridDensity, d2: GridDensity) -> float:
     if isinstance(g1, Grid1D):
         if g1.regular != g2.regular or np.abs(g1.edges - g2.edges).max() > 1e-12:
             raise ArgumentError("densities live on different grids")
-        diff = np.abs(d1.values - d2.values)
-        if g1.regular:
-            return float(diff.sum() * g1.widths[0])
-        return float((diff * g1.widths).sum())
-    if abs(g1.x_lo - g2.x_lo) > 1e-12 or abs(g1.x_hi - g2.x_hi) > 1e-12:
+    elif abs(g1.x_lo - g2.x_lo) > 1e-12 or abs(g1.x_hi - g2.x_hi) > 1e-12:
         raise ArgumentError("densities live on different grids")
-    return float(np.abs(d1.values - d2.values).sum() * g1.cell_area)
+    diff = np.abs(d1.values - d2.values)
+    if isinstance(g1, Grid1D) and not g1.regular:
+        return float((diff * g1.widths).sum())
+    return float(diff.sum() * g1.widths[0])  # equal widths
 
 
 @dataclass(frozen=True)
@@ -625,11 +627,7 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10,
         ``max_iters`` steps.
     """
     grid = op.grid
-    n = int(np.prod(grid.shape))
-    if isinstance(grid, Grid1D):
-        widths = grid.widths
-    else:
-        widths = np.full(n, grid.cell_area)
+    widths = grid.widths
     p = widths / widths.sum()
     p[op.flagged] = 0.0
     s = p.sum()

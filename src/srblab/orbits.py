@@ -11,7 +11,9 @@ censored and reported as ``n_max + 1``.  One walk of each orbit keeps
 the running sums of both summands and the last step at which each broke
 its budget; a tail profile, ``expansion_time`` and ``recurrence_time``
 (its one-point case) call the map once per step, and their memory
-follows the number of points, not points x horizon.
+follows the number of points, not points x horizon.  Derivatives come
+from the derivative interface of :class:`~srblab.maps.MapSystem`, so
+every function here serves 1D and cylinder maps alike.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, InsufficientDataError, NearCriticalError
-from .maps import NEAR_CRITICAL_FLOOR, MapSystem, _op_norms_2x2_lower
-from .rng import stream
+from .maps import NEAR_CRITICAL_FLOOR, MapSystem
+from .rng import StreamKey, stream
 
 _LOG_CLAMP = 1e-300
 
@@ -78,10 +80,9 @@ def birkhoff_average(m: MapSystem, x, observable, n: int) -> float:
 def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
     """Finite-time Lyapunov exponents along one orbit, ascending.
 
-    One dimension: the average of ``log |f'|`` over the first ``n`` orbit
-    points.  The cylinder cocycle is lower triangular with constant base
-    entry ``d``, so its exponents are the average of ``log |2 x|`` and
-    ``log d`` exactly.  The sum keeps orbit order: this is the per-orbit
+    The average of ``log`` of the map's ``fibre_derivative_batch`` over the
+    first ``n`` orbit points, and, when the map has a base direction, its
+    ``base_exponent``.  The sum keeps orbit order: this is the per-orbit
     reference of :func:`~srblab.entropy.entropy_lyapunov_rows`.
 
     Raises
@@ -99,11 +100,11 @@ def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
             j = int(bad.argmax())
             raise NearCriticalError(float(dist[j]),
                                     f"orbit hit the critical set at iterate {start + j}")
-        deriv = m.df_batch(pts) if m.dimension == 1 else m.jac_entries_batch(pts)[2]
+        logs = np.log(m.fibre_derivative_batch(pts))
         # cumsum adds one term at a time: the sum keeps its orbit order
-        total = float(np.cumsum(np.append(total, np.log(np.abs(deriv))))[-1])
+        total = float(np.cumsum(np.append(total, logs))[-1])
     mean = total / n
-    return [mean] if m.dimension == 1 else sorted([mean, math.log(m.d)])
+    return sorted([mean, m.base_exponent]) if m.base_exponent else [mean]
 
 
 @dataclass(frozen=True)
@@ -141,26 +142,22 @@ def _settle_walk(m: MapSystem, pts: np.ndarray, lam: float, delta: float, eps: f
                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Expansion and recurrence times of the points ``pts``, from one walk.
 
-    Each step adds the ``log |Df^-1|`` and ``-log dist_delta(., C)``
-    summands of every point to its two running sums, in orbit order, and
-    records step ``n`` as the last failing one of a sum above its budget,
-    ``-lam/2 * n`` or ``2 eps * n``.  A time is the last failing step plus
-    one: 1 when no step fails, ``n_max + 1`` (censored) when step
-    ``n_max`` fails.  Only per-point state is kept, so memory follows the
-    points and not the horizon.  Maps without a critical set have zero
-    recurrence summands, so their recurrence times are 1.
+    Each step adds the ``log |Df^-1|`` (minus the log of the map's
+    ``conorm_batch``) and ``-log dist_delta(., C)`` summands of every
+    point to its two running sums, in orbit order, and records step ``n``
+    as the last failing one of a sum above its budget, ``-lam/2 * n`` or
+    ``2 eps * n``.  A time is the last failing step plus one: 1 when no
+    step fails, ``n_max + 1`` (censored) when step ``n_max`` fails.  Only
+    per-point state is kept, so memory follows the points and not the
+    horizon.  Maps without a critical set have zero recurrence summands,
+    so their recurrence times are 1.
     """
     sums = np.zeros((2, pts.shape[0]))
     last_fail = np.zeros((2, pts.shape[0]), dtype=int)
     budgets = np.array([[-0.5 * lam], [2.0 * eps]])
     cur = pts.copy()
     for n in range(1, n_max + 1):
-        if m.dimension == 1:
-            d = np.abs(m.df_batch(cur))
-        else:
-            a, c, e = m.jac_entries_batch(cur)
-            _, d = _op_norms_2x2_lower(a, c, e)
-        sums[0] -= np.log(np.maximum(d, _LOG_CLAMP))
+        sums[0] -= np.log(np.maximum(m.conorm_batch(cur), _LOG_CLAMP))
         if m.has_critical_set:
             dist = m.crit_dist_batch(cur)
             sums[1] -= np.log(np.where(dist < delta, np.maximum(dist, _LOG_CLAMP), 1.0))
@@ -206,17 +203,17 @@ def recurrence_time(m: MapSystem, x, delta: float, eps: float, n_max: int) -> in
 def tail_profile(m: MapSystem, params: TailParams, seed: int = 0) -> TailProfile:
     """Monte Carlo tail profile of the settling times over a uniform sample.
 
-    The sample is ``m.sample_uniform(stream(seed, 31), sample_size)``:
-    one stream, read point by point, so point ``i`` does not depend on the
-    sample size, the evaluation order or the worker count.  For each ``n``
-    the profile records the fraction of points whose expansion time
-    exceeds ``n``, likewise for the recurrence time, and for the union of
-    the two events: a count divided by the sample size.  The orbits are
-    walked once, keeping per-point state only, so memory follows the
-    sample and not sample x horizon.
+    The sample is ``m.sample_uniform(stream(seed, StreamKey.TAIL),
+    sample_size)``: one stream, read point by point, so point ``i`` does
+    not depend on the sample size, the evaluation order or the worker
+    count.  For each ``n`` the profile records the fraction of points whose
+    expansion time exceeds ``n``, likewise for the recurrence time, and for
+    the union of the two events: a count divided by the sample size.  The
+    orbits are walked once, keeping per-point state only, so memory
+    follows the sample and not sample x horizon.
     """
     npts = params.sample_size
-    pts = m.sample_uniform(stream(seed, 31), npts)
+    pts = m.sample_uniform(stream(seed, StreamKey.TAIL), npts)
     texp, trec = _settle_walk(m, pts, params.lam, params.delta, params.eps, params.n_max)
 
     def frac_over(times):

@@ -15,6 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 
+class StreamKey:
+    """First key of each kind of stream: no two kinds of work share one."""
+
+    LYAPUNOV = 11    # orbit slot i of the Lyapunov route: (seed, LYAPUNOV, i)
+    QUOTIENT = 13    # tower and base orbits of lyapunov_quotient_check
+    SMB_START = 17   # starting points of the SMB route in entropy_report
+    SWEEP_ROW = 19   # per-row seeds of a sweep
+    PROBE = 23       # the sample of ``srblab probe``
+    SMB_DITHER = 29  # dither of an SMB orbit, seeded by the bits of its start
+    TAIL = 31        # the sample of tail_profile
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Return the generator for ``(seed, *key)``.
 

@@ -163,3 +163,36 @@ def test_degenerate_induction_exits_3(tmp_path):
     out = run_cli("induce", "--config", path)
     assert out.returncode == 3
     assert "cells" in out.stderr
+
+
+@pytest.mark.parametrize("command,overrides,message", [
+    ("entropy", {"family": "tent", "map_params": {"slop": 1.8}},
+     "tent has no parameter 'slop'; its parameters: slope"),
+    ("entropy", {"family": "tent", "map_params": {"slope": "abc"}}, "is not a number"),
+    ("entropy", {"family": "nonsense"}, "unknown map family 'nonsense'"),
+    ("entropy", {"family": "circle_linear", "map_params": {"d": 2.5}}, "integer d"),
+    ("tail", {"family": "viana", "map_params": {"d": 2.5}, "tail_lam": 0.3}, "integer d"),
+    ("sweep", {"family": "tent", "map_params": {"slope": 2.0}, "sweep_parameter": "slop",
+               "sweep_from": 1.5, "sweep_to": 2.0, "sweep_steps": 2}, "no parameter 'slop'"),
+    ("sweep", {"family": "viana", "sweep_parameter": "d", "sweep_from": 2.0,
+               "sweep_to": 3.0, "sweep_steps": 3}, "viana needs an integer d, got 2.5"),
+])
+def test_map_parameter_errors_exit_2_before_any_work(tmp_path, command, overrides, message):
+    path = write_cfg(tmp_path, out_dir=str(tmp_path / "out"), seed=0, **overrides)
+    out = run_cli(command, "--config", path)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error: ") and message in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_value_out_of_range_on_one_sweep_row_stays_a_row_error(tmp_path):
+    path = write_cfg(tmp_path, family="tent", sweep_parameter="slope", sweep_from=2.0,
+                     sweep_to=2.5, sweep_steps=2, out_dir=str(tmp_path / "out"), seed=0,
+                     bins=64, sample_size=4, n_iters=200, smb_depth=4, tau_max=8)
+    out = run_cli("sweep", "--config", path)
+    assert out.returncode == 0, out.stderr
+    assert "tent.slope: 2 rows, 1 failed" in out.stdout
+    _, header, rows = sl.read_csv(str(tmp_path / "out" / "sweep.csv"))
+    errors = [row[header.index("error")] for row in rows]
+    assert errors[0] == "" and "slope in (1, 2]" in errors[1]

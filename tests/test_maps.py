@@ -2,10 +2,11 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
@@ -29,6 +30,39 @@ def test_families_construct(family, params, dim):
 def test_unknown_family_rejected():
     with pytest.raises(sl.ArgumentError, match="unknown map family"):
         sl.make_map("hyperbolic_toral")
+
+
+@pytest.mark.parametrize("family,params,message", [
+    ("nonsense", {}, "unknown map family 'nonsense'"),
+    ("tent", {"slop": 1.8}, "tent has no parameter 'slop'; its parameters: slope"),
+    ("viana", {"beta": 0.1}, "its parameters: alpha, d, a0, lo, hi"),
+    ("doubling", {"d": 2}, "doubling has no parameter 'd'; its parameters: none"),
+    ("tent", {"slope": "abc"}, "tent parameter slope = 'abc' is not a number"),
+    ("quadratic", {"a": True}, "quadratic parameter a = True is not a number"),
+    ("circle_linear", {"d": 2.5}, "circle_linear needs an integer d, got 2.5"),
+    ("viana", {"d": 2.5}, "viana needs an integer d, got 2.5"),
+    ("viana", {"d": math.inf}, "viana needs an integer d, got inf"),
+])
+def test_make_map_rejects_names_and_types_no_family_takes(family, params, message):
+    with pytest.raises(sl.MapParameterError, match=re.escape(message)):
+        sl.make_map(family, **params)
+
+
+@pytest.mark.parametrize("family,params,message", [
+    ("tent", {"slope": 2.5}, "slope in"),
+    ("viana", {"alpha": math.nan}, "alpha >= 0"),
+    ("viana", {"a0": math.nan}, "not mapped into its own interior"),
+])
+def test_a_value_out_of_range_is_not_a_parameter_error(family, params, message):
+    with pytest.raises(sl.ArgumentError, match=message) as info:
+        sl.make_map(family, **params)
+    assert not isinstance(info.value, sl.MapParameterError)
+
+
+@pytest.mark.parametrize("family", ["circle_linear", "viana"])
+def test_an_integral_float_degree_is_accepted(family):
+    assert sl.make_map(family, d=3.0).d == 3
+    assert sl.make_map(family, d=np.int64(4)).d == 4
 
 
 @pytest.mark.parametrize("x,fx", [
@@ -398,3 +432,65 @@ def test_closed_form_inverse_branches():
     flat = sl.make_map("circle_perturbed", t=0.0)
     ys = np.linspace(0.0, 1.0, 101)
     np.testing.assert_array_equal(flat.branch_inverse(1, ys), (ys + 1) / 2)
+
+
+# -- derivative interface ----------------------------------------------------
+
+_ONE_D_MAPS = st.one_of(
+    st.just(sl.make_map("doubling")),
+    st.integers(2, 7).map(lambda d: sl.make_map("circle_linear", d=d)),
+    st.floats(0.0, 1.9).map(lambda t: sl.make_map("circle_perturbed", t=t)),
+    st.floats(1.0, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
+    st.floats(1.0, 2.0, exclude_min=True).map(lambda a: sl.make_map("quadratic", a=a)),
+)
+_INTERFACE = ("fibre_derivative_batch", "abs_det_batch", "conorm_batch", "norm_batch")
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=_ONE_D_MAPS, us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_one_dimensional_derivative_interface_is_abs_df(m, us):
+    x = m.domain.lo + m.domain.width * np.array(us)
+    want = np.abs(m.df_batch(x)).tobytes()
+    for name in _INTERFACE:
+        assert getattr(m, name)(x).tobytes() == want, name
+    assert m.base_exponent == 0.0
+
+
+# results below the normal range carry fewer than 52 bits, so no
+# relative tolerance holds for them: the fibre coordinate stays normal
+_FIBRE = st.floats(-1.75, 1.75, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 0.1), d=st.integers(2, 16),
+       theta=st.floats(0.0, 1.0, exclude_max=True), x=_FIBRE)
+# |2x| near d with no coupling: two nearly equal singular values, where the
+# roots of the Gram matrix's characteristic polynomial lose 1e-8 of each
+@example(alpha=0.0, d=2, theta=0.3, x=1.0 + 1e-9)
+@example(alpha=1e-9, d=3, theta=0.25, x=-1.5 + 1e-10)
+@example(alpha=0.1, d=16, theta=0.0, x=0.0)
+def test_viana_derivative_interface_is_the_jacobians_det_and_svd(alpha, d, theta, x):
+    m = sl.make_map("viana", alpha=alpha, d=d)
+    p = np.array([[theta, x]])
+    jac = np.array([[d, 0.0], [2 * np.pi * alpha * np.cos(2 * np.pi * theta), -2.0 * x]])
+    smax, smin = np.linalg.svd(jac, compute_uv=False)
+    for name, want in (("abs_det_batch", abs(np.linalg.det(jac))), ("norm_batch", smax),
+                       ("conorm_batch", smin)):
+        got = getattr(m, name)(p)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0), name
+    assert m.fibre_derivative_batch(p).tobytes() == np.abs(2.0 * p[:, 1]).tobytes()
+    assert m.base_exponent == math.log(d)
+
+
+@pytest.mark.parametrize("family,params", [("tent", {"slope": 1.7}), ("quadratic", {"a": 1.9}),
+                                           ("viana", {"alpha": 0.05, "d": 3})])
+def test_derivative_interface_answers_an_orbit_block_point_by_point(family, params):
+    # the orbit driver asks for a whole (steps, orbits) block at once
+    m = sl.make_map(family, **params)
+    block = m.orbit(m.sample_uniform(np.random.default_rng(2), 6), 4)
+    for name in _INTERFACE:
+        whole = getattr(m, name)(block)
+        assert whole.shape == block.shape[:2]
+        for j in range(block.shape[0]):
+            assert whole[j].tobytes() == getattr(m, name)(block[j]).tobytes(), name

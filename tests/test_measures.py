@@ -799,3 +799,13 @@ class TestGridRefinement:
     def test_quadratic_tower(self, tower_quadratic):
         ds = [_refinement_distance(tower_quadratic, k) for k in (11, 12, 13)]
         assert ds[1] < ds[0] and ds[2] < ds[1]
+
+
+@pytest.mark.parametrize("n_theta,n_x", [(1, 1), (3, 5), (8, 8)])
+def test_cylinder_widths_are_the_cell_areas_of_its_flat_bins(n_theta, n_x):
+    grid = sl.Grid2D(-1.5, 1.75, n_theta, n_x)
+    assert grid.widths.shape == (grid.n,)
+    assert np.all(grid.widths == grid.cell_area)
+    values = np.random.default_rng(n_x).uniform(0.0, 2.0, grid.n)
+    density = sl.GridDensity(grid, values)
+    assert density.bin_measures.tobytes() == (values * grid.cell_area).tobytes()

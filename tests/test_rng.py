@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import srblab as sl
-from srblab.rng import DITHER_SCALE, dither, stream
+from srblab.rng import DITHER_SCALE, StreamKey, dither, stream
 
 # one seed word; two words, the second 1; two words, the top bit set; five words
 _SEEDS = [0, 12345, 2 ** 32 + 5, 2 ** 63 + 11, 2 ** 128 + 9]
@@ -84,3 +84,15 @@ def test_dither_keeps_a_doubling_orbit_off_its_dyadic_cycle():
         x = dither(np.mod(2.0 * x, 1.0), rng, 0.0, 1.0)
     assert np.all(plain == 0.0)
     assert np.all(x > 0.0) and len(set(x.tolist())) == 3
+
+
+def test_stream_keys_are_distinct_and_keep_their_values():
+    keys = {name: key for name, key in vars(StreamKey).items() if name.isupper()}
+    assert len(set(keys.values())) == len(keys)
+    # a changed key changes every number drawn from its stream
+    assert keys == {"LYAPUNOV": 11, "QUOTIENT": 13, "SMB_START": 17, "SWEEP_ROW": 19,
+                    "PROBE": 23, "SMB_DITHER": 29, "TAIL": 31}
+
+
+def test_a_named_key_draws_the_stream_of_its_number():
+    assert stream(5, StreamKey.TAIL, 2).random() == stream(5, 31, 2).random()
