@@ -19,14 +19,11 @@ Recognised keys
 ``sweep.steps``           number of rows (>= 2)
 ``orbit.n_iters``         orbit length for exponent estimates
 ``orbit.sample_size``     number of Monte Carlo orbits
-``orbit.retry_budget``    near-critical restarts per orbit slot
 ``orbit.smb_depth``       cylinder depth of the orbit entropy estimate
 ``ulam.bins``             transfer-operator grid size
-``ulam.tol``              stationarity tolerance
 ``ulam.max_iters``        iteration cap
 ``induce.lo, induce.hi``  induction interval (family default when omitted)
 ``induce.tau_max``        return-time cap
-``induce.tol``            endpoint resolution of the return tracker
 ``tail.lam``              expansion-rate reference for slow-orbit fractions
 ``tail.eps``              recurrence budget
 ``tail.delta``            critical-set truncation radius
@@ -44,96 +41,68 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
-_INT_KEYS = {
-    "sweep.steps", "orbit.n_iters", "orbit.sample_size", "orbit.retry_budget",
-    "orbit.smb_depth", "ulam.bins", "ulam.max_iters", "induce.tau_max",
-    "tail.n_max", "tail.sample_size", "seed",
-}
-_FLOAT_KEYS = {
-    "sweep.from", "sweep.to", "ulam.tol", "induce.lo", "induce.hi",
-    "induce.tol", "tail.lam", "tail.eps", "tail.delta",
-}
-
-_KEY_TO_FIELD = {
-    "map.family": "family",
-    "sweep.parameter": "sweep_parameter",
-    "sweep.from": "sweep_from",
-    "sweep.to": "sweep_to",
-    "sweep.steps": "sweep_steps",
-    "orbit.n_iters": "n_iters",
-    "orbit.sample_size": "sample_size",
-    "orbit.retry_budget": "retry_budget",
-    "orbit.smb_depth": "smb_depth",
-    "ulam.bins": "bins",
-    "ulam.tol": "ulam_tol",
-    "ulam.max_iters": "ulam_max_iters",
-    "induce.lo": "induce_lo",
-    "induce.hi": "induce_hi",
-    "induce.tau_max": "tau_max",
-    "induce.tol": "induce_tol",
-    "tail.lam": "tail_lam",
-    "tail.eps": "tail_eps",
-    "tail.delta": "tail_delta",
-    "tail.n_max": "tail_n_max",
-    "tail.sample_size": "tail_sample_size",
-    "tail.inject": "tail_inject",
-    "seed": "seed",
-    "out_dir": "out_dir",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 _COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _key(key: str, default):
+    """A config field read from and written to the dotted ``key``."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything an experiment run needs, with sensible defaults."""
+    """Everything an experiment run needs, with sensible defaults.
 
-    family: str = "doubling"
+    Every field but ``map_params`` names its dotted config key; its
+    annotation gives the value type a config file is read with.
+    """
+
+    family: str = _key("map.family", "doubling")
     map_params: dict = field(default_factory=dict)
-    sweep_parameter: str | None = None
-    sweep_from: float = 0.0
-    sweep_to: float = 1.0
-    sweep_steps: int = 11
-    n_iters: int = 100_000
-    sample_size: int = 64
-    retry_budget: int = 8
-    smb_depth: int = 64
-    bins: int = 4096
-    ulam_tol: float = 1e-10
-    ulam_max_iters: int = 100_000
-    induce_lo: float | None = None
-    induce_hi: float | None = None
-    tau_max: int = 20
-    induce_tol: float = 1e-12
-    tail_lam: float | None = None
-    tail_eps: float | None = None
-    tail_delta: float = 1e-6
-    tail_n_max: int = 200
-    tail_sample_size: int = 10_000
-    tail_inject: str | None = None
-    seed: int = 0
-    out_dir: str = "."
+    sweep_parameter: str | None = _key("sweep.parameter", None)
+    sweep_from: float = _key("sweep.from", 0.0)
+    sweep_to: float = _key("sweep.to", 1.0)
+    sweep_steps: int = _key("sweep.steps", 11)
+    n_iters: int = _key("orbit.n_iters", 100_000)
+    sample_size: int = _key("orbit.sample_size", 64)
+    smb_depth: int = _key("orbit.smb_depth", 64)
+    bins: int = _key("ulam.bins", 4096)
+    ulam_max_iters: int = _key("ulam.max_iters", 100_000)
+    induce_lo: float | None = _key("induce.lo", None)
+    induce_hi: float | None = _key("induce.hi", None)
+    tau_max: int = _key("induce.tau_max", 20)
+    tail_lam: float | None = _key("tail.lam", None)
+    tail_eps: float | None = _key("tail.eps", None)
+    tail_delta: float = _key("tail.delta", 1e-6)
+    tail_n_max: int = _key("tail.n_max", 200)
+    tail_sample_size: int = _key("tail.sample_size", 10_000)
+    tail_inject: str | None = _key("tail.inject", None)
+    seed: int = _key("seed", 0)
+    out_dir: str = _key("out_dir", ".")
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on inconsistent settings."""
+        keys = {f.name: f.metadata.get("key") for f in fields(self)}
         if self.sweep_parameter is not None and self.sweep_steps < 2:
             raise ConfigError("sweep.steps must be at least 2")
-        for key in ("ulam_tol", "induce_tol", "tail_delta"):
-            v = getattr(self, key)
-            if v is not None and not v > 0:
-                raise ConfigError(f"{_FIELD_TO_KEY[key]} must be positive")
-        for key in ("n_iters", "sample_size", "bins", "tau_max", "tail_n_max",
-                    "tail_sample_size", "ulam_max_iters", "smb_depth"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{_FIELD_TO_KEY[key]} must be at least 1")
-        if self.retry_budget < 0:
-            raise ConfigError("orbit.retry_budget must be nonnegative")
+        if not self.tail_delta > 0:
+            raise ConfigError("tail.delta must be positive")
+        for name in ("n_iters", "sample_size", "bins", "tau_max", "tail_n_max",
+                     "tail_sample_size", "ulam_max_iters", "smb_depth"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{keys[name]} must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if (self.induce_lo is None) != (self.induce_hi is None):
             raise ConfigError("induce.lo and induce.hi must be given together")
         if self.induce_lo is not None and not self.induce_hi > self.induce_lo:
             raise ConfigError("induce.hi must exceed induce.lo")
+
+
+#: the field each dotted key sets, in field order
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
+#: how the text of a value becomes its field's annotated type (else a string)
+_READERS = {"int": int, "float": float, "float | None": float}
 
 
 def _format_value(v) -> str:
@@ -154,10 +123,8 @@ def serialize(config: ExperimentConfig) -> str:
     """
     pairs = [("map.family", config.family)]
     pairs += [(f"map.{k}", config.map_params[k]) for k in sorted(config.map_params)]
-    for f in fields(ExperimentConfig):
-        v = getattr(config, f.name)
-        if f.name not in ("family", "map_params") and v is not None:
-            pairs.append((_FIELD_TO_KEY[f.name], v))
+    pairs += [(key, getattr(config, f.name)) for key, f in _FIELDS.items()
+              if key != "map.family" and getattr(config, f.name) is not None]
     lines = [f"{key} = {_format_value(value)}" for key, value in pairs]
     for line, (key, value) in zip(lines, pairs):
         try:
@@ -197,12 +164,11 @@ def _entries(text: str):
         seen.add(key)
         if key.startswith("map.") and key != "map.family":
             value = _parse_scalar(raw)
-        elif key not in _KEY_TO_FIELD:
+        elif key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         else:
             try:
-                value = (int(raw) if key in _INT_KEYS else
-                         float(raw) if key in _FLOAT_KEYS else raw)
+                value = _READERS.get(_FIELDS[key].type, str)(raw)
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from None
         yield key, value
@@ -221,7 +187,7 @@ def parse(text: str) -> ExperimentConfig:
         if key.startswith("map.") and key != "map.family":
             config.map_params[key[4:]] = value
         else:
-            setattr(config, _KEY_TO_FIELD[key], value)
+            setattr(config, _FIELDS[key].name, value)
     config.validate()
     return config
 

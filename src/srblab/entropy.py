@@ -49,9 +49,8 @@ import numpy as np
 from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
-from .measures import (_STRATA, Grid1D, GridDensity, bin_slivers, cylinder_row_points,
-                       interval_measure, one_step_ulam, stationary_density,
-                       stratified_points, ulam_matrix)
+from .measures import (_STRATA, Grid1D, Grid2D, GridDensity, bin_slivers, interval_measure,
+                       one_step_ulam, stationary_density, stratified_points, ulam_matrix)
 from .rng import StreamKey, dither, stream
 from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown, kac_mass,
                      verify_axioms)
@@ -225,15 +224,16 @@ def _log_det_batch(m: MapSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.log(np.maximum(det, NEAR_CRITICAL_FLOOR)), clipped
 
 
-def _bin_log_det(m: MapSystem, grid: Grid1D,
+def _bin_log_det(m: MapSystem, grid: Grid1D | Grid2D,
                  strata: int = _STRATA) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-bin stratified means of clipped ``log |Df|`` on a 1D grid.
+    """Per-bin stratified means of clipped ``log |det Df|`` over the grid's
+    ``bin_points``.
 
     Returns the per-bin means, the per-bin fractions of clipped points and
-    the largest sampled ``|log |Df||``.
+    the largest sampled ``|log |det Df||``.
     """
-    pts = stratified_points(grid.edges[:-1], grid.widths, strata).ravel()
-    logs, clipped = _log_det_batch(m, pts)
+    pts = grid.bin_points(strata)
+    logs, clipped = _log_det_batch(m, pts.reshape(grid.n * strata, *pts.shape[2:]))
     return (logs.reshape(grid.n, strata).mean(axis=1),
             clipped.reshape(grid.n, strata).mean(axis=1), float(np.abs(logs).max()))
 
@@ -244,18 +244,7 @@ def _pesin_integral(m: MapSystem, mu_f: GridDensity) -> tuple[float, float]:
     was clipped."""
     if abs(mu_f.mass - 1.0) > 1e-8:
         raise ArgumentError(f"ambient density must have unit mass, got {mu_f.mass!r}")
-    grid = mu_f.grid
-    if isinstance(grid, Grid1D):
-        logs, clip_frac, _ = _bin_log_det(m, grid)
-    else:
-        te, xe = grid.theta_edges, grid.x_edges
-        tw, xw = te[1] - te[0], xe[1] - xe[0]
-        logs, clip_frac = np.empty((2, grid.n_theta, grid.n_x))
-        for it in range(grid.n_theta):
-            lg, cl = _log_det_batch(m, cylinder_row_points(te[it], tw, xe[:-1], xw, 4))
-            logs[it] = lg.reshape(grid.n_x, -1).mean(axis=1)
-            clip_frac[it] = cl.reshape(grid.n_x, -1).mean(axis=1)
-        logs, clip_frac = logs.ravel(), clip_frac.ravel()
+    logs, clip_frac, _ = _bin_log_det(m, mu_f.grid)
     weights = mu_f.bin_measures
     return float((weights * logs).sum()), float((weights * clip_frac).sum())
 
@@ -647,8 +636,7 @@ class EntropyReport:
 
 def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
                    bins: int = 4096, n_orbits: int = 64, n_iters: int = 100_000,
-                   smb_depth: int = 64, seed: int = 0, retry_budget: int = 8,
-                   ulam_tol: float = 1e-10, ulam_max_iters: int = 100_000,
+                   smb_depth: int = 64, seed: int = 0, ulam_max_iters: int = 100_000,
                    lyapunov: tuple[float, float] | str | None = None) -> EntropyReport:
     """Run every applicable entropy route and fill its :class:`Route` record.
 
@@ -665,7 +653,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     ``lyapunov`` is the Lyapunov route's outcome when the caller has run
     its orbits already (a sweep runs those of all its rows together):
     ``(mean, se)`` from :func:`entropy_lyapunov_rows` at ``n_orbits``,
-    ``n_iters``, ``seed`` and ``retry_budget``, or the message of its
+    ``n_iters`` and ``seed``, or the message of its
     error.  Left at None, the route runs here.
     """
     tau_cap, tower_bins = (F.tau_max, bins) if F is not None else (None, None)
@@ -679,8 +667,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
     rep = EntropyReport(m.family, dict(m.params), routes)
     if lyapunov is None:
         try:
-            lyapunov = entropy_lyapunov(m, n_orbits, n_iters, seed=seed,
-                                        retry_budget=retry_budget)
+            lyapunov = entropy_lyapunov(m, n_orbits, n_iters, seed=seed)
         except SrbLabError as exc:
             lyapunov = str(exc)
     if isinstance(lyapunov, str):
@@ -693,7 +680,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
         for route in routes.values():  # the bins the grid holds
             if route.bins is not None:
                 route.bins = op.grid.n
-        rep.density = stationary_density(op, tol=ulam_tol, max_iters=ulam_max_iters)
+        rep.density = stationary_density(op, max_iters=ulam_max_iters)
         rep.pesin_exponent, pesin.truncation_bound = _pesin_integral(m, rep.density)
         pesin.estimate = max(rep.pesin_exponent, m.base_exponent)
     except SrbLabError as exc:
@@ -704,8 +691,7 @@ def entropy_report(m: MapSystem, F: InducedMarkovMap | None = None, *,
         try:
             if F.verification is None:
                 verify_axioms(F)
-            mu_F = stationary_density(ulam_matrix(F, bins), tol=ulam_tol,
-                                      max_iters=ulam_max_iters)
+            mu_F = stationary_density(ulam_matrix(F, bins), max_iters=ulam_max_iters)
             induced.estimate = entropy_induced(F, mu_F)
             routes["kac_mass"].estimate = kac = kac_mass(F, mu_F)
             abramov.estimate = induced.estimate / kac  # kac >= 1: a censored mean return time

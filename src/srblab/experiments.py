@@ -66,7 +66,7 @@ def build_tower(m: MapSystem, config: ExperimentConfig) -> InducedMarkovMap | No
         delta = Interval(config.induce_lo, config.induce_hi)
     else:
         delta = default_induction(m)
-    return first_return_map(m, delta, config.tau_max, config.induce_tol)
+    return first_return_map(m, delta, config.tau_max)
 
 
 def _row_seed(seed: int, index: int) -> int:
@@ -83,7 +83,6 @@ def run_entropy(config: ExperimentConfig) -> EntropyReport:
     rep = entropy_report(
         m, F, bins=config.bins, n_orbits=config.sample_size,
         n_iters=config.n_iters, smb_depth=config.smb_depth, seed=config.seed,
-        retry_budget=config.retry_budget, ulam_tol=config.ulam_tol,
         ulam_max_iters=config.ulam_max_iters)
     os.makedirs(config.out_dir, exist_ok=True)
     write_entropy_csv(os.path.join(config.out_dir, "entropy.csv"), rep)
@@ -116,13 +115,12 @@ def run_density(config: ExperimentConfig, target: str = "map"):
     m = build_system(config)
     if target == "map":
         op = one_step_ulam(m, config.bins)
-        density = stationary_density(op, tol=config.ulam_tol,
-                                     max_iters=config.ulam_max_iters)
+        density = stationary_density(op, max_iters=config.ulam_max_iters)
     else:
         F = build_tower(m, config)
         if F is None:
             raise ConfigError(f"family {config.family} has no interval tower")
-        mu_F = stationary_density(ulam_matrix(F, config.bins), tol=config.ulam_tol,
+        mu_F = stationary_density(ulam_matrix(F, config.bins),
                                   max_iters=config.ulam_max_iters)
         density = mu_F if target == "tower" else spread_measure(m, F, mu_F, config.bins)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -237,7 +235,6 @@ def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | s
         rep = entropy_report(
             m, F, bins=cfg.bins, n_orbits=cfg.sample_size, n_iters=cfg.n_iters,
             smb_depth=cfg.smb_depth, seed=_row_seed(cfg.seed, index),
-            retry_budget=cfg.retry_budget, ulam_tol=cfg.ulam_tol,
             ulam_max_iters=cfg.ulam_max_iters, lyapunov=lyapunov)
         for route in rep.routes.values():
             row[route.name] = route.estimate
@@ -282,7 +279,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
             results.append({"index": i, "parameter": float(v), "error": str(exc)})
     lyapunov = entropy_lyapunov_rows(
         [m for _, _, m in built], config.sample_size, config.n_iters,
-        [_row_seed(config.seed, i) for i, _, _ in built], config.retry_budget)
+        [_row_seed(config.seed, i) for i, _, _ in built])
     # errors go to the rows as messages: a pool pickles strings, not every error
     payloads = [(config, i, v, m, str(res) if isinstance(res, SrbLabError) else res)
                 for (i, v, m), res in zip(built, lyapunov)]

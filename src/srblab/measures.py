@@ -1,10 +1,13 @@
 """Grid densities, transfer-operator discretisation and measure transport.
 
-Densities are piecewise constant on grids (1D intervals or the 2D
-cylinder) and always carry their reference-Lebesgue normalisation:
-``mass = sum(value * cell_width)``.  Grids are regular, except that the
-one-step Ulam mesh of a 1D map with a critical set is graded toward the
-map's postcritical points (:func:`postcritical_grid`).  The Ulam
+Densities are piecewise constant on grids and always carry their
+reference-Lebesgue normalisation: ``mass = sum(value * cell_width)``.  A
+:class:`Grid1D` is a set of interval bins, regular unless given its
+edges; the one-step Ulam mesh of a 1D map with a critical set is graded
+toward the map's postcritical points (:func:`postcritical_grid`).  The
+cylinder grid :class:`Grid2D` is the product of two such grids, a theta
+axis over the circle and an x axis over the fibre interval; its binning,
+cell areas and edges are the axes'.  The Ulam
 discretisation of a map or induced map is a sparse row-stochastic matrix
 whose ``(i, j)`` entry is the Lebesgue fraction of bin ``i`` sent into
 bin ``j``, assembled from the exact inverse branches of the map
@@ -18,16 +21,18 @@ densities are found by one lazy iteration started from Lebesgue, which
 cannot stall on maps that swap bands, and never by dense factorisation,
 so towers with thousands of bins stay cheap.
 
-Integrals and transports over 1D bins share one stratification: an
-interval is cut into its slivers with :func:`bin_slivers`, and each
-sliver or bin is sampled at the ``_STRATA`` midpoints of
-:func:`stratified_points`.  ``spread_measure`` here, and the Pesin,
-induced and Jacobian-transfer quadratures of :mod:`srblab.entropy`, all
-use them.
+Integrals and transports share one stratification in both dimensions:
+an interval is cut into its slivers with :func:`bin_slivers`, and each
+sliver or bin is sampled at the stratum midpoints of
+:func:`stratified_points`; a cylinder bin takes the product of its two
+axes' strata (``Grid2D.bin_points``).  ``spread_measure`` and the
+cylinder Ulam sampler here, and the Pesin, induced and Jacobian-transfer
+quadratures of :mod:`srblab.entropy`, all use them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,6 +120,10 @@ class Grid1D:
     def shape(self):
         return (self.n,)
 
+    @property
+    def axes(self) -> tuple:
+        return (self,)
+
     def locate(self, x: np.ndarray) -> np.ndarray:
         """Bin indices of points (clipped into range)."""
         if not self.regular:
@@ -124,52 +133,66 @@ class Grid1D:
         idx = np.floor((np.asarray(x) - self.lo) / w).astype(int)
         return np.clip(idx, 0, self.n - 1)
 
+    def bin_points(self, strata: int) -> np.ndarray:
+        """The :func:`stratified_points` of every bin, shape ``(n, strata)``."""
+        return stratified_points(self.edges[:-1], self.widths, strata)
+
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Product grid on the cylinder: ``n_theta`` circle bins x ``n_x`` fibre bins."""
+    """Product grid on the cylinder: a ``theta`` grid over the circle
+    ``[0, 1)`` times an ``x`` grid over the fibre interval.
 
-    x_lo: float
-    x_hi: float
-    n_theta: int
-    n_x: int
+    Flat bin ``i * x.n + j`` is theta bin ``i`` times fibre bin ``j``, and
+    everything else comes from the two axes: ``locate`` bins each
+    coordinate on its axis, ``widths`` are the cell areas (the products of
+    the axes' widths) and the edges are the axes' edges.
+    """
 
-    def __post_init__(self):
-        if self.n_theta < 1 or self.n_x < 1 or not self.x_hi > self.x_lo:
-            raise ArgumentError("cylinder grid needs positive bin counts and x_hi > x_lo")
+    theta: Grid1D
+    x: Grid1D
+
+    @property
+    def axes(self) -> tuple:
+        return (self.theta, self.x)
 
     @property
     def shape(self):
-        return (self.n_theta, self.n_x)
+        return (self.theta.n, self.x.n)
 
     @property
     def n(self) -> int:
-        return self.n_theta * self.n_x
-
-    @property
-    def theta_edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_theta + 1)
-
-    @property
-    def x_edges(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.n_x + 1)
-
-    @property
-    def cell_area(self) -> float:
-        return (1.0 / self.n_theta) * ((self.x_hi - self.x_lo) / self.n_x)
+        return self.theta.n * self.x.n
 
     @property
     def widths(self) -> np.ndarray:
         """Cell areas, one per flat bin, as ``Grid1D.widths`` are bin lengths."""
-        return np.full(self.n, self.cell_area)
+        return np.outer(self.theta.widths, self.x.widths).ravel()
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Flat bin indices of cylinder points, shape (n,)."""
         pts = np.asarray(pts)
-        it = np.clip((pts[:, 0] * self.n_theta).astype(int), 0, self.n_theta - 1)
-        wx = (self.x_hi - self.x_lo) / self.n_x
-        ix = np.clip(((pts[:, 1] - self.x_lo) / wx).astype(int), 0, self.n_x - 1)
-        return it * self.n_x + ix
+        return self.theta.locate(pts[:, 0]) * self.x.n + self.x.locate(pts[:, 1])
+
+    def product_points(self, ts: np.ndarray, xs: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """Points of the flat bins ``bins``, shape ``(len(bins), s * r, 2)``.
+
+        Row ``i`` of ``ts`` holds the ``s`` theta strata of theta bin ``i``
+        and row ``j`` of ``xs`` the ``r`` fibre strata of fibre bin ``j``; a
+        bin gets their product, theta-major.
+        """
+        it, ix = np.divmod(bins, self.x.n)
+        pts = np.empty((len(bins), ts.shape[1], xs.shape[1], 2))
+        pts[..., 0] = ts[it][:, :, None]
+        pts[..., 1] = xs[ix][:, None, :]
+        return pts.reshape(len(bins), -1, 2)
+
+    def bin_points(self, strata: int) -> np.ndarray:
+        """Stratified points of every bin: the product of ``sqrt(strata)``
+        stratum midpoints on each axis, shape ``(n, strata, 2)``."""
+        side = math.isqrt(strata)
+        return self.product_points(self.theta.bin_points(side), self.x.bin_points(side),
+                                   np.arange(self.n))
 
 
 @dataclass(frozen=True)
@@ -207,7 +230,7 @@ class GridDensity:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
         object.__setattr__(self, "values", v)
-        if v.size != int(np.prod(self.grid.shape)):
+        if v.size != self.grid.n:
             raise ArgumentError("density values do not match the grid")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ArgumentError("density values must be finite and nonnegative")
@@ -225,12 +248,8 @@ class GridDensity:
 
 def lebesgue_density(grid: Grid1D | Grid2D) -> GridDensity:
     """Normalised Lebesgue measure on the grid (unit mass)."""
-    n = int(np.prod(grid.shape))
-    if isinstance(grid, Grid1D):
-        v = np.full(n, 1.0 / (grid.hi - grid.lo))
-    else:
-        v = np.full(n, 1.0 / ((grid.x_hi - grid.x_lo) * 1.0))
-    return GridDensity(grid, v, "external")
+    volume = math.prod(axis.hi - axis.lo for axis in grid.axes)
+    return GridDensity(grid, np.full(grid.n, 1.0 / volume), "external")
 
 
 def normalize(density: GridDensity) -> tuple[GridDensity, float]:
@@ -243,19 +262,18 @@ def normalize(density: GridDensity) -> tuple[GridDensity, float]:
 
 
 def l1_distance(d1: GridDensity, d2: GridDensity) -> float:
-    """L1 distance between two densities on the same grid."""
-    if type(d1.grid) is not type(d2.grid) or d1.grid.shape != d2.grid.shape:
-        raise ArgumentError("densities live on different grids")
-    g1, g2 = d1.grid, d2.grid
-    if isinstance(g1, Grid1D):
-        if g1.regular != g2.regular or np.abs(g1.edges - g2.edges).max() > 1e-12:
-            raise ArgumentError("densities live on different grids")
-    elif abs(g1.x_lo - g2.x_lo) > 1e-12 or abs(g1.x_hi - g2.x_hi) > 1e-12:
+    """L1 distance between two densities on the same grid: the same number
+    of axes, each with the same bin count, the same regularity and edges
+    within 1e-12."""
+    a1, a2 = d1.grid.axes, d2.grid.axes
+    if len(a1) != len(a2) or any(
+            g.n != h.n or g.regular != h.regular or np.abs(g.edges - h.edges).max() > 1e-12
+            for g, h in zip(a1, a2)):
         raise ArgumentError("densities live on different grids")
     diff = np.abs(d1.values - d2.values)
-    if isinstance(g1, Grid1D) and not g1.regular:
-        return float((diff * g1.widths).sum())
-    return float(diff.sum() * g1.widths[0])  # equal widths
+    if all(g.regular for g in a1):
+        return float(diff.sum() * d1.grid.widths[0])  # equal widths
+    return float((diff * d1.grid.widths).sum())
 
 
 @dataclass(frozen=True)
@@ -314,25 +332,6 @@ def stratified_points(starts: np.ndarray, lengths: np.ndarray,
     """Midpoints of ``strata`` equal parts of each interval, shape ``(k, strata)``."""
     offsets = (np.arange(strata) + 0.5) / strata
     return np.asarray(starts)[:, None] + np.asarray(lengths)[:, None] * offsets[None, :]
-
-
-def cylinder_row_points(t0, tw, x0s: np.ndarray, xws, side: int) -> np.ndarray:
-    """Stratified points of bins of a cylinder grid.
-
-    Bin ``k`` spans ``[t0, t0 + tw] x [x0s[k], x0s[k] + xws[k]]`` (``t0``,
-    ``tw`` and ``xws`` may each be one value for all bins, as on one
-    theta-row); it gets the ``side x side`` product of
-    :func:`stratified_points` in each coordinate, theta-major.  Returns
-    shape ``(len(x0s) * side^2, 2)``, bin by bin.
-    """
-    x0s = np.asarray(x0s)
-    ts = stratified_points(np.broadcast_to(t0, x0s.shape), np.broadcast_to(tw, x0s.shape),
-                           side)
-    xs = stratified_points(x0s, np.broadcast_to(xws, x0s.shape), side)
-    pts = np.empty((x0s.size, side, side, 2))
-    pts[..., 0] = ts[:, :, None]
-    pts[..., 1] = xs[:, None, :]
-    return pts.reshape(-1, 2)
 
 
 def bin_slivers(grid: Grid1D, los, his) -> tuple[np.ndarray, ...]:
@@ -585,26 +584,27 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
                   for i, (lo, hi) in enumerate(bounds))
         return _assemble_rows(grid, pieces, f"{m.family} one-step {bins} bins")
 
-    n_theta = int(round(bins ** 0.5))
-    n_theta = max(n_theta, 1)
+    n_theta = max(int(round(bins ** 0.5)), 1)
     n_x = max(bins // n_theta, 1)
-    grid = Grid2D(m.domain.lo, m.domain.hi, n_theta, n_x)
+    grid = Grid2D(Grid1D(0.0, 1.0, n_theta), Grid1D(m.domain.lo, m.domain.hi, n_x))
     nper = _CYLINDER_SIDE ** 2
-    t_edges, x_edges = grid.theta_edges, grid.x_edges
-    t_widths, x_widths = np.diff(t_edges), np.diff(x_edges)
+    # the strata are spaced by the differences of the edges, as the sampler's
+    # always were: off power-of-two bin counts they are an ulp off the axes'
+    # widths, and the matrix keeps its bits this way
+    ts, xs = (stratified_points(axis.edges[:-1], np.diff(axis.edges), _CYLINDER_SIDE)
+              for axis in grid.axes)
     chunk = max(_ASSEMBLY_CHUNK // nper, 1)
     blocks = []
     for b0 in range(0, grid.n, chunk):
         b1 = min(b0 + chunk, grid.n)
-        it, ix = np.divmod(np.arange(b0, b1), grid.n_x)
-        cols = grid.locate(m.f_batch(cylinder_row_points(
-            t_edges[it], t_widths[it], x_edges[ix], x_widths[ix], _CYLINDER_SIDE)))
+        cols = grid.locate(m.f_batch(grid.product_points(ts, xs, np.arange(b0, b1))
+                                     .reshape(-1, 2)))
         rows = np.repeat(np.arange(b0, b1), nper)
         vals = np.full(rows.size, 1.0 / nper)
         blocks.append(_csr_rows(grid, [(rows, cols, vals)], b0, b1)[0])
     mat = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
     return UlamOperator(grid, mat, np.zeros(grid.n), np.zeros(grid.n, dtype=bool),
-                        f"{m.family} one-step {grid.n_theta}x{grid.n_x} bins")
+                        f"{m.family} one-step {grid.theta.n}x{grid.x.n} bins")
 
 
 def stationary_density(op: UlamOperator, tol: float = 1e-10,

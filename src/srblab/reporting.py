@@ -159,14 +159,15 @@ def write_density_csv(path: str, density: GridDensity) -> None:
         edges = grid.edges
         rows = [[i, edges[i], edges[i + 1], density.values[i]] for i in range(grid.n)]
     elif isinstance(grid, Grid2D):
-        comments.insert(0, (f"grid = cylinder theta_n={grid.n_theta} "
-                            f"x=[{format_real(grid.x_lo)}, {format_real(grid.x_hi)}] n={grid.n_x}"))
+        t, x = grid.theta, grid.x
+        comments.insert(0, (f"grid = cylinder theta_n={t.n} "
+                            f"x=[{format_real(x.lo)}, {format_real(x.hi)}] n={x.n}"))
         header = ["bin_index", "theta_left", "theta_right", "x_left", "x_right", "value"]
-        te, xe = grid.theta_edges, grid.x_edges
+        te, xe = t.edges, x.edges
         rows = []
-        for it in range(grid.n_theta):
-            for ix in range(grid.n_x):
-                flat = it * grid.n_x + ix
+        for it in range(t.n):
+            for ix in range(x.n):
+                flat = it * x.n + ix
                 rows.append([flat, te[it], te[it + 1], xe[ix], xe[ix + 1],
                              density.values[flat]])
     else:

@@ -64,7 +64,9 @@ class CellTable:
     f^(tau-1) x`` for ``x`` in the cell, ``-1`` after its end; a non-affine
     cell is evaluated and inverted through it, so it must have ``tau``
     entries.  The rows are sorted by ``lo`` (stably) and the columns are
-    read-only.
+    read-only.  Neighbouring cells that overlap by at most 1e-12 are
+    trimmed so that the later one owns the overlap: every point lies in
+    one cell at most.
 
     Raises
     ------
@@ -103,6 +105,11 @@ class CellTable:
         if overlap.size:
             i = overlap[0]
             raise ConstructionError(f"overlapping cells {span(i)} and {span(i + 1)}")
+        # cell ends pulled back on separate chains can overlap their
+        # neighbours by an ulp: the later cell keeps the overlap
+        hi = np.append(np.minimum(self.hi[:-1], self.lo[1:]), self.hi[-1:])
+        hi.flags.writeable = False
+        object.__setattr__(self, "hi", hi)
 
     def __len__(self) -> int:
         return self.lo.size
@@ -400,8 +407,7 @@ def _pull_back(seg, targets: np.ndarray, xs) -> np.ndarray:
     return np.where(targets >= yh, xh if orient > 0 else xl, xs)
 
 
-def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
-                     tol: float = 1e-12) -> InducedMarkovMap:
+def first_return_map(m: MapSystem, delta: Interval, tau_max: int) -> InducedMarkovMap:
     """Track monotone pieces of ``f^k`` to build the first-return map to ``delta``.
 
     Pieces of the base interval are iterated forward; a piece whose image
@@ -410,8 +416,8 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
     (partial-return) deficit, and the rest keeps iterating until
     ``tau_max``.  Each piece records the base branches it has visited, and
     its endpoints are pulled back through their inverse branches (exactly,
-    for piecewise-affine maps); ``tol`` scales the length below which an
-    image overlap or sliver counts as empty.  The targets of a segment's
+    for piecewise-affine maps); an image overlap or sliver no longer than
+    1e-14 counts as empty.  The targets of a segment's
     pieces are known from its image alone, so off affine maps they take
     one inverse step of their piece's branch and then walk back the
     segment's itinerary in one chain with the segment's own cut points.
@@ -431,7 +437,7 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int,
         raise ArgumentError("induction interval must sit inside the map domain")
     cuts = np.asarray(m.interior_cuts(), dtype=float)
     affine = m.piecewise_affine
-    xtol = min(tol, 1e-12) * 1e-2
+    xtol = 1e-14
 
     cells = []  # (lo, hi, tau, orientation, slope, intercept, itinerary)
     returns = []  # (tau, orientation, itinerary) of the non-affine cells

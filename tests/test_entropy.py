@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
-from srblab.maps import QuadraticMap, TentMap, VianaMap
+from srblab.maps import NEAR_CRITICAL_FLOOR, QuadraticMap, TentMap, VianaMap
 from srblab.rng import stream
 
 LOG2 = math.log(2.0)
@@ -35,6 +35,29 @@ class TestInducedAndAbramov:
         kac = sl.kac_mass(tower_circle3, mu_circle3)
         assert kac == pytest.approx(1.0, abs=1e-12)
         assert h_F == pytest.approx(math.log(3.0), abs=1e-6)
+
+
+def _per_row_pesin(m, mu):
+    """The cylinder Pesin quadrature as it ran before the grid was a product
+    of two axes: one map call per theta-row of bins, each bin sampled at
+    4 x 4 points spaced by the first edge differences of the two axes."""
+    grid = mu.grid
+    n_theta, n_x = grid.shape
+    te = np.linspace(0.0, 1.0, n_theta + 1)
+    xe = np.linspace(grid.x.lo, grid.x.hi, n_x + 1)
+    tw, xw = te[1] - te[0], xe[1] - xe[0]
+    offsets = (np.arange(4) + 0.5) / 4
+    logs, clip_frac = np.empty((2, n_theta, n_x))
+    for it in range(n_theta):
+        pts = np.empty((n_x, 4, 4, 2))  # bin, theta stratum, x stratum
+        pts[..., 0] = (te[it] + tw * offsets)[None, :, None]
+        pts[..., 1] = (xe[:-1, None] + xw * offsets)[:, None, :]
+        det = m.abs_det_batch(pts.reshape(-1, 2))
+        lg = np.log(np.maximum(det, NEAR_CRITICAL_FLOOR))
+        logs[it] = lg.reshape(n_x, -1).mean(axis=1)
+        clip_frac[it] = (det < NEAR_CRITICAL_FLOOR).reshape(n_x, -1).mean(axis=1)
+    weights = mu.bin_measures
+    return float((weights * logs.ravel()).sum()), float((weights * clip_frac.ravel()).sum())
 
 
 class TestPesin:
@@ -90,13 +113,28 @@ class TestPesin:
     def test_the_cylinder_keeps_log_d(self):
         # all mass on the fibre bins next to x = 0, where log |2x| < -log d
         m = sl.make_map("viana", alpha=0.01, d=16)
-        grid = sl.Grid2D(m.domain.lo, m.domain.hi, 8, 64)
+        grid = sl.Grid2D(sl.Grid1D(0.0, 1.0, 8), sl.Grid1D(m.domain.lo, m.domain.hi, 64))
         values = np.zeros(grid.shape)
-        values[:, 31:33] = 1.0 / (2 * grid.n_theta * grid.cell_area)
+        values[:, 31:33] = 1.0 / (2 * grid.theta.n * grid.widths[0])
         mu = sl.GridDensity(grid=grid, values=values.ravel(), provenance="normalized")
         exponent, _ = sl.entropy._pesin_integral(m, mu)
         assert exponent < math.log(16)
         assert sl.entropy_pesin(m, mu) == math.log(16)
+
+    @pytest.mark.parametrize("n_theta,n_x", [(8, 64), (64, 64), (32, 31), (71, 70)])
+    def test_the_cylinder_quadrature_matches_the_per_row_reference(self, n_theta, n_x):
+        m = sl.make_map("viana", alpha=0.01, d=16)
+        grid = sl.Grid2D(sl.Grid1D(0.0, 1.0, n_theta), sl.Grid1D(m.domain.lo, m.domain.hi, n_x))
+        values = np.random.default_rng(n_x).uniform(0.0, 1.0, grid.n)
+        for v in (np.ones(grid.n), values):
+            mu = sl.GridDensity(grid, v / (v * grid.widths).sum(), "normalized")
+            got, want = sl.entropy._pesin_integral(m, mu), _per_row_pesin(m, mu)
+            if n_x & (n_x - 1) == 0:
+                assert got == want
+            else:
+                # the x strata are spaced by the fibre axis's width (hi - lo) / n_x,
+                # the reference by edges[1] - edges[0], which differs by an ulp
+                assert got == pytest.approx(want, rel=8 * np.finfo(float).eps, abs=0)
 
     def test_requires_unit_mass(self, tent2_map):
         grid = sl.Grid1D(0.0, 1.0, 64)

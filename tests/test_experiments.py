@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
+from srblab.cli import main
 from srblab.experiments import _row_seed
 from srblab.reporting import format_real
 
@@ -40,6 +41,15 @@ class TestConfigRoundTrip:
         with pytest.raises(sl.ConfigError, match="unknown key 'ulam.mode'"):
             sl.parse(sl.serialize(cfg) + "ulam.mode = power\n")
 
+    @pytest.mark.parametrize("key,value", [
+        ("induce.tol", "1e-12"), ("ulam.tol", "1e-10"), ("orbit.retry_budget", "8")])
+    def test_the_retired_keys_are_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(sl.serialize(sl.ExperimentConfig()) + f"{key} = {value}\n")
+        assert main(["density", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_the_key_table_names_every_key(self):
         doc = sl.config.__doc__
         table = doc[doc.index("Recognised keys"):]
@@ -47,7 +57,8 @@ class TestConfigRoundTrip:
         for line in table.splitlines():
             if line.startswith("``"):
                 named.update(k.strip() for k in line.split("``")[1].split(","))
-        assert named - {"map.<param>"} == set(sl.config._KEY_TO_FIELD)
+        keys = {f.metadata.get("key") for f in dataclasses.fields(sl.ExperimentConfig)}
+        assert named - {"map.<param>"} == keys - {None}
 
     def test_malformed_lines_are_rejected(self):
         with pytest.raises(sl.ConfigError):
@@ -85,8 +96,7 @@ def _configs(text):
         induce, family=text, map_params=params,
         sweep_parameter=st.one_of(st.none(), text), sweep_from=_FINITE, sweep_to=_FINITE,
         sweep_steps=st.integers(2, 10 ** 6), n_iters=count, sample_size=count,
-        retry_budget=st.integers(0, 100), smb_depth=count, bins=count, ulam_tol=_POSITIVE,
-        ulam_max_iters=count, tau_max=count, induce_tol=_POSITIVE,
+        smb_depth=count, bins=count, ulam_max_iters=count, tau_max=count,
         tail_lam=st.one_of(st.none(), _FINITE), tail_eps=st.one_of(st.none(), _FINITE),
         tail_delta=_POSITIVE, tail_n_max=count, tail_sample_size=count,
         tail_inject=st.one_of(st.none(), text), seed=st.integers(0), out_dir=text)

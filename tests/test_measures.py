@@ -63,6 +63,11 @@ class TestGridsAndDensities:
 
     def test_l1_distance_basics(self, mu_tent2, mu_quadratic):
         assert sl.l1_distance(mu_tent2, mu_tent2) == 0.0
+        # a regular grid multiplies the summed differences by its one width
+        grid = sl.Grid1D(0.0, 1.0, 1000)
+        a, b = np.random.default_rng(0).uniform(0.0, 2.0, (2, 1000))
+        d = sl.l1_distance(sl.GridDensity(grid, a), sl.GridDensity(grid, b))
+        assert d == float(np.abs(a - b).sum() * 0.001) == 0.6768506774234477
         leb = sl.lebesgue_density(mu_quadratic.grid)
         d = sl.l1_distance(mu_quadratic, leb)
         assert d == sl.l1_distance(leb, mu_quadratic)
@@ -111,7 +116,15 @@ class TestGridsAndDensities:
     def test_l1_distance_requires_matching_grids(self, mu_tent2, mu_quadratic):
         regular = sl.lebesgue_density(sl.Grid1D(-2.0, 2.0, 64))
         graded = sl.lebesgue_density(postcritical_grid(sl.make_map("quadratic"), 64))
-        for d1, d2 in [(mu_tent2, mu_quadratic), (regular, graded)]:
+        def cylinder(n_theta, n_x, lo=-1.0):
+            return sl.lebesgue_density(sl.Grid2D(sl.Grid1D(0.0, 1.0, n_theta),
+                                                 sl.Grid1D(lo, 1.0, n_x)))
+
+        pairs = [(mu_tent2, mu_quadratic), (regular, graded), (cylinder(8, 8), cylinder(4, 16)),
+                 (cylinder(8, 8), cylinder(8, 8, lo=-1.5)),
+                 (cylinder(1, 64), sl.lebesgue_density(sl.Grid1D(-1.0, 1.0, 64)))]
+        assert sl.l1_distance(cylinder(8, 8), cylinder(8, 8)) == 0.0
+        for d1, d2 in pairs:
             with pytest.raises(sl.ArgumentError, match="different grids"):
                 sl.l1_distance(d1, d2)
 
@@ -405,24 +418,35 @@ class TestStreamedUlamAssembly:
         assert peak < 95 * 2 ** 20
 
 
+def _cylinder_locate(pts, n_theta, x_lo, x_hi, n_x):
+    """Flat cylinder bins by the closed forms the grid kept before it was
+    built from two axes: ``theta * n_theta`` truncated, and the fibre bin
+    of width ``(x_hi - x_lo) / n_x``."""
+    it = np.clip((pts[:, 0] * n_theta).astype(int), 0, n_theta - 1)
+    ix = np.clip(((pts[:, 1] - x_lo) / ((x_hi - x_lo) / n_x)).astype(int), 0, n_x - 1)
+    return it * n_x + ix
+
+
 def _cylinder_coo_ulam(m, bins):
     """The cylinder one-step Ulam matrix as one COO -> CSR conversion of
     every sample point, one theta-row of bins per map call."""
     n_theta = max(int(round(bins ** 0.5)), 1)
-    grid = sl.Grid2D(m.domain.lo, m.domain.hi, n_theta, max(bins // n_theta, 1))
-    t_edges, x_edges = grid.theta_edges, grid.x_edges
+    n_x = max(bins // n_theta, 1)
+    lo, hi = m.domain.lo, m.domain.hi
+    t_edges, x_edges = np.linspace(0.0, 1.0, n_theta + 1), np.linspace(lo, hi, n_x + 1)
     offsets = (np.arange(16) + 0.5) / 16
     xs = x_edges[:-1, None] + np.diff(x_edges)[:, None] * offsets  # (n_x, 16)
     cols = []
-    for it in range(grid.n_theta):
+    for it in range(n_theta):
         ts = t_edges[it] + (t_edges[it + 1] - t_edges[it]) * offsets
-        pts = np.empty((grid.n_x, 16, 16, 2))  # bin, theta stratum, x stratum
+        pts = np.empty((n_x, 16, 16, 2))  # bin, theta stratum, x stratum
         pts[..., 0] = ts[None, :, None]
         pts[..., 1] = xs[:, None, :]
-        cols.append(grid.locate(m.f_batch(pts.reshape(-1, 2))))
-    rows = np.repeat(np.arange(grid.n), 256)
+        cols.append(_cylinder_locate(m.f_batch(pts.reshape(-1, 2)), n_theta, lo, hi, n_x))
+    n = n_theta * n_x
+    rows = np.repeat(np.arange(n), 256)
     return sp.coo_matrix((np.full(rows.size, 1.0 / 256), (rows, np.concatenate(cols))),
-                         shape=(grid.n, grid.n)).tocsr()
+                         shape=(n, n)).tocsr()
 
 
 class TestCylinderUlam:
@@ -803,9 +827,47 @@ class TestGridRefinement:
 
 @pytest.mark.parametrize("n_theta,n_x", [(1, 1), (3, 5), (8, 8)])
 def test_cylinder_widths_are_the_cell_areas_of_its_flat_bins(n_theta, n_x):
-    grid = sl.Grid2D(-1.5, 1.75, n_theta, n_x)
+    grid = sl.Grid2D(sl.Grid1D(0.0, 1.0, n_theta), sl.Grid1D(-1.5, 1.75, n_x))
+    cell_area = (1.0 / n_theta) * ((1.75 - -1.5) / n_x)
     assert grid.widths.shape == (grid.n,)
-    assert np.all(grid.widths == grid.cell_area)
+    assert np.all(grid.widths == cell_area)
     values = np.random.default_rng(n_x).uniform(0.0, 2.0, grid.n)
     density = sl.GridDensity(grid, values)
-    assert density.bin_measures.tobytes() == (values * grid.cell_area).tobytes()
+    assert density.bin_measures.tobytes() == (values * cell_area).tobytes()
+
+
+class TestCylinderGrid:
+    """The cylinder grid is the product of a theta axis and a fibre axis."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_theta=st.integers(1, 300), n_x=st.integers(1, 300),
+           bounds=st.tuples(st.floats(-4.0, 0.0), st.floats(0.01, 4.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_binning_and_areas_keep_the_closed_forms(self, n_theta, n_x, bounds, seed):
+        lo, hi = bounds[0], bounds[0] + bounds[1]
+        grid = sl.Grid2D(sl.Grid1D(0.0, 1.0, n_theta), sl.Grid1D(lo, hi, n_x))
+        rng = np.random.default_rng(seed)
+        pts = np.column_stack([rng.uniform(0.0, 1.0, 2000), rng.uniform(lo, hi, 2000)])
+        assert grid.locate(pts).tolist() == _cylinder_locate(pts, n_theta, lo, hi, n_x).tolist()
+        assert grid.shape == (n_theta, n_x) and grid.n == n_theta * n_x
+        assert np.all(grid.widths == (1.0 / n_theta) * ((hi - lo) / n_x))
+
+    def test_bins_are_theta_major_and_take_the_axes_edges(self):
+        grid = sl.Grid2D(sl.Grid1D(0.0, 1.0, 4), sl.Grid1D(-1.0, 1.0, 2, [-1.0, 0.5, 1.0]))
+        pts = np.array([[0.3, 0.0], [0.3, 0.75], [0.9, -0.9]])
+        assert grid.locate(pts).tolist() == [2, 3, 6]
+        assert grid.widths.tolist() == [0.375, 0.125] * 4
+        density = sl.lebesgue_density(grid)
+        assert density.mass == 1.0 and np.all(density.values == 0.5)
+        assert sl.l1_distance(density, sl.GridDensity(grid, np.ones(8))) == 1.0
+
+    def test_bin_points_are_the_product_of_the_axes_strata(self):
+        grid = sl.Grid2D(sl.Grid1D(0.0, 1.0, 2), sl.Grid1D(-1.0, 1.0, 3))
+        pts = grid.bin_points(16)
+        assert pts.shape == (6, 16, 2)
+        ts, xs = grid.theta.bin_points(4), grid.x.bin_points(4)
+        for b in range(6):
+            it, ix = divmod(b, 3)
+            assert pts[b, :, 0].tolist() == np.repeat(ts[it], 4).tolist()
+            assert pts[b, :, 1].tolist() == np.tile(xs[ix], 4).tolist()
+        assert np.all(grid.locate(pts.reshape(-1, 2)) == np.repeat(np.arange(6), 16))
