@@ -6,17 +6,17 @@ the Markov/expansion/distortion axioms, approximates stationary
 densities with sparse Ulam matrices, transports tower measures over the
 ambient space, and estimates metric entropy along four independent
 routes (orbit exponents, ambient quadrature, tower quadrature rescaled
-by the mean return time, and cylinder counting), together with the
-consistency checks tying the routes to one another.
+by the mean return time, and cylinder counting), together with two
+checks of the identities behind them: the linear majorant of the tower
+log-Jacobian, which bounds the entropy of the censored tail, and the
+orbit-exponent quotient, Abramov's formula along orbits.
 """
 
 from .config import ExperimentConfig, load_config, parse, save_config, serialize
-from .entropy import (EntropyReport, MajorantCheck, QuotientCheck, Route, TransferCheck,
-                      entropy_abramov, entropy_induced, entropy_lyapunov,
-                      entropy_lyapunov_fast, entropy_lyapunov_rows, entropy_pesin,
-                      entropy_report, entropy_smb, entropy_truncation_bound,
-                      jacobian_transfer_check, lyapunov_quotient_check,
-                      majorant_check)
+from .entropy import (EntropyReport, MajorantCheck, QuotientCheck, Route, entropy_abramov,
+                      entropy_induced, entropy_lyapunov, entropy_lyapunov_fast,
+                      entropy_lyapunov_rows, entropy_pesin, entropy_report, entropy_smb,
+                      entropy_truncation_bound, lyapunov_quotient_check, majorant_check)
 from .errors import (ArgumentError, CensoredOrbitError, ConfigError,
                      ConstructionError, ConvergenceError, DomainViolationError,
                      InsufficientDataError, MapParameterError, NearCriticalError,

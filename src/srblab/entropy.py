@@ -32,10 +32,11 @@ system, solving each operator and integrating each density once.  It
 keeps one :class:`Route` record per route (lyapunov, pesin, induced,
 abramov, smb, and the kac mass that links the last three), and that one
 list drives entropy.csv, the sweep rows, the ``srblab entropy`` printout
-and the pairwise discrepancies.  The three ``*_check`` functions probe
-the identities that make the routes agree (orbit-exponent quotient,
-Jacobian transfer under spreading, and the linear-in-return-time
-Jacobian bound).
+and the pairwise discrepancies.  The two ``*_check`` functions probe
+identities that make the routes agree: the orbit-exponent quotient
+(Abramov's formula along orbits) and the linear-in-return-time Jacobian
+bound, whose constant every tower report uses through
+``entropy_truncation_bound``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ import numpy as np
 from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
-from .measures import (_STRATA, Grid1D, Grid2D, GridDensity, bin_slivers, interval_measure,
-                       one_step_ulam, stationary_density, stratified_points, ulam_matrix)
+from .measures import (_STRATA, GridDensity, bin_slivers, interval_measure, one_step_ulam,
+                       stationary_density, stratified_points, ulam_matrix)
 from .rng import StreamKey, dither, stream
 from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown, kac_mass,
                      verify_axioms)
@@ -217,34 +218,17 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
 # ambient-side estimators
 
 
-def _log_det_batch(m: MapSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped ``log |det Df|`` at many points; returns (values, clipped mask)."""
-    det = m.abs_det_batch(pts)
-    clipped = det < NEAR_CRITICAL_FLOOR
-    return np.log(np.maximum(det, NEAR_CRITICAL_FLOOR)), clipped
-
-
-def _bin_log_det(m: MapSystem, grid: Grid1D | Grid2D,
-                 strata: int = _STRATA) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-bin stratified means of clipped ``log |det Df|`` over the grid's
-    ``bin_points``.
-
-    Returns the per-bin means, the per-bin fractions of clipped points and
-    the largest sampled ``|log |det Df||``.
-    """
-    pts = grid.bin_points(strata)
-    logs, clipped = _log_det_batch(m, pts.reshape(grid.n * strata, *pts.shape[2:]))
-    return (logs.reshape(grid.n, strata).mean(axis=1),
-            clipped.reshape(grid.n, strata).mean(axis=1), float(np.abs(logs).max()))
-
-
 def _pesin_integral(m: MapSystem, mu_f: GridDensity) -> tuple[float, float]:
     """Quadrature of clipped ``log |det Df|`` against a unit-mass ambient
-    density; returns the integral and the density mass whose integrand
-    was clipped."""
+    density, through the grid's ``bin_points``; returns the integral and
+    the density mass whose integrand was clipped."""
     if abs(mu_f.mass - 1.0) > 1e-8:
         raise ArgumentError(f"ambient density must have unit mass, got {mu_f.mass!r}")
-    logs, clip_frac, _ = _bin_log_det(m, mu_f.grid)
+    grid = mu_f.grid
+    pts = grid.bin_points(_STRATA)
+    det = m.abs_det_batch(pts.reshape(grid.n * _STRATA, *pts.shape[2:])).reshape(grid.n, _STRATA)
+    logs = np.log(np.maximum(det, NEAR_CRITICAL_FLOOR)).mean(axis=1)
+    clip_frac = (det < NEAR_CRITICAL_FLOOR).mean(axis=1)
     weights = mu_f.bin_measures
     return float((weights * logs).sum()), float((weights * clip_frac).sum())
 
@@ -477,50 +461,6 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
             base_sum += term  # row by row: the sum keeps its orbit order
     lambda_f = base_sum / (sample * n_base)
     return QuotientCheck(lambda_F, mean_return, quotient, lambda_f)
-
-
-@dataclass(frozen=True)
-class TransferCheck:
-    """Jacobian transfer between the tower and its spread over ambient space."""
-
-    lhs: float
-    rhs: float
-    gap: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.gap <= self.bound
-
-
-def jacobian_transfer_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity,
-                            spread: GridDensity) -> TransferCheck:
-    """Check that integrating ``log |DF|`` on the tower equals integrating
-    ``log |det Df|`` against the (unnormalised) spread of the same density.
-
-    The combined bound covers the censored deficit transport
-    (``truncation_bound * (cap + 1) * sup |log det Df|``) plus an
-    empirical quadrature slack: twice the change when the stratification
-    is halved, with a 1e-9 floor.
-
-    Raises
-    ------
-    ArgumentError
-        If the spread was built with a cap below the tower's.
-    """
-    if spread.cap is None or spread.cap < F.tau_max:
-        raise ArgumentError("spread cap does not match the tower cap")
-    if not isinstance(spread.grid, Grid1D):
-        raise ArgumentError("transfer quadrature expects a 1D density")
-    lhs = entropy_induced(F, mu_F)
-    logs16, _, sup_log = _bin_log_det(m, spread.grid)
-    logs8, _, _ = _bin_log_det(m, spread.grid, _STRATA // 2)
-    rhs16 = float((spread.bin_measures * logs16).sum())
-    rhs8 = float((spread.bin_measures * logs8).sum())
-    deficit_term = spread.truncation_bound * (spread.cap + 1) * sup_log
-    bound = deficit_term + 2.0 * abs(rhs16 - rhs8) + 1e-9
-    gap = abs(lhs - rhs16)
-    return TransferCheck(lhs, rhs16, gap, bound)
 
 
 @dataclass(frozen=True)

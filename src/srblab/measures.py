@@ -26,8 +26,8 @@ an interval is cut into its slivers with :func:`bin_slivers`, and each
 sliver or bin is sampled at the stratum midpoints of
 :func:`stratified_points`; a cylinder bin takes the product of its two
 axes' strata (``Grid2D.bin_points``).  ``spread_measure`` and the
-cylinder Ulam sampler here, and the Pesin, induced and Jacobian-transfer
-quadratures of :mod:`srblab.entropy`, all use them.
+cylinder Ulam sampler here, and the Pesin and induced quadratures of
+:mod:`srblab.entropy`, all use them.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ class Grid1D:
     The grid is regular unless ``edges`` is given: then it holds the
     ``n + 1`` bin edges of a graded mesh, strictly increasing from ``lo``
     to ``hi``.  Regular grids (also one given the evenly spaced edges)
-    keep closed-form arithmetic for ``locate``, ``widths`` and ``mids``;
-    graded ones work from their edges.  Two grids are equal when their
-    edges are.
+    keep closed-form arithmetic for ``locate`` and ``widths``; graded ones
+    work from their edges.  Two grids are equal when their edges are.
     """
 
     lo: float
@@ -110,13 +109,6 @@ class Grid1D:
         return np.full(self.n, (self.hi - self.lo) / self.n)
 
     @property
-    def mids(self) -> np.ndarray:
-        if not self.regular:
-            return 0.5 * (self.edges[:-1] + self.edges[1:])
-        w = (self.hi - self.lo) / self.n
-        return self.lo + w * (np.arange(self.n) + 0.5)
-
-    @property
     def shape(self):
         return (self.n,)
 
@@ -125,12 +117,17 @@ class Grid1D:
         return (self,)
 
     def locate(self, x: np.ndarray) -> np.ndarray:
-        """Bin indices of points (clipped into range)."""
+        """Bin indices of points (clipped into range); bin ``k`` is
+        ``[edges[k], edges[k + 1])``."""
+        x = np.asarray(x)
         if not self.regular:
-            idx = np.searchsorted(self.edges, np.asarray(x), side="right") - 1
+            idx = np.searchsorted(self.edges, x, side="right") - 1
             return np.clip(idx, 0, self.n - 1)
         w = (self.hi - self.lo) / self.n
-        idx = np.floor((np.asarray(x) - self.lo) / w).astype(int)
+        idx = np.clip(np.floor((x - self.lo) / w).astype(int), 0, self.n - 1)
+        # the rounded quotient can be one bin off next to an edge (an inner
+        # edge itself may fall below it); the edges settle it
+        idx = idx + (x >= self.edges[idx + 1]) - (x < self.edges[idx])
         return np.clip(idx, 0, self.n - 1)
 
     def bin_points(self, strata: int) -> np.ndarray:
@@ -214,8 +211,6 @@ class GridDensity:
         The solve's final residual ``|P p - p|_1`` (0 for other densities).
     excluded : numpy.ndarray or None
         Boolean mask of bins excluded from a stationary solve.
-    cap : int or None
-        Return-time cap a spread density was built with.
     """
 
     grid: Grid1D | Grid2D
@@ -225,7 +220,6 @@ class GridDensity:
     iterations: int = 0
     residual: float = 0.0
     excluded: np.ndarray | None = None
-    cap: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -668,7 +662,7 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int) -> GridDensity
     tower deficit region carries the censoring time ``tau_max + 1``.  The
     total mass equals the (censored) mean return time; the per-step mass
     still unaccounted for beyond ``tau_max`` is attached as
-    ``truncation_bound``, and ``tau_max`` as the density's ``cap``.
+    ``truncation_bound``.
 
     Each sliver of each bin is transported through ``_STRATA`` (16)
     stratified sample points, deterministically, so results are
@@ -702,5 +696,4 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int) -> GridDensity
         pts, w, t = pts[active], w[active], t[active]
         np.add.at(acc, grid.locate(pts), w)
         pts = m.f_batch(pts)
-    return GridDensity(grid, acc / grid.widths, "spread",
-                       truncation_bound=censored_mass, cap=F.tau_max)
+    return GridDensity(grid, acc / grid.widths, "spread", truncation_bound=censored_mass)

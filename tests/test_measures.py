@@ -77,7 +77,6 @@ class TestGridsAndDensities:
         grid = sl.Grid1D(0.0, 1.0, 3, np.array([0.0, 0.1, 0.5, 1.0]))
         assert not grid.regular
         np.testing.assert_allclose(grid.widths, [0.1, 0.4, 0.5])
-        np.testing.assert_allclose(grid.mids, [0.05, 0.3, 0.75])
         pts = np.array([-1.0, 0.0, 0.05, 0.1, 0.49, 0.5, 0.99, 1.0, 2.0])
         np.testing.assert_array_equal(grid.locate(pts), [0, 0, 0, 1, 1, 2, 2, 2, 2])
         leb = sl.lebesgue_density(grid)
@@ -101,11 +100,21 @@ class TestGridsAndDensities:
         assert grid.regular
         np.testing.assert_array_equal(grid.edges, np.linspace(-2.0, 2.0, 8))
         np.testing.assert_array_equal(grid.widths, np.full(7, w))
-        np.testing.assert_array_equal(grid.mids, -2.0 + w * (np.arange(7) + 0.5))
         x = np.linspace(-2.5, 2.5, 101)
         np.testing.assert_array_equal(
             grid.locate(x), np.clip(np.floor((x + 2.0) / w).astype(int), 0, 6))
         assert grid == sl.Grid1D(-2.0, 2.0, 7, np.linspace(-2.0, 2.0, 8))
+
+    @pytest.mark.parametrize("lo,hi,sizes", [(0.0, 1.0, range(2, 300)), (-1.75, 1.75, [70])])
+    def test_regular_grid_puts_each_inner_edge_in_the_bin_it_opens(self, lo, hi, sizes):
+        # bins are [edges[k], edges[k + 1]): inner edge k opens bin k, and
+        # the float just below it still lies in bin k - 1
+        for n in sizes:
+            grid = sl.Grid1D(lo, hi, n)
+            inner = grid.edges[1:-1]
+            assert grid.locate(inner).tolist() == list(range(1, n)), n
+            below = np.nextafter(inner, -np.inf)
+            assert grid.locate(below).tolist() == list(range(n - 1)), n
 
     def test_l1_distance_weighs_graded_bins_by_width(self):
         grid = sl.Grid1D(0.0, 1.0, 2, np.array([0.0, 0.25, 1.0]))
@@ -730,7 +739,8 @@ class TestOneStepUlam:
         # invariant density of x -> 2 - x^2 is the arcsine law on [-2, 2]
         m = sl.make_map("quadratic", a=2.0)
         mu = sl.stationary_density(sl.one_step_ulam(m, 2048))
-        mids, w = mu.grid.mids, mu.grid.widths
+        edges, w = mu.grid.edges, mu.grid.widths
+        mids = 0.5 * (edges[:-1] + edges[1:])
         mean = float(np.sum(mids * mu.values * w))
         second = float(np.sum(mids ** 2 * mu.values * w))
         assert abs(mean) < 0.05
