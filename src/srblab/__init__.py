@@ -25,15 +25,12 @@ from .experiments import (SweepTable, TailRun, build_system, build_tower,
                           default_induction, load_tail_csv, run_density,
                           run_entropy, run_induce, run_sweep, run_tail)
 from .maps import (Interval, MapSystem, NondegeneracyReport, make_map,
-                   log_jacobian, misiurewicz_parameter, nondegeneracy_probe,
-                   truncated_distance)
-from .measures import (BoundsCheck, Grid1D, Grid2D, GridDensity, UlamOperator,
-                       density_bounds_check, interval_measure, l1_distance,
-                       lebesgue_density, normalize, one_step_ulam,
-                       spread_measure, stationary_density, ulam_matrix)
-from .orbits import (TailFit, TailParams, TailProfile, birkhoff_average,
-                     expansion_time, fit_tail_decay, lyapunov_exponents,
-                     recurrence_time, tail_profile)
+                   misiurewicz_parameter, nondegeneracy_probe)
+from .measures import (Grid1D, Grid2D, GridDensity, UlamOperator, interval_measure,
+                       l1_distance, lebesgue_density, one_step_ulam, spread_measure,
+                       stationary_density, ulam_matrix)
+from .orbits import (TailFit, TailParams, TailProfile, expansion_time, fit_tail_decay,
+                     lyapunov_exponents, recurrence_time, tail_profile)
 from .reporting import emit_svg, read_csv, write_csv
 from .rng import StreamKey, dither, stream
 from .towers import (CellTable, InducedMarkovMap, VerificationReport,

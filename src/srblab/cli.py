@@ -71,6 +71,8 @@ def _load(args) -> ExperimentConfig:
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = args.out
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     config.validate()
     return config
 
@@ -135,7 +137,7 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    table = run_sweep(_load(args), workers=max(args.workers, 1))
+    table = run_sweep(_load(args), workers=args.workers)
     failures = sum(1 for r in table.rows if r.get("error"))
     print(f"{table.family}.{table.parameter}: {len(table.rows)} rows, "
           f"{failures} failed")
@@ -145,6 +147,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_probe(args) -> int:
     config = _load(args)
+    if args.points < 1:
+        raise ConfigError("--points must be at least 1")
+    for flag, value in (("--constant", args.constant), ("--exponent", args.exponent)):
+        if not value > 0:
+            raise ConfigError(f"{flag} must be positive")
     m = build_system(config)
     pts = m.sample_uniform(stream(config.seed, StreamKey.PROBE), args.points)
     rep = nondegeneracy_probe(m, args.constant, args.exponent, pts)

@@ -85,8 +85,10 @@ class ExperimentConfig:
         keys = {f.name: f.metadata.get("key") for f in fields(self)}
         if self.sweep_parameter is not None and self.sweep_steps < 2:
             raise ConfigError("sweep.steps must be at least 2")
-        if not self.tail_delta > 0:
-            raise ConfigError("tail.delta must be positive")
+        for name in ("tail_lam", "tail_eps", "tail_delta"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{keys[name]} must be positive")
         for name in ("n_iters", "sample_size", "bins", "tau_max", "tail_n_max",
                      "tail_sample_size", "ulam_max_iters", "smb_depth"):
             if getattr(self, name) < 1:

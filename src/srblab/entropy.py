@@ -267,9 +267,8 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     once per block, and the log rows are added one at a time, so each slot
     sums its logs in orbit order.  A slot whose step has ``crit_dist <
     NEAR_CRITICAL_FLOOR``, the test of
-    :func:`~srblab.orbits.lyapunov_exponents` and
-    :func:`~srblab.maps.log_jacobian`, drops its sum and, after the block,
-    restarts from a fresh draw of its own stream and row map, up to
+    :func:`~srblab.orbits.lyapunov_exponents`, drops its sum and, after
+    the block, restarts from a fresh draw of its own stream and row map, up to
     ``retry_budget`` times.  Block lengths do not depend on the other
     rows, so every row restarts at the same steps as in its one-row run
     and gets that run's result bit for bit.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .entropy import EntropyReport, entropy_lyapunov_rows, entropy_report
-from .errors import ConfigError, MapParameterError, SrbLabError
+from .errors import ArgumentError, ConfigError, MapParameterError, SrbLabError
 from .maps import Interval, MapSystem, make_map
 from .measures import (l1_distance, one_step_ulam, spread_measure, stationary_density,
                        ulam_matrix)
@@ -145,26 +145,45 @@ class TailRun:
 
 
 def load_tail_csv(path: str) -> TailProfile:
-    """Reconstruct a tail profile from an emitted tail.csv."""
-    comments, header, rows = read_csv(path)
+    """Reconstruct a tail profile from an emitted tail.csv.
+
+    Raises
+    ------
+    ConfigError
+        Naming the file and what it lacks: a comment key or column, the
+        data rows, or a number.
+    """
+    try:
+        comments, header, rows = read_csv(path)
+    except ArgumentError as err:
+        raise ConfigError(str(err)) from None
     meta = {}
     for c in comments:
         if "=" in c and not c.startswith("fit."):
             k, v = (s.strip() for s in c.split("=", 1))
             meta[k] = v
-    params = TailParams(
-        lam=float(meta["lam"]), eps=float(meta["eps"]), delta=float(meta["delta"]),
-        n_max=int(meta["n_max"]), sample_size=int(meta["sample_size"]))
+    if not rows:
+        raise ConfigError(f"{path} has no data rows")
     cols = {name: i for i, name in enumerate(header)}
-    data = np.array([[float(r[cols[c]]) for c in
-                      ("n", "frac_expansion", "frac_recurrence", "frac_union",
-                       "censored_count")] for r in rows])
+    try:
+        params = TailParams(
+            lam=float(meta["lam"]), eps=float(meta["eps"]), delta=float(meta["delta"]),
+            n_max=int(meta["n_max"]), sample_size=int(meta["sample_size"]))
+        data = np.array([[float(r[cols[c]]) for c in
+                          ("n", "frac_expansion", "frac_recurrence", "frac_union",
+                           "censored_count")] for r in rows])
+        seed = int(meta.get("seed", 0))
+    except KeyError as err:
+        raise ConfigError(f"{path} has no {err.args[0]!r} comment key or column") from None
+    except IndexError:
+        raise ConfigError(f"{path} has a data row that lacks a number") from None
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
     return TailProfile(
         n=data[:, 0].astype(int), frac_expansion=data[:, 1],
         frac_recurrence=data[:, 2], frac_union=data[:, 3],
-        sample_size=params.sample_size,
-        censored_count=int(data[0, 4]) if len(rows) else 0,
-        params=params, seed=int(meta.get("seed", 0)))
+        sample_size=params.sample_size, censored_count=int(data[0, 4]),
+        params=params, seed=seed)
 
 
 def run_tail(config: ExperimentConfig) -> TailRun:

@@ -31,8 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ArgumentError, DomainViolationError, MapParameterError,
-                     NearCriticalError)
+from .errors import ArgumentError, DomainViolationError, MapParameterError
 
 #: points closer than this to the critical set have no usable log-Jacobian
 NEAR_CRITICAL_FLOOR = 1e-15
@@ -751,38 +750,6 @@ def make_map(family: str, **params) -> MapSystem:
     return cls(**params)
 
 
-def log_jacobian(m: MapSystem, x) -> float:
-    """``log |det Df(x)|`` with a guard near the critical set.
-
-    Raises
-    ------
-    NearCriticalError
-        If ``dist(x, critical set) < NEAR_CRITICAL_FLOOR``.
-    DomainViolationError
-        If ``x`` lies outside the domain of ``m``.
-    """
-    m.check_point(x)
-    p = np.asarray([x], dtype=float)
-    d = float(m.crit_dist_batch(p)[0])
-    if d < NEAR_CRITICAL_FLOOR:
-        raise NearCriticalError(d)
-    return math.log(float(m.abs_det_batch(p)[0]))
-
-
-def truncated_distance(m: MapSystem, x, delta: float) -> float:
-    """Distance to the critical set, truncated to 1 outside a
-    ``delta``-neighbourhood.
-
-    Returns ``dist(x, C)`` when that distance is below ``delta`` and 1.0
-    otherwise; maps with empty critical set always return 1.0.
-    """
-    if delta <= 0:
-        raise ArgumentError("truncation radius must be positive")
-    m.check_point(x)
-    d = float(m.crit_dist_batch(np.asarray([x], dtype=float))[0])
-    return d if d < delta else 1.0
-
-
 def _op_norms_2x2_lower(a, c, e):
     """Largest/smallest singular values of [[a, 0], [c, e]], ``a > 0``, to a
     few ulps (vectorised): the mean ``s`` of the lengths of ``(a +- |e|, c)``
@@ -837,7 +804,7 @@ def nondegeneracy_probe(m: MapSystem, B: float, beta: float, points) -> Nondegen
     -------
     NondegeneracyReport
     """
-    if B <= 0 or beta <= 0:
+    if not (B > 0 and beta > 0):
         raise ArgumentError("probe constants B, beta must be positive")
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:

@@ -33,7 +33,7 @@ cylinder Ulam sampler here, and the Pesin and induced quadratures of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -246,15 +246,6 @@ def lebesgue_density(grid: Grid1D | Grid2D) -> GridDensity:
     return GridDensity(grid, np.full(grid.n, 1.0 / volume), "external")
 
 
-def normalize(density: GridDensity) -> tuple[GridDensity, float]:
-    """Scale a density to unit mass; returns ``(unit_density, original_mass)``."""
-    mass = density.mass
-    if mass <= 0:
-        raise ArgumentError("cannot normalise a density with nonpositive mass")
-    unit = replace(density, values=density.values / mass, provenance="normalized")
-    return unit, mass
-
-
 def l1_distance(d1: GridDensity, d2: GridDensity) -> float:
     """L1 distance between two densities on the same grid: the same number
     of axes, each with the same bin count, the same regularity and edges
@@ -268,42 +259,6 @@ def l1_distance(d1: GridDensity, d2: GridDensity) -> float:
     if all(g.regular for g in a1):
         return float(diff.sum() * d1.grid.widths[0])  # equal widths
     return float((diff * d1.grid.widths).sum())
-
-
-@dataclass(frozen=True)
-class BoundsCheck:
-    """Two-sided density bound check on the non-excluded bins."""
-
-    minimum: float
-    min_index: int
-    maximum: float
-    max_index: int
-    ratio_cap: float
-    passed: bool
-
-
-def density_bounds_check(density: GridDensity, ratio_cap: float = 100.0) -> BoundsCheck:
-    """Check that a stationary density is pinched between two positive bounds.
-
-    Passes when the minimum over non-excluded bins is positive and the
-    max/min ratio stays below ``ratio_cap`` (unbounded densities show up
-    as a diverging ratio under bin refinement).
-    """
-    if density.provenance not in ("stationary", "normalized"):
-        raise ArgumentError("bounds check expects a stationary (or normalised) density")
-    mask = np.ones(density.values.size, dtype=bool)
-    if density.excluded is not None:
-        mask &= ~density.excluded
-    vals = density.values
-    if not mask.any():
-        raise ArgumentError("no bins left after exclusions")
-    sub = np.where(mask, vals, np.inf)
-    imin = int(np.argmin(sub))
-    sub = np.where(mask, vals, -np.inf)
-    imax = int(np.argmax(sub))
-    vmin, vmax = float(vals[imin]), float(vals[imax])
-    ok = vmin > 0 and vmax / max(vmin, 1e-300) <= ratio_cap
-    return BoundsCheck(vmin, imin, vmax, imax, ratio_cap, bool(ok))
 
 
 def interval_measure(density: GridDensity, lo, hi):

@@ -1,5 +1,5 @@
-"""Orbit statistics: Birkhoff averages, Lyapunov exponents, hyperbolicity
-and recurrence times, tail profiles and tail-decay fits.
+"""Orbit statistics: Lyapunov exponents, hyperbolicity and recurrence
+times, tail profiles and tail-decay fits.
 
 The expansion time of a point is the first index from which the running
 average of ``log |Df^-1|`` along the orbit stays below ``-lambda/2`` up to
@@ -18,8 +18,7 @@ every function here serves 1D and cylinder maps alike.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,53 +27,6 @@ from .maps import NEAR_CRITICAL_FLOOR, MapSystem
 from .rng import StreamKey, stream
 
 _LOG_CLAMP = 1e-300
-
-
-def _orbit_points(m: MapSystem, x, n: int):
-    """Pairs ``(j, pts)``: iterates ``j, j + 1, ...`` of ``x``, at most 2^16 of
-    them, from :meth:`MapSystem.orbit` on a one-point batch; ``n`` in all."""
-    cur = np.asarray([x], dtype=float)
-    for j in range(0, n, 2 ** 16):
-        buf = m.orbit(cur, min(n - j, 2 ** 16))
-        cur = buf[-1]
-        yield j, buf[:-1, 0]
-
-
-def birkhoff_average(m: MapSystem, x, observable, n: int) -> float:
-    """Average of ``observable`` along the first ``n`` orbit points.
-
-    Parameters
-    ----------
-    m : MapSystem
-    x : float or pair
-        Starting point, inside the domain of ``m``.
-    observable : callable
-        Real function of a point (a float, or a ``[theta, x]`` list).
-    n : int
-        Number of orbit points (>= 1).
-
-    Raises
-    ------
-    NearCriticalError
-        Propagated from the observable, annotated with the iterate index.
-    ArgumentError
-        If a summand is non-finite.
-    """
-    if n < 1:
-        raise ArgumentError("birkhoff_average needs n >= 1")
-    m.check_point(x)
-    total = 0.0
-    for start, pts in _orbit_points(m, x, n):
-        for j, p in enumerate(pts.tolist(), start):
-            try:
-                v = observable(p)
-            except NearCriticalError as err:
-                raise NearCriticalError(err.distance,
-                                        f"observable blew up at iterate {j}") from err
-            if not math.isfinite(v):
-                raise ArgumentError(f"non-finite summand {v!r} at iterate {j}")
-            total += v
-    return total / n
 
 
 def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
@@ -94,7 +46,10 @@ def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
         raise ArgumentError("lyapunov_exponents needs n >= 1")
     m.check_point(x)
     total = 0.0
-    for start, pts in _orbit_points(m, x, n):
+    cur = np.asarray([x], dtype=float)
+    for start in range(0, n, 2 ** 16):  # one orbit call per 2^16 iterates
+        buf = m.orbit(cur, min(n - start, 2 ** 16))
+        cur, pts = buf[-1], buf[:-1, 0]
         dist = m.crit_dist_batch(pts)
         if (bad := dist < NEAR_CRITICAL_FLOOR).any():
             j = int(bad.argmax())
@@ -118,7 +73,7 @@ class TailParams:
     sample_size: int
 
     def __post_init__(self):
-        if self.lam <= 0 or self.eps <= 0 or self.delta <= 0:
+        if not (self.lam > 0 and self.eps > 0 and self.delta > 0):
             raise ArgumentError("tail thresholds lambda, epsilon, delta must be positive")
         if self.n_max < 1 or self.sample_size < 1:
             raise ArgumentError("tail horizon and sample size must be >= 1")

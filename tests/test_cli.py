@@ -186,6 +186,66 @@ def test_map_parameter_errors_exit_2_before_any_work(tmp_path, command, override
     assert not os.path.exists(tmp_path / "out")
 
 
+_SWEEP = {"family": "tent", "sweep_parameter": "slope", "sweep_from": 1.8, "sweep_to": 2.0,
+          "sweep_steps": 2, "bins": 64, "sample_size": 4, "n_iters": 200, "smb_depth": 4,
+          "tau_max": 8}
+_PROBE = {"family": "viana", "map_params": {"alpha": 0.01, "d": 16}}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep", "--workers", "0"), ("sweep", "--workers", "-3"), ("probe", "--workers", "0"),
+    ("probe", "--points", "-5"), ("probe", "--points", "0"), ("probe", "--constant", "-1"),
+    ("probe", "--constant", "nan"), ("probe", "--exponent", "nan"),
+])
+def test_bad_command_line_numbers_exit_2(tmp_path, command, flag, value):
+    path = write_cfg(tmp_path, out_dir=str(tmp_path / "out"), seed=0,
+                     **(_SWEEP if command == "sweep" else _PROBE))
+    out = run_cli(command, "--config", path, flag, value)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"config error: {flag} must be")
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("keys", [
+    pytest.param({"tail.lam": "nan"}, id="lam-nan"),
+    pytest.param({"tail.lam": "-1"}, id="lam-negative"),
+    pytest.param({"tail.lam": "0.5", "tail.eps": "-0.1"}, id="eps-negative"),
+    pytest.param({"tail.lam": "0.5", "tail.eps": "nan"}, id="eps-nan"),
+])
+def test_nonpositive_tail_thresholds_exit_2(tmp_path, keys):
+    path = tmp_path / "run.cfg"
+    path.write_text("map.family = doubling\ntail.n_max = 20\ntail.sample_size = 100\n"
+                    + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = run_cli("tail", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"config error: {list(keys)[-1]} must be positive\n"
+
+
+_TAIL_CSV = ("# lam = 0.5\n# eps = 0.125\n# delta = 1e-06\n# n_max = 2\n# sample_size = 10\n"
+             "n,frac_expansion,frac_recurrence,frac_union,censored_count\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("", "has no header row", id="empty"),
+    pytest.param(_TAIL_CSV, "has no data rows", id="header-only"),
+    pytest.param(_TAIL_CSV.replace("# eps = 0.125\n", "") + "1,0.5,0,0.5,0\n",
+                 "has no 'eps' comment key", id="no-eps"),
+    pytest.param(_TAIL_CSV.replace("frac_union", "union") + "1,0.5,0,0.5,0\n",
+                 "has no 'frac_union'", id="no-column"),
+    pytest.param(_TAIL_CSV + "1,0.5,x,0.5,0\n", "could not convert string to float: 'x'",
+                 id="not-a-number"),
+    pytest.param(_TAIL_CSV + "1,0.5\n", "has a data row that lacks a number", id="short-row"),
+])
+def test_malformed_injected_tail_file_exits_2(tmp_path, text, message):
+    planted = tmp_path / "tail.csv"
+    planted.write_text(text)
+    path = write_cfg(tmp_path, family="doubling", tail_inject=str(planted),
+                     out_dir=str(tmp_path / "out"))
+    out = run_cli("tail", "--config", path)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"config error: {planted}") and message in out.stderr
+
+
 def test_a_value_out_of_range_on_one_sweep_row_stays_a_row_error(tmp_path):
     path = write_cfg(tmp_path, family="tent", sweep_parameter="slope", sweep_from=2.0,
                      sweep_to=2.5, sweep_steps=2, out_dir=str(tmp_path / "out"), seed=0,

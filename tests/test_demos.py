@@ -1,9 +1,11 @@
 """The demos and the README's Python blocks use only names srblab exports,
-and the README's config blocks parse.
+the README's config blocks parse, and every export is used outside the
+tests.
 
-Each file is parsed with ``ast``, not run, so the check costs milliseconds;
-it fails as soon as a name a demo reads as ``sl.<name>`` moves or goes, or
-a key the README shows in a config is retired.
+Each file is parsed with ``ast``, not run, so the checks cost milliseconds;
+they fail as soon as a name a demo reads as ``sl.<name>`` moves or goes, a
+key the README shows in a config is retired, or an export is left that
+only its own tests call.
 """
 
 import ast
@@ -22,6 +24,15 @@ README_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
 README_CONFIGS = [block for _, block in re.findall(r"^```(\w*)\n(.*?)^```$", README,
                                                    re.DOTALL | re.MULTILINE)
                   if all(re.match(r"[\w.]+ = ", line) for line in block.splitlines())]
+
+
+#: exports that only the tests read, and what each one is to them
+TEST_REFERENCES = {
+    "lebesgue_density": "the flat density that measure and entropy results are compared to",
+    "lyapunov_exponents": "the per-orbit reference of entropy_lyapunov_rows",
+    "save_config": "writes the config files that the CLI and config tests run",
+    "trivial_tower": "the one-cell tower of the circle3 fixtures",
+}
 
 
 def _sl_names(source: str) -> set:
@@ -49,3 +60,30 @@ def test_every_sl_name_exists(source):
                                    for i, block in enumerate(README_CONFIGS)])
 def test_every_readme_config_parses(block):
     assert set(block.splitlines()) <= set(sl.serialize(sl.parse(block)).splitlines())
+
+
+def _read_names(path: pathlib.Path) -> set:
+    """Names and attributes that the code of one file reads, and its string
+    constants, which name what ``getattr`` looks up (the stage tracer's table)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    init = ROOT / "src" / "srblab" / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    code = [path for path in init.parent.glob("*.py") if path != init]
+    code += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*map(_read_names, code))
+    assert set(TEST_REFERENCES) <= exports
+    assert sorted(name for name in exports - read - set(TEST_REFERENCES)
+                  if not re.search(rf"\b{name}\b", README)) == []

@@ -97,7 +97,7 @@ def _configs(text):
         sweep_parameter=st.one_of(st.none(), text), sweep_from=_FINITE, sweep_to=_FINITE,
         sweep_steps=st.integers(2, 10 ** 6), n_iters=count, sample_size=count,
         smb_depth=count, bins=count, ulam_max_iters=count, tau_max=count,
-        tail_lam=st.one_of(st.none(), _FINITE), tail_eps=st.one_of(st.none(), _FINITE),
+        tail_lam=st.one_of(st.none(), _POSITIVE), tail_eps=st.one_of(st.none(), _POSITIVE),
         tail_delta=_POSITIVE, tail_n_max=count, tail_sample_size=count,
         tail_inject=st.one_of(st.none(), text), seed=st.integers(0), out_dir=text)
 

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -52,14 +51,6 @@ class TestGridsAndDensities:
         assert sl.interval_measure(leb, 0.25, 0.75) == pytest.approx(0.5)
         # partial bins are prorated
         assert sl.interval_measure(leb, 0.0, 0.03125) == pytest.approx(0.03125)
-
-    def test_normalize_returns_unit_density_and_mass(self):
-        grid = sl.Grid1D(0.0, 1.0, 4)
-        d = sl.GridDensity(grid=grid, values=np.array([2.0, 2.0, 2.0, 2.0]),
-                           provenance="external")
-        unit, mass = sl.normalize(d)
-        assert mass == pytest.approx(2.0)
-        assert unit.mass == pytest.approx(1.0)
 
     def test_l1_distance_basics(self, mu_tent2, mu_quadratic):
         assert sl.l1_distance(mu_tent2, mu_tent2) == 0.0
@@ -598,36 +589,6 @@ class TestStationaryDensity:
         assert sl.l1_distance(mu_tent2, leb) < 5e-3
 
 
-class TestBoundsCheck:
-    def test_two_sided_bounds_on_live_bins(self, mu_quadratic):
-        bc = sl.density_bounds_check(mu_quadratic)
-        assert bc.passed
-        assert 0 < bc.minimum <= bc.maximum
-        assert bc.maximum / bc.minimum <= bc.ratio_cap
-
-    def test_excluded_bins_do_not_count_as_zeros(self):
-        F = sl.doubling_first_return_exact(3)
-        sl.verify_axioms(F)
-        mu = sl.stationary_density(sl.ulam_matrix(F, 8))
-        bc = sl.density_bounds_check(mu)
-        assert bc.passed
-        assert bc.minimum == pytest.approx(16 / 7)
-
-    def test_cap_violation_fails(self, mu_tent2):
-        spiked = np.array(mu_tent2.values, copy=True)
-        spiked[0] *= 500.0
-        d = sl.GridDensity(grid=mu_tent2.grid, values=spiked, provenance="normalized")
-        bc = sl.density_bounds_check(d, ratio_cap=100.0)
-        assert not bc.passed
-        assert bc.max_index == 0
-
-    def test_external_densities_are_not_checkable(self, mu_tent2):
-        d = sl.GridDensity(grid=mu_tent2.grid, values=np.array(mu_tent2.values),
-                           provenance="external")
-        with pytest.raises(sl.ArgumentError, match="stationary"):
-            sl.density_bounds_check(d)
-
-
 def _cell_loop_spread(m, F, mu_F, bins):
     """``spread_measure`` with the cells and deficit gaps collected by a
     loop over the cells: the reference for reading them off the columns."""
@@ -709,7 +670,8 @@ class TestSpreadMeasure:
         assert spread.mass == pytest.approx(sl.kac_mass(F, mu_F), abs=1e-9)
 
     def test_normalized_spread_of_tent2_is_nearly_flat(self, tent2_map, tower_tent2, mu_tent2):
-        spread, mass = sl.normalize(sl.spread_measure(tent2_map, tower_tent2, mu_tent2, 4096))
+        spread = sl.spread_measure(tent2_map, tower_tent2, mu_tent2, 4096)
+        spread = sl.GridDensity(spread.grid, spread.values / spread.mass, "normalized")
         leb = sl.lebesgue_density(spread.grid)
         assert spread.grid.lo == 0.0 and spread.grid.hi == 1.0
         assert sl.l1_distance(spread, leb) < 2e-3

@@ -1,4 +1,4 @@
-"""Orbit statistics: Birkhoff averages, exponents, settling times, tail fits."""
+"""Orbit statistics: exponents, settling times, tail fits."""
 
 import math
 import tracemalloc
@@ -10,20 +10,6 @@ from hypothesis import strategies as st
 
 import srblab as sl
 from srblab.rng import stream
-
-
-def test_birkhoff_average_quadratic_mean():
-    # the a=2 invariant density 1/(pi sqrt(4-x^2)) has zero mean
-    m = sl.make_map("quadratic", a=2.0)
-    avg = sl.birkhoff_average(m, 0.3123, lambda x: x, 100000)
-    assert abs(avg) < 0.05
-
-
-def test_birkhoff_average_quadratic_second_moment():
-    # and second moment 2
-    m = sl.make_map("quadratic", a=2.0)
-    avg = sl.birkhoff_average(m, 0.3123, lambda x: x * x, 100000)
-    assert avg == pytest.approx(2.0, abs=0.1)
 
 
 @pytest.mark.parametrize("slope", [1.5, 1.7, 1.9, 2.0])
@@ -109,30 +95,6 @@ def test_recurrence_time_delayed_near_critical_point():
     fast = sl.recurrence_time(m, 1.2, 0.05, 0.1, 400)
     assert fast <= 400
     assert slow > fast
-
-
-def test_truncated_distance_is_one_away_from_the_critical_set():
-    m = sl.make_map("quadratic", a=2.0)
-    assert sl.truncated_distance(m, 0.03, 0.05) == pytest.approx(0.03)
-    assert sl.truncated_distance(m, 0.001, 0.05) == pytest.approx(0.001)
-    assert sl.truncated_distance(m, 0.06, 0.05) == 1.0
-    assert sl.truncated_distance(m, 1.5, 0.05) == 1.0
-
-
-@pytest.mark.parametrize("d", [3, 16])
-def test_cylinder_log_jacobian_and_truncated_distance(d):
-    m = sl.make_map("viana", alpha=0.05, d=d)
-    for theta, x in [(0.2, 0.3), (0.7, -1.1), (0.0, 1e-9)]:
-        assert sl.log_jacobian(m, (theta, x)) == math.log(2 * d * abs(x))
-    assert sl.truncated_distance(m, (0.4, -0.02), 0.05) == 0.02
-    assert sl.truncated_distance(m, (0.4, 0.5), 0.05) == 1.0
-    with pytest.raises(sl.NearCriticalError):
-        sl.log_jacobian(m, (0.3, 0.0))
-    for x in (m.domain.hi + 0.01, m.domain.lo - 0.01):
-        with pytest.raises(sl.DomainViolationError):
-            sl.log_jacobian(m, (0.3, x))
-        with pytest.raises(sl.DomainViolationError):
-            sl.truncated_distance(m, (0.3, x), 0.05)
 
 
 def test_tail_profile_empty_for_uniformly_expanding_map(doubling_map):
@@ -385,6 +347,19 @@ def test_fit_rejects_unknown_model():
     prof = _planted_profile(0.9 * np.exp(-0.8 * np.sqrt(n)))
     with pytest.raises(sl.ArgumentError, match="unknown tail model"):
         sl.fit_tail_decay(prof, "exponential")
+
+
+@pytest.mark.parametrize("field", ["lam", "eps", "delta"])
+def test_tail_params_refuse_nan_thresholds(field):
+    kw = {"lam": 0.3, "eps": 0.075, "delta": 1e-6, "n_max": 10, "sample_size": 10,
+          field: math.nan}
+    with pytest.raises(sl.ArgumentError, match="must be positive"):
+        sl.TailParams(**kw)
+
+
+def test_nondegeneracy_probe_refuses_a_nan_exponent(viana_map):
+    with pytest.raises(sl.ArgumentError, match="must be positive"):
+        sl.nondegeneracy_probe(viana_map, B=32.0, beta=math.nan, points=[[0.3, 0.5]])
 
 
 def test_nondegeneracy_probe_reports_finite_ratios(viana_map):
