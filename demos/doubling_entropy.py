@@ -20,7 +20,7 @@ import srblab as sl
 
 def main() -> None:
     m = sl.make_map("doubling")
-    F = sl.doubling_first_return_exact(20)
+    F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 20)
     report = sl.verify_axioms(F)
     print(f"tower: {len(F.cells)} cells, deficit mass {F.deficit:.2e}")
     print(f"axioms: markov_ok={report.markov_ok} kappa={report.kappa} "

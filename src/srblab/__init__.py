@@ -33,9 +33,7 @@ from .orbits import (TailFit, TailParams, TailProfile, expansion_time, fit_tail_
                      lyapunov_exponents, recurrence_time, tail_profile)
 from .reporting import emit_svg, read_csv, write_csv
 from .rng import StreamKey, dither, stream
-from .towers import (CellTable, InducedMarkovMap, VerificationReport,
-                     doubling_first_return_exact, first_return_map, kac_breakdown,
-                     kac_mass, return_time_l1_distance, trivial_tower,
-                     verify_axioms)
+from .towers import (CellTable, InducedMarkovMap, VerificationReport, first_return_map,
+                     kac_breakdown, kac_mass, return_time_l1_distance, verify_axioms)
 
 __version__ = "0.1.0"

@@ -36,6 +36,7 @@ Recognised keys
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -89,6 +90,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{keys[name]} must be positive")
+        for name in ("sweep_from", "sweep_to", "induce_lo", "induce_hi", "tail_lam",
+                     "tail_eps", "tail_delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{keys[name]} must be finite")
         for name in ("n_iters", "sample_size", "bins", "tau_max", "tail_n_max",
                      "tail_sample_size", "ulam_max_iters", "smb_depth"):
             if getattr(self, name) < 1:

@@ -54,8 +54,14 @@ def default_induction(m: MapSystem) -> Interval | None:
 
 
 def build_system(config: ExperimentConfig) -> MapSystem:
-    """Instantiate the configured map family."""
-    return make_map(config.family, **config.map_params)
+    """Instantiate the configured map family; a parameter out of the
+    family's range is a :class:`ConfigError`."""
+    try:
+        return make_map(config.family, **config.map_params)
+    except ConfigError:
+        raise
+    except ArgumentError as err:
+        raise ConfigError(str(err)) from None
 
 
 def build_tower(m: MapSystem, config: ExperimentConfig) -> InducedMarkovMap | None:
@@ -64,6 +70,9 @@ def build_tower(m: MapSystem, config: ExperimentConfig) -> InducedMarkovMap | No
         return None
     if config.induce_lo is not None:
         delta = Interval(config.induce_lo, config.induce_hi)
+        if not (m.domain.contains(delta.lo) and m.domain.contains(delta.hi)):
+            raise ConfigError(f"induce.lo and induce.hi must lie in the {m.family} domain "
+                              f"[{m.domain.lo:g}, {m.domain.hi:g}]")
     else:
         delta = default_induction(m)
     return first_return_map(m, delta, config.tau_max)

@@ -102,8 +102,6 @@ class MapSystem:
         Parameters the instance was built with.
     domain : Interval
         Ambient domain (the x-interval; circle maps use [0, 1)).
-    circle : bool
-        Whether the 1D coordinate wraps around.
 
     The batch methods are the only way to evaluate a map; one point goes
     in as a batch of shape (1,), or (1, 2) on the cylinder.  Each family
@@ -125,7 +123,6 @@ class MapSystem:
 
     dimension = 1
     family = "?"
-    circle = False
     #: True when every monotone branch has constant slope
     piecewise_affine = False
     base_exponent = 0.0
@@ -247,7 +244,6 @@ class LinearCircleMap(MapSystem):
     """``x -> d x (mod 1)`` on the circle, integer ``d >= 2``."""
 
     family = "circle_linear"
-    circle = True
     piecewise_affine = True
 
     def __init__(self, d: int = 2):
@@ -321,7 +317,6 @@ class PerturbedDoublingMap(MapSystem):
     """
 
     family = "circle_perturbed"
-    circle = True
 
     def __init__(self, t: float = 0.0):
         super().__init__()

@@ -321,7 +321,6 @@ class UlamOperator:
     matrix: sp.csr_matrix
     row_deficit: np.ndarray
     flagged: np.ndarray
-    description: str = ""
 
 
 def _inner_edges(grid: Grid1D, ia, ib):
@@ -382,7 +381,7 @@ def _csr_rows(grid: Grid1D | Grid2D, pending, lo: int, hi: int):
     return block, [(src[ready], dst[ready], val[ready])]
 
 
-def _assemble_rows(grid: Grid1D, pieces, description: str) -> UlamOperator:
+def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
     """Build the transfer matrix from the slivers of monotone pieces.
 
     ``pieces`` yields ``(lo, rows, columns, lengths)`` per piece
@@ -418,7 +417,7 @@ def _assemble_rows(grid: Grid1D, pieces, description: str) -> UlamOperator:
     frac = covered / widths
     row_deficit = np.clip(1.0 - frac, 0.0, 1.0)
     flagged = frac < 1e-9
-    return UlamOperator(grid, mat, row_deficit, flagged, description)
+    return UlamOperator(grid, mat, row_deficit, flagged)
 
 
 def ulam_matrix(F, bins: int) -> UlamOperator:
@@ -454,7 +453,7 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
             yield lo, *_piece_slivers(grid, lo, hi, grid.edges[j0[i]:j1[i]], k0[i],
                                       ia[i] <= ib[i], pre, f"cell {i}")
 
-    return _assemble_rows(grid, pieces(), f"tower[{F.base.family}] {bins} bins")
+    return _assemble_rows(grid, pieces())
 
 
 def postcritical_grid(m: MapSystem, bins: int) -> Grid1D:
@@ -531,7 +530,7 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
                                        m.branch_inverse(i, grid.edges[k0[i]:k1[i]]),
                                        f"branch {i}"))
                   for i, (lo, hi) in enumerate(bounds))
-        return _assemble_rows(grid, pieces, f"{m.family} one-step {bins} bins")
+        return _assemble_rows(grid, pieces)
 
     n_theta = max(int(round(bins ** 0.5)), 1)
     n_x = max(bins // n_theta, 1)
@@ -552,8 +551,7 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
         vals = np.full(rows.size, 1.0 / nper)
         blocks.append(_csr_rows(grid, [(rows, cols, vals)], b0, b1)[0])
     mat = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
-    return UlamOperator(grid, mat, np.zeros(grid.n), np.zeros(grid.n, dtype=bool),
-                        f"{m.family} one-step {grid.theta.n}x{grid.x.n} bins")
+    return UlamOperator(grid, mat, np.zeros(grid.n), np.zeros(grid.n, dtype=bool))
 
 
 def stationary_density(op: UlamOperator, tol: float = 1e-10,

@@ -73,8 +73,9 @@ class TailParams:
     sample_size: int
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.eps > 0 and self.delta > 0):
-            raise ArgumentError("tail thresholds lambda, epsilon, delta must be positive")
+        if not all(0 < x < np.inf for x in (self.lam, self.eps, self.delta)):
+            raise ArgumentError("tail thresholds lambda, epsilon, delta must be positive "
+                                "and finite")
         if self.n_max < 1 or self.sample_size < 1:
             raise ArgumentError("tail horizon and sample size must be >= 1")
 

@@ -120,7 +120,6 @@ def write_tower_csv(path: str, F) -> None:
         f"tau_max = {F.tau_max}",
         f"deficit = {format_real(F.deficit)}",
         f"partial_mass = {format_real(F.partial_mass)}",
-        f"provenance = {F.provenance}",
     ]
     if rep is not None:
         comments += [

@@ -160,8 +160,6 @@ class InducedMarkovMap:
     partial_mass : float
         Portion of the deficit caused by orbits re-entering ``delta``
         without covering it (non-Markov partial returns).
-    provenance : str
-        ``"exact"``, ``"numeric"`` or ``"trivial"``.
     affine : bool
         Whether the cells carry exact affine data.
 
@@ -170,7 +168,7 @@ class InducedMarkovMap:
     """
 
     def __init__(self, base: MapSystem, delta: Interval, cells: CellTable,
-                 tau_max: int, provenance: str, partial_mass: float = 0.0):
+                 tau_max: int, partial_mass: float = 0.0):
         if base.dimension != 1:
             raise ConstructionError("towers are built over one-dimensional maps")
         self.affine = bool(cells) and cells.slope is not None
@@ -178,7 +176,6 @@ class InducedMarkovMap:
         self.delta = delta
         self.cells = cells
         self.tau_max = int(tau_max)
-        self.provenance = provenance
         self.partial_mass = float(partial_mass)
         covered = sum((cells.hi - cells.lo).tolist())  # cell by cell, in order
         self.deficit = max(delta.width - covered, 0.0)
@@ -268,54 +265,11 @@ class InducedMarkovMap:
     def __repr__(self):
         return (f"InducedMarkovMap({self.base.family}, delta=[{self.delta.lo:g}, "
                 f"{self.delta.hi:g}), {len(self.cells)} cells, tau_max={self.tau_max}, "
-                f"deficit={self.deficit:.3g}, {self.provenance})")
+                f"deficit={self.deficit:.3g})")
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def doubling_first_return_exact(k_max: int) -> InducedMarkovMap:
-    """Closed-form first-return tower of the doubling map to ``[0, 1/2)``.
-
-    The return-time-``k`` cell is ``[1/2 - 2^{1-k}/2, 1/2 - 2^{-k}/2)`` =
-    ``[1/2 - 2^{-k}, 1/2 - 2^{-k-1})`` with Lebesgue mass ``2^{-k-1}`` and
-    branch ``x -> 2^k x - (2^{k-1} - 1)``, all exactly representable in
-    binary floating point.
-    """
-    if k_max < 1:
-        raise ArgumentError("k_max must be at least 1")
-    k = np.arange(1, k_max + 1)
-    # the left branch first, then the right one until the return
-    steps = np.where(np.arange(k_max) < k[:, None], 1, -1).astype(np.int8)
-    steps[:, 0] = 0
-    cells = CellTable(0.5 - np.ldexp(1.0, -k), 0.5 - np.ldexp(1.0, -k - 1), k, np.ones(k_max),
-                      np.ldexp(1.0, k), 1.0 - np.ldexp(1.0, k - 1), steps)
-    from .maps import DoublingMap
-
-    return InducedMarkovMap(DoublingMap(), Interval(0.0, 0.5), cells, k_max, "exact")
-
-
-def trivial_tower(m: MapSystem) -> InducedMarkovMap:
-    """Tower with constant return time one: the branches of the map itself.
-
-    Only meaningful when every branch is onto the full domain (checked up
-    to ``1e-9``); use it to feed raw maps through tower-based routines.
-    """
-    if m.dimension != 1:
-        raise ConstructionError("trivial towers need a one-dimensional map")
-    lo, hi = m.domain.lo, m.domain.hi
-    rows = []
-    for i in range(m.n_branches):
-        blo, bhi = m.branch_bounds(i)
-        ia, ib = m.branch_lift(i, np.array([blo, bhi])).tolist()
-        ylo, yhi = (ia, ib) if ia <= ib else (ib, ia)
-        if abs(ylo - lo) > 1e-9 or abs(yhi - hi) > 1e-9:
-            raise ConstructionError(
-                f"branch {i} maps onto [{ylo:g}, {yhi:g}], not the full domain")
-        slope = (ib - ia) / (bhi - blo)
-        rows.append((blo, bhi, 1, 1 if ib >= ia else -1, slope, ia - slope * blo, (i,)))
-    return InducedMarkovMap(m, Interval(lo, hi), _table(rows, m.piecewise_affine), 1, "trivial")
 
 
 def _table(rows, affine: bool) -> CellTable:
@@ -522,7 +476,7 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int) -> InducedMark
             clo, chi = (cl, ch) if cl <= ch else (ch, cl)
             if chi - clo > 1e-15:
                 cells.append((float(clo), float(chi), k, orient, None, None, itinerary))
-    return InducedMarkovMap(m, delta, _table(cells, affine), tau_max, "numeric", partial_mass)
+    return InducedMarkovMap(m, delta, _table(cells, affine), tau_max, partial_mass)
 
 
 # ---------------------------------------------------------------------------

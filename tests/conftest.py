@@ -21,7 +21,7 @@ def mutant():
         values = getattr(F.cells, column).copy()
         values[0] = value
         return sl.InducedMarkovMap(F.base, F.delta, replace(F.cells, **{column: values}),
-                                   F.tau_max, provenance=F.provenance)
+                                   F.tau_max)
     return build
 
 
@@ -56,15 +56,15 @@ def viana_map():
 
 
 @pytest.fixture(scope="session")
-def tower_doubling12():
-    F = sl.doubling_first_return_exact(12)
+def tower_doubling12(doubling_map):
+    F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 12)
     sl.verify_axioms(F)
     return F
 
 
 @pytest.fixture(scope="session")
-def tower_doubling20():
-    F = sl.doubling_first_return_exact(20)
+def tower_doubling20(doubling_map):
+    F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 20)
     sl.verify_axioms(F)
     return F
 
@@ -92,7 +92,7 @@ def tower_quadratic(quadratic_map):
 
 @pytest.fixture(scope="session")
 def tower_circle3(circle3_map):
-    F = sl.trivial_tower(circle3_map)
+    F = sl.first_return_map(circle3_map, circle3_map.domain, 1)
     sl.verify_axioms(F)
     return F
 

@@ -27,7 +27,7 @@ def test_01_doubling_return_pipeline():
     and the spread-measure mass, all against closed forms, under 10 s."""
     t0 = time.perf_counter()
     m = sl.make_map("doubling")
-    F = sl.doubling_first_return_exact(20)
+    F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 20)
     sl.verify_axioms(F)
     mu_F = sl.stationary_density(sl.ulam_matrix(F, 4096))
     kac = sl.kac_mass(F, mu_F)
@@ -55,7 +55,7 @@ def test_02_entropy_routes_agree_on_affine_maps():
     t0 = time.perf_counter()
     gaps = {}
     for family, build in [
-        ("doubling", lambda m: sl.doubling_first_return_exact(20)),
+        ("doubling", lambda m: sl.first_return_map(m, sl.Interval(0.0, 0.5), tau_max=20)),
         ("tent", lambda m: sl.first_return_map(m, sl.Interval(0.0, 0.5), tau_max=20)),
     ]:
         m = sl.make_map(family) if family == "doubling" else sl.make_map("tent", slope=2.0)
@@ -152,7 +152,7 @@ def test_06_linear_majorant_on_all_towers(tower_doubling12, tower_tent2,
 def test_07_axiom_verification_and_shrunken_cell(mutant):
     """The exact doubling tower passes all three axioms with its closed-form
     constants; a 1% cell shrinkage is flagged by the onto check."""
-    F = sl.doubling_first_return_exact(20)
+    F = sl.first_return_map(sl.make_map("doubling"), sl.Interval(0.0, 0.5), 20)
     rep = sl.verify_axioms(F)
 
     c = F.cells

@@ -176,6 +176,15 @@ def test_degenerate_induction_exits_3(tmp_path):
                "sweep_from": 1.5, "sweep_to": 2.0, "sweep_steps": 2}, "no parameter 'slop'"),
     ("sweep", {"family": "viana", "sweep_parameter": "d", "sweep_from": 2.0,
                "sweep_to": 3.0, "sweep_steps": 3}, "viana needs an integer d, got 2.5"),
+    ("entropy", {"family": "tent", "map_params": {"slope": 2.5}}, "tent needs slope in (1, 2]"),
+    ("entropy", {"family": "tent", "map_params": {"slope": math.nan}}, "needs slope in (1, 2]"),
+    ("entropy", {"family": "quadratic", "map_params": {"a": 2.5}}, "quadratic needs a in (1, 2]"),
+    ("probe", {"family": "viana", "map_params": {"alpha": -0.1}}, "viana needs alpha >= 0"),
+    ("entropy", {"family": "circle_linear", "map_params": {"d": 1}}, "needs integer d >= 2"),
+    ("induce", {"family": "tent", "induce_lo": 0.0, "induce_hi": 5.0},
+     "induce.lo and induce.hi must lie in the tent domain [0, 1]"),
+    ("induce", {"family": "tent", "induce_lo": 0.0, "induce_hi": math.inf},
+     "induce.hi must be finite"),
 ])
 def test_map_parameter_errors_exit_2_before_any_work(tmp_path, command, overrides, message):
     path = write_cfg(tmp_path, out_dir=str(tmp_path / "out"), seed=0, **overrides)
@@ -219,6 +228,22 @@ def test_nonpositive_tail_thresholds_exit_2(tmp_path, keys):
     out = run_cli("tail", "--config", str(path), "--out", str(tmp_path / "out"))
     assert out.returncode == 2, out.stderr
     assert out.stderr == f"config error: {list(keys)[-1]} must be positive\n"
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("sweep", "sweep.from", "nan"), ("sweep", "sweep.to", "inf"),
+    ("induce", "induce.lo", "nan"), ("induce", "induce.hi", "inf"),
+    ("tail", "tail.lam", "inf"), ("tail", "tail.eps", "inf"), ("tail", "tail.delta", "inf"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, command, key, value):
+    keys = {"sweep.parameter": "slope", "sweep.from": "1.8", "sweep.to": "2.0",
+            "induce.lo": "0.0", "induce.hi": "0.5", "tail.lam": "0.5", key: value}
+    path = tmp_path / "run.cfg"
+    path.write_text("map.family = tent\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"config error: {key} must be finite\n"
+    assert not os.path.exists(tmp_path / "out")
 
 
 _TAIL_CSV = ("# lam = 0.5\n# eps = 0.125\n# delta = 1e-06\n# n_max = 2\n# sample_size = 10\n"

@@ -1,14 +1,16 @@
 """The demos and the README's Python blocks use only names srblab exports,
-the README's config blocks parse, and every export is used outside the
-tests.
+the README's config blocks parse, every export is used outside the tests,
+and the README quick start gives the values its comments state.
 
-Each file is parsed with ``ast``, not run, so the checks cost milliseconds;
-they fail as soon as a name a demo reads as ``sl.<name>`` moves or goes, a
-key the README shows in a config is retired, or an export is left that
-only its own tests call.
+Apart from the quick start, which runs in about a second, each file is
+parsed with ``ast``, not run, so the checks cost milliseconds; they fail
+as soon as a name a demo reads as ``sl.<name>`` moves or goes, a key the
+README shows in a config is retired, or an export is left that only its
+own tests call.
 """
 
 import ast
+import math
 import pathlib
 import re
 
@@ -31,7 +33,6 @@ TEST_REFERENCES = {
     "lebesgue_density": "the flat density that measure and entropy results are compared to",
     "lyapunov_exponents": "the per-orbit reference of entropy_lyapunov_rows",
     "save_config": "writes the config files that the CLI and config tests run",
-    "trivial_tower": "the one-cell tower of the circle3 fixtures",
 }
 
 
@@ -87,3 +88,15 @@ def test_every_export_is_used_outside_the_tests():
     assert set(TEST_REFERENCES) <= exports
     assert sorted(name for name in exports - read - set(TEST_REFERENCES)
                   if not re.search(rf"\b{name}\b", README)) == []
+
+
+def test_readme_quick_start_gives_its_commented_values():
+    ns = {}
+    exec(README_BLOCKS[0], ns)
+    log2 = math.log(2.0)
+    assert ns["rep"].kappa == 0.5 and ns["rep"].distortion == 0.0
+    assert abs(ns["kac"] - 2.0) <= 1e-5
+    assert abs(ns["h_F"] - 2 * log2) <= 1e-4
+    assert abs(ns["h_f"] - log2) <= 1e-4
+    assert abs(ns["h_pesin"] - log2) <= 1e-12
+    assert abs(ns["h_lyap"] - log2) <= 1e-9

@@ -30,7 +30,7 @@ class TestInducedAndAbramov:
         with pytest.raises(sl.ArgumentError):
             sl.entropy_abramov(tower_doubling20, mu_doubling20, 0.0)
 
-    def test_trivial_tower_reduces_to_the_base_entropy(self, tower_circle3, mu_circle3):
+    def test_circle3_tower_reduces_to_the_base_entropy(self, tower_circle3, mu_circle3):
         h_F = sl.entropy_induced(tower_circle3, mu_circle3)
         kac = sl.kac_mass(tower_circle3, mu_circle3)
         assert kac == pytest.approx(1.0, abs=1e-12)
@@ -509,7 +509,7 @@ class TestQuotientCheck:
         assert qc.lambda_f == pytest.approx(LOG2, abs=1e-6)
 
     def test_requires_a_verified_tower(self, doubling_map, mu_doubling12):
-        F = sl.doubling_first_return_exact(12)
+        F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 12)
         with pytest.raises(sl.UnverifiedTowerError):
             sl.lyapunov_quotient_check(doubling_map, F, mu_doubling12, sample=2, n=100)
 

@@ -89,7 +89,7 @@ def _configs(text):
     count = st.integers(1, 10 ** 12)
     induce = st.one_of(st.just((None, None)),
                        st.tuples(_FINITE, _POSITIVE).map(lambda p: (p[0], p[0] + p[1]))
-                       .filter(lambda p: p[1] > p[0]))
+                       .filter(lambda p: p[0] < p[1] < math.inf))
     return st.builds(
         lambda induce, **kw: sl.ExperimentConfig(induce_lo=induce[0], induce_hi=induce[1],
                                                  **kw),

@@ -131,7 +131,7 @@ class TestGridsAndDensities:
 
 @pytest.fixture(scope="module")
 def tower_k3():
-    F = sl.doubling_first_return_exact(3)
+    F = sl.first_return_map(sl.make_map("doubling"), sl.Interval(0.0, 0.5), 3)
     sl.verify_axioms(F)
     return F
 
@@ -354,8 +354,7 @@ def _overlapping_tower():
     slope = rise / (hi - lo)
     cells = sl.CellTable(lo, hi, np.ones(4), np.sign(rise), slope, y0 - slope * lo,
                          np.zeros((4, 1), dtype=int))
-    return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 1,
-                               provenance="numeric")
+    return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 1)
 
 
 class TestStreamedUlamAssembly:
@@ -391,14 +390,14 @@ class TestStreamedUlamAssembly:
         with pytest.raises(sl.ConstructionError, match=r"branch 0 .* not monotone"):
             sl.one_step_ulam(m, 64)
         with pytest.raises(sl.ConstructionError, match=r"cell 0 .* not monotone"):
-            sl.ulam_matrix(sl.trivial_tower(m), 64)
+            sl.ulam_matrix(sl.first_return_map(m, m.domain, 1), 64)
 
     def test_cell_ends_take_one_forward_walk(self):
         # the ends of all cells walk forward together, and nothing else does:
         # at most one branch_lift call per branch and itinerary step
         F = _suffix_tower("quadratic tau=16")
         m = _CountingQuadratic(2.0)
-        G = sl.InducedMarkovMap(m, F.delta, F.cells, F.tau_max, provenance="numeric")
+        G = sl.InducedMarkovMap(m, F.delta, F.cells, F.tau_max)
         op = sl.ulam_matrix(G, 4096)
         assert 0 < m.lift_calls <= m.n_branches * F.tau_max  # 28,392 cell by cell
         _assert_same_operator(op, *_cell_by_cell_ulam(F, 4096))
@@ -513,7 +512,7 @@ def _residual(op, mu):
 class TestStationaryDensity:
     def test_conditioned_density_on_the_exact_tower(self):
         # live bins carry 16/7 exactly once the censored bin is resolved
-        F = sl.doubling_first_return_exact(3)
+        F = sl.first_return_map(sl.make_map("doubling"), sl.Interval(0.0, 0.5), 3)
         sl.verify_axioms(F)
         mu = sl.stationary_density(sl.ulam_matrix(F, 8))
         np.testing.assert_allclose(mu.values[:7], 16 / 7, atol=1e-10)
@@ -521,7 +520,7 @@ class TestStationaryDensity:
         assert mu.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_flagged_bins_are_recorded_as_excluded(self):
-        F = sl.doubling_first_return_exact(3)
+        F = sl.first_return_map(sl.make_map("doubling"), sl.Interval(0.0, 0.5), 3)
         sl.verify_axioms(F)
         mu = sl.stationary_density(sl.ulam_matrix(F, 8))
         assert list(np.asarray(mu.excluded)) == [False] * 7 + [True]
@@ -622,15 +621,15 @@ def _nested_tower():
     within the 1e-12 overlap a cell table accepts."""
     cells = sl.CellTable([0.0, 0.5 - 2e-13, 0.5], [0.5, 0.5 - 1e-13, 1.0], [1, 2, 1], [1, 1, 1],
                          [2.0, 1.0, 2.0], [0.0, 0.0, -1.0])
-    return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 2,
-                               provenance="numeric")
+    return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 2)
 
 
 class TestSpreadMeasure:
     @pytest.mark.parametrize("name", ["doubling", "tent 1.8", "quadratic", "circle", "overlap",
                                       "nested"])
     def test_pieces_from_the_columns_match_the_cell_loop(self, name):
-        F = {"doubling": lambda: sl.doubling_first_return_exact(12),
+        F = {"doubling": lambda: sl.first_return_map(sl.make_map("doubling"),
+                                                     sl.Interval(0.0, 0.5), 12),
              "tent 1.8": lambda: sl.first_return_map(sl.make_map("tent", slope=1.8),
                                                      sl.Interval(0.0, 0.5), 12),
              "quadratic": lambda: _suffix_tower("quadratic tau=12"),
@@ -788,7 +787,7 @@ class TestGridRefinement:
         ds = [_refinement_distance(tower_tent17, k) for k in (9, 10, 11)]
         assert ds[1] < ds[0] and ds[2] < ds[1]
 
-    def test_trivial_tower(self, tower_circle3):
+    def test_circle3_tower(self, tower_circle3):
         ds = [_refinement_distance(tower_circle3, k) for k in (9, 10, 11)]
         assert max(ds) < 1e-10
 

@@ -357,6 +357,14 @@ def test_tail_params_refuse_nan_thresholds(field):
         sl.TailParams(**kw)
 
 
+@pytest.mark.parametrize("field", ["lam", "eps", "delta"])
+def test_tail_params_refuse_infinite_thresholds(field):
+    kw = {"lam": 0.3, "eps": 0.075, "delta": 1e-6, "n_max": 10, "sample_size": 10,
+          field: math.inf}
+    with pytest.raises(sl.ArgumentError, match="must be positive and finite"):
+        sl.TailParams(**kw)
+
+
 def test_nondegeneracy_probe_refuses_a_nan_exponent(viana_map):
     with pytest.raises(sl.ArgumentError, match="must be positive"):
         sl.nondegeneracy_probe(viana_map, B=32.0, beta=math.nan, points=[[0.3, 0.5]])

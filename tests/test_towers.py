@@ -83,21 +83,25 @@ class TestTowerStructure:
 
 
 class TestExactDoublingTower:
-    def test_cell_layout(self):
-        F = sl.doubling_first_return_exact(4)
+    def test_cell_layout(self, doubling_map):
+        # the closed form: the return-time-k cell is [1/2 - 2^-k, 1/2 - 2^(-k-1))
+        # with branch x -> 2^k x - (2^(k-1) - 1), visiting the left branch
+        # once and then the right one until it returns
+        F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 4)
         c = F.cells
-        got = list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(), c.slope.tolist()))
+        got = list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(), c.orientation.tolist(),
+                       c.slope.tolist(), c.intercept.tolist(), c.itineraries.tolist()))
         want = [
-            (0.0, 0.25, 1, 2.0),
-            (0.25, 0.375, 2, 4.0),
-            (0.375, 0.4375, 3, 8.0),
-            (0.4375, 0.46875, 4, 16.0),
+            (0.0, 0.25, 1, 1, 2.0, 0.0, [0, -1, -1, -1]),
+            (0.25, 0.375, 2, 1, 4.0, -1.0, [0, 1, -1, -1]),
+            (0.375, 0.4375, 3, 1, 8.0, -3.0, [0, 1, 1, -1]),
+            (0.4375, 0.46875, 4, 1, 16.0, -7.0, [0, 1, 1, 1]),
         ]
         assert got == want
 
-    def test_deficit_is_the_last_dyadic_sliver(self):
+    def test_deficit_is_the_last_dyadic_sliver(self, doubling_map):
         for k in (3, 8, 12):
-            F = sl.doubling_first_return_exact(k)
+            F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), k)
             assert F.deficit == 2.0 ** -(k + 1)
 
     def test_branches_return_via_the_base_map(self, tower_doubling12, doubling_map):
@@ -163,7 +167,7 @@ class TestNumericTowers:
         assert F.cells.tau.tolist() == [1]
         assert F.deficit == pytest.approx(0.5 - 0.5 / 1.7)
 
-    def test_trivial_tower_circle3(self, tower_circle3):
+    def test_circle3_tower(self, tower_circle3):
         F = tower_circle3
         assert len(F.cells) == 3
         assert F.cells.tau.tolist() == [1, 1, 1]
@@ -182,7 +186,7 @@ class TestNumericTowers:
 
     def test_towers_reject_2d_maps(self, viana_map):
         with pytest.raises(sl.ConstructionError):
-            sl.trivial_tower(viana_map)
+            sl.first_return_map(viana_map, viana_map.domain, 1)
 
 
 class TestDeepAndSmoothTowers:
@@ -477,7 +481,7 @@ class TestVerificationFailures:
             mutant(F, "hi", F.cells.hi[0] + 0.1)
 
     def test_unverified_tower_cannot_run_the_quotient_check(self, doubling_map):
-        F = sl.doubling_first_return_exact(6)  # fresh, never verified
+        F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 6)  # never verified
         mu = sl.stationary_density(sl.ulam_matrix(F, 64))
         with pytest.raises(sl.UnverifiedTowerError):
             sl.lyapunov_quotient_check(doubling_map, F, mu, sample=2, n=100)
