@@ -64,18 +64,28 @@ def build_system(config: ExperimentConfig) -> MapSystem:
         raise ConfigError(str(err)) from None
 
 
+def _induction_interval(m: MapSystem, config: ExperimentConfig) -> Interval:
+    """The config's induction interval for a 1D map, or its default one.
+
+    Raises
+    ------
+    ConfigError
+        If the configured interval does not lie in the map's domain.
+    """
+    if config.induce_lo is None:
+        return default_induction(m)
+    delta = Interval(config.induce_lo, config.induce_hi)
+    if not (m.domain.contains(delta.lo) and m.domain.contains(delta.hi)):
+        raise ConfigError(f"induce.lo and induce.hi must lie in the {m.family} domain "
+                          f"[{m.domain.lo:g}, {m.domain.hi:g}]")
+    return delta
+
+
 def build_tower(m: MapSystem, config: ExperimentConfig) -> InducedMarkovMap | None:
     """First-return tower per the config (None for cylinder maps)."""
     if m.dimension != 1:
         return None
-    if config.induce_lo is not None:
-        delta = Interval(config.induce_lo, config.induce_hi)
-        if not (m.domain.contains(delta.lo) and m.domain.contains(delta.hi)):
-            raise ConfigError(f"induce.lo and induce.hi must lie in the {m.family} domain "
-                              f"[{m.domain.lo:g}, {m.domain.hi:g}]")
-    else:
-        delta = default_induction(m)
-    return first_return_map(m, delta, config.tau_max)
+    return first_return_map(m, _induction_interval(m, config), config.tau_max)
 
 
 def _row_seed(seed: int, index: int) -> int:
@@ -287,7 +297,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     so the emitted ``sweep.csv`` is byte-identical for any worker count.
     Row-level failures, such as a value out of the family's range, become
     an ``error`` tag in that row; the sweep continues.  A parameter error
-    of any row's map is a ConfigError, raised before any row runs.
+    of any row's map, or an induction interval outside any row's domain,
+    is a ConfigError, raised before any row runs.
     """
     config.validate()
     if config.sweep_parameter is None:
@@ -305,6 +316,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
             raise
         except SrbLabError as exc:
             results.append({"index": i, "parameter": float(v), "error": str(exc)})
+    for _, _, m in built:
+        if m.dimension == 1:
+            _induction_interval(m, config)
     lyapunov = entropy_lyapunov_rows(
         [m for _, _, m in built], config.sample_size, config.n_iters,
         [_row_seed(config.seed, i) for i, _, _ in built])

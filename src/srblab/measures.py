@@ -16,7 +16,10 @@ induced map sum to one minus the local mass deficit.  Each monotone
 piece is cut at the preimages of the grid edges, whose order also gives
 every sliver its target bin, and the slivers stream into CSR rows that
 are converted as soon as they are complete; the sampled cylinder matrix
-is converted likewise, one chunk of bins at a time.  Stationary
+is converted likewise, one chunk of bins at a time.  Each converted
+chunk is copied into the final CSR arrays at once, and a tower's cells
+are inverted a window at a time, so the assembly holds the matrix, one
+chunk and one window of edge preimages, never cells x bins.  Stationary
 densities are found by one lazy iteration started from Lebesgue, which
 cannot stall on maps that swap bands, and never by dense factorisation,
 so towers with thousands of bins stay cheap.
@@ -57,6 +60,10 @@ _POSTCRITICAL_DEPTH = 3
 # pending slivers past which the Ulam assembly converts its complete rows;
 # also the most sample points of one chunk of the cylinder assembly
 _ASSEMBLY_CHUNK = 1 << 16
+# edge preimages held at once by the tower Ulam assembly: the cells are
+# inverted in windows of consecutive cells with at most this many inner-edge
+# preimages (a cell with more is a window of its own)
+_WINDOW = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,15 +377,51 @@ def _piece_slivers(grid: Grid1D, xlo: float, xhi: float, cuts: np.ndarray, k0: i
             np.clip(k0 - 1 + below, 0, grid.n - 1).astype(index), ends - starts)
 
 
-def _csr_rows(grid: Grid1D | Grid2D, pending, lo: int, hi: int):
-    """Convert the pending slivers of rows ``lo .. hi - 1`` (every sliver of
-    those rows) into a CSR block; returns the block and the slivers left."""
+class _CsrWriter:
+    """The CSR arrays of an ``n x n`` matrix, written in blocks of complete rows.
+
+    Each block goes through scipy's COO -> CSR conversion on its own and
+    is copied into ``indices`` and ``data``, which are allocated once,
+    grown in place (``ndarray.resize``) and trimmed to the entries before
+    :meth:`matrix` hands them to the CSR constructor (which copies arrays
+    more than twice their used length).  No block outlives its copy, and
+    the whole matrix is never copied.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.nnz = n, 0
+        index = np.int32 if n < 2 ** 31 else np.int64
+        self.indptr = np.zeros(n + 1, dtype=index)
+        self.indices, self.data = np.empty(0, dtype=index), np.empty(0)
+
+    def write(self, src, dst, val, lo: int, hi: int) -> None:
+        """Append rows ``lo .. hi - 1`` from their (row, column, value)
+        entries, every entry of those rows and no other."""
+        block = sp.coo_matrix((val, (src - lo, dst)), shape=(hi - lo, self.n)).tocsr()
+        end = self.nnz + block.nnz
+        if end > self.data.size:
+            size = max(end, self.data.size * 3 // 2)
+            self.indices.resize(size, refcheck=False)  # no views of them exist
+            self.data.resize(size, refcheck=False)
+        self.indices[self.nnz:end] = block.indices
+        self.data[self.nnz:end] = block.data
+        self.indptr[lo + 1:hi + 1] = block.indptr[1:] + self.nnz
+        self.nnz = end
+
+    def matrix(self) -> sp.csr_matrix:
+        self.indices.resize(self.nnz, refcheck=False)
+        self.data.resize(self.nnz, refcheck=False)
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _write_rows(out: _CsrWriter, pending, lo: int, hi: int):
+    """Write the pending slivers of rows ``lo .. hi - 1`` (every sliver of
+    those rows) to ``out``; returns the slivers left."""
     src, dst, val = (np.concatenate(part) for part in zip(*pending))
     ready = src < hi
-    block = sp.coo_matrix((val[ready], (src[ready] - lo, dst[ready])),
-                          shape=(hi - lo, grid.n)).tocsr()
+    out.write(src[ready], dst[ready], val[ready], lo, hi)
     ready = ~ready
-    return block, [(src[ready], dst[ready], val[ready])]
+    return [(src[ready], dst[ready], val[ready])]
 
 
 def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
@@ -388,23 +431,23 @@ def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
     (:func:`_piece_slivers`), with the pieces' left ends ``lo``
     nondecreasing, so every row below the bin of ``lo`` is complete when a
     piece arrives.  Once more than ``_ASSEMBLY_CHUNK`` slivers are pending,
-    the complete rows go through scipy's COO -> CSR conversion and the
-    blocks are stacked at the end: working memory follows the chunk and
-    the matrix, not the slivers of all pieces.  The bits follow the whole
-    matrix's conversion, since that conversion works row by row: it sorts
-    a row's column indices (an introsort for rows of more than 16
-    entries, which is not stable) and then adds up duplicates in sorted
-    order.  So each row reaches scipy whole and in piece order, and the
-    sums of ``covered`` run in piece order too.
+    the complete rows go through scipy's COO -> CSR conversion and are
+    copied into the final arrays by :class:`_CsrWriter`: working memory
+    follows the chunk and the matrix, not the slivers of all pieces.  The
+    bits follow the whole matrix's conversion, since that conversion works
+    row by row: it sorts a row's column indices (an introsort for rows of
+    more than 16 entries, which is not stable) and then adds up duplicates
+    in sorted order.  So each row reaches scipy whole and in piece order,
+    and the sums of ``covered`` run in piece order too.
     """
     widths = grid.widths
     covered = np.zeros(grid.n)
     empty = np.empty(0, dtype=np.int32)
-    pending, size, blocks, done = [(empty, empty, np.empty(0))], 0, [], 0
+    out = _CsrWriter(grid.n)
+    pending, size, done = [(empty, empty, np.empty(0))], 0, 0
     for lo, src, dst, ln in pieces:
         if size > _ASSEMBLY_CHUNK and (boundary := int(grid.locate(lo))) > done:
-            block, pending = _csr_rows(grid, pending, done, boundary)
-            blocks.append(block)
+            pending = _write_rows(out, pending, done, boundary)
             size, done = pending[0][0].size, boundary
         if src.size == 0:
             continue
@@ -412,12 +455,23 @@ def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
         ln /= widths[src]  # in place: the lengths become the entries
         pending.append((src, dst, ln))
         size += src.size
-    blocks.append(_csr_rows(grid, pending, done, grid.n)[0])
-    mat = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
+    _write_rows(out, pending, done, grid.n)
     frac = covered / widths
     row_deficit = np.clip(1.0 - frac, 0.0, 1.0)
     flagged = frac < 1e-9
-    return UlamOperator(grid, mat, row_deficit, flagged)
+    return UlamOperator(grid, out.matrix(), row_deficit, flagged)
+
+
+def _windows(counts: np.ndarray):
+    """Split cells with ``counts`` edge preimages into runs ``(a, b)`` of
+    consecutive cells with at most ``_WINDOW`` preimages each, or one cell."""
+    a, held = 0, 0
+    for i, c in enumerate(counts.tolist()):
+        if held + c > _WINDOW and i > a:
+            yield a, i
+            a, held = i, 0
+        held += c
+    yield a, len(counts)
 
 
 def ulam_matrix(F, bins: int) -> UlamOperator:
@@ -428,12 +482,16 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
     itinerary otherwise), so each row sums to one minus the local deficit
     fraction without sampling noise.  One masked ``F.evaluate`` call gives
     the ends of every cell, and with them the grid edges inside each
-    cell's image; no other point walks forward.  Every grid edge is
-    pulled back into every cell by :meth:`InducedMarkovMap.invert_cells`,
-    which inverts each shared itinerary suffix once; a cell keeps a copy
-    of its inner edges' preimages, which fix both its cuts and its
-    slivers' target bins.  The cells' slivers then stream, in cell order,
-    into the row by row assembly of :func:`_assemble_rows`.
+    cell's image; no other point walks forward.  The cells go in windows
+    of consecutive cells holding at most ``_WINDOW`` such inner edges
+    between them.  :meth:`InducedMarkovMap.invert_cells` pulls every grid
+    edge back into each cell of a window, inverting each itinerary suffix
+    shared within the window once, and a cell keeps a copy of its inner
+    edges' preimages, which fix both its cuts and its slivers' target
+    bins.  The window's cells are then cut in cell order, each copy
+    dropped as its cell is cut, before the next window is inverted, so
+    the preimages held at once follow the window, not cells x bins.  The
+    slivers stream into the row by row assembly of :func:`_assemble_rows`.
     """
     if bins < 1:
         raise ArgumentError("ulam_matrix needs at least one bin")
@@ -443,15 +501,13 @@ def ulam_matrix(F, bins: int) -> UlamOperator:
     ia, ib = F.evaluate(np.repeat(np.arange(len(los)), 2), ends).reshape(-1, 2).T
     k0, k1 = _inner_edges(grid, ia, ib)
     j0, j1 = _inner_edges(grid, los, his)
-    pres = [None] * len(los)
-    for i, pre in F.invert_cells(grid.edges):
-        pres[i] = pre[k0[i]:k1[i]].copy()
 
     def pieces():
-        for i, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
-            pre, pres[i] = pres[i], None  # each copy goes once its cell is cut
-            yield lo, *_piece_slivers(grid, lo, hi, grid.edges[j0[i]:j1[i]], k0[i],
-                                      ia[i] <= ib[i], pre, f"cell {i}")
+        for a, b in _windows(k1 - k0):
+            pres = {i: pre[k0[i]:k1[i]].copy() for i, pre in F.invert_cells(grid.edges, a, b)}
+            for i, (lo, hi) in enumerate(zip(los[a:b].tolist(), his[a:b].tolist()), a):
+                yield lo, *_piece_slivers(grid, lo, hi, grid.edges[j0[i]:j1[i]], k0[i],
+                                          ia[i] <= ib[i], pres.pop(i), f"cell {i}")
 
     return _assemble_rows(grid, pieces())
 
@@ -510,12 +566,12 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     stratified sampling (``_CYLINDER_SIDE^2`` points per bin) on a regular
     grid since its bins are not intervals.  It samples chunks of whole
     bins, at most ``_ASSEMBLY_CHUNK`` points and one map call each, and
-    converts each chunk's rows, which are complete, to CSR through
-    :func:`_csr_rows`; the blocks are stacked at the end.  So working
-    memory follows the chunk and the matrix, not the sample.  Every entry
-    is a sum of ``1 / _CYLINDER_SIDE^2``, a power of two, so the sums are
-    exact in any order and the matrix equals a single conversion of all
-    points bit for bit.
+    converts each chunk's rows, which are complete, to CSR and into the
+    final arrays through :class:`_CsrWriter`, as the tower assembly does.
+    So working memory follows the chunk and the matrix, not the sample.
+    Every entry is a sum of ``1 / _CYLINDER_SIDE^2``, a power of two, so
+    the sums are exact in any order and the matrix equals a single
+    conversion of all points bit for bit.
     """
     if bins < 1:
         raise ArgumentError("one_step_ulam needs at least one bin")
@@ -542,16 +598,14 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     ts, xs = (stratified_points(axis.edges[:-1], np.diff(axis.edges), _CYLINDER_SIDE)
               for axis in grid.axes)
     chunk = max(_ASSEMBLY_CHUNK // nper, 1)
-    blocks = []
+    out = _CsrWriter(grid.n)
     for b0 in range(0, grid.n, chunk):
         b1 = min(b0 + chunk, grid.n)
         cols = grid.locate(m.f_batch(grid.product_points(ts, xs, np.arange(b0, b1))
                                      .reshape(-1, 2)))
         rows = np.repeat(np.arange(b0, b1), nper)
-        vals = np.full(rows.size, 1.0 / nper)
-        blocks.append(_csr_rows(grid, [(rows, cols, vals)], b0, b1)[0])
-    mat = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
-    return UlamOperator(grid, mat, np.zeros(grid.n), np.zeros(grid.n, dtype=bool))
+        out.write(rows, cols, np.full(rows.size, 1.0 / nper), b0, b1)
+    return UlamOperator(grid, out.matrix(), np.zeros(grid.n), np.zeros(grid.n, dtype=bool))
 
 
 def stationary_density(op: UlamOperator, tol: float = 1e-10,

@@ -15,8 +15,8 @@ so nothing is found by bisection.  Points of many cells go in one call,
 with one mask per base branch and step; the points of one cell step
 without masks.  Shared inverse chains are walked once:
 :meth:`InducedMarkovMap.invert_cells` pulls one set of points (the Ulam
-grid edges) back into every cell over the trie of reversed itineraries,
-one ``branch_inverse`` call per distinct suffix, and
+grid edges) back into a run of cells over the trie of their reversed
+itineraries, one ``branch_inverse`` call per distinct suffix, and
 :func:`first_return_map` walks a segment's cut points and the targets of
 its pieces back in one chain.  The ends of cells and the images checked by
 :func:`verify_axioms` take compensated (double-double) steps: a float
@@ -215,24 +215,26 @@ class InducedMarkovMap:
             return self._walk_cells(cells, ys, inverse=True)
         return (ys - self.cells.intercept[cells]) / self.cells.slope[cells]
 
-    def invert_cells(self, ys: np.ndarray):
-        """Preimages of all of ``ys`` in every cell, as ``(cell, xs)`` pairs.
+    def invert_cells(self, ys: np.ndarray, lo: int, hi: int):
+        """Preimages of all of ``ys`` in each of the cells ``lo .. hi - 1``,
+        as ``(cell, xs)`` pairs.
 
         Affine cells invert in closed form, in cell order.  Non-affine
         cells come depth first over the trie of their reversed
-        itineraries: cells whose itineraries end alike share the inverse
-        steps of that suffix, so each distinct suffix costs one
-        ``branch_inverse`` call on all of ``ys``.  The pairs share their
-        arrays; read each before asking for the next.
+        itineraries, built over the asked cells only: cells whose
+        itineraries end alike share the inverse steps of that suffix, so
+        each distinct suffix among them costs one ``branch_inverse`` call
+        on all of ``ys``.  The pairs share their arrays; read each before
+        asking for the next.
         """
         ys = np.asarray(ys, dtype=float)
         if self.affine:
-            for i in range(len(self.cells)):
+            for i in range(lo, hi):
                 yield i, self.invert(i, ys)
             return
         trie = {}  # branch -> subtrie; the key None lists the cells ending here
-        for i, (row, tau) in enumerate(zip(self.cells.itineraries.tolist(),
-                                           self.cells.tau.tolist())):
+        for i, row, tau in zip(range(lo, hi), self.cells.itineraries[lo:hi].tolist(),
+                               self.cells.tau[lo:hi].tolist()):
             node = trie
             for branch in reversed(row[:tau]):
                 node = node.setdefault(branch, {})

@@ -185,6 +185,9 @@ def test_degenerate_induction_exits_3(tmp_path):
      "induce.lo and induce.hi must lie in the tent domain [0, 1]"),
     ("induce", {"family": "tent", "induce_lo": 0.0, "induce_hi": math.inf},
      "induce.hi must be finite"),
+    ("sweep", {"family": "tent", "sweep_parameter": "slope", "sweep_from": 1.8,
+               "sweep_to": 2.0, "sweep_steps": 2, "induce_lo": 0.0, "induce_hi": 5.0},
+     "induce.lo and induce.hi must lie in the tent domain [0, 1]"),
 ])
 def test_map_parameter_errors_exit_2_before_any_work(tmp_path, command, overrides, message):
     path = write_cfg(tmp_path, out_dir=str(tmp_path / "out"), seed=0, **overrides)

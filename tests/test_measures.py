@@ -257,17 +257,42 @@ class TestUlamSuffixTrie:
                           (op.flagged, flagged)):
             assert np.array_equal(got, want)
 
-    def test_one_branch_inverse_call_per_distinct_suffix(self):
+    def test_one_branch_inverse_call_per_distinct_suffix(self, monkeypatch):
         m = _CountingCircle(0.2)
         F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 20)
         taus = F.cells.tau.tolist()
-        suffixes = {tuple(row[j:tau]) for row, tau in zip(F.cells.itineraries.tolist(), taus)
-                    for j in range(tau)}
-        # 39 distinct suffixes against 210 inverse steps cell by cell
-        assert len(suffixes) == 39 and sum(taus) == 210
+        rows = F.cells.itineraries.tolist()
+
+        def suffixes(a, b):
+            return {tuple(rows[i][j:taus[i]]) for i in range(a, b) for j in range(taus[i])}
+
+        # the whole tower is one window: 39 distinct suffixes against 210
+        # inverse steps cell by cell
+        assert len(suffixes(0, len(taus))) == 39 and sum(taus) == 210
+        windows = _spy_windows(monkeypatch)
         m.inverse_calls = 0
         sl.ulam_matrix(F, 512)
-        assert m.inverse_calls == len(suffixes)
+        assert windows == [(0, len(taus))] and m.inverse_calls == 39
+        # small windows walk the suffixes they share once each
+        monkeypatch.setattr(sl.measures, "_WINDOW", 2000)
+        windows.clear()
+        m.inverse_calls = 0
+        sl.ulam_matrix(F, 512)
+        assert len(windows) > 2
+        assert m.inverse_calls == sum(len(suffixes(a, b)) for a, b in windows) > 39
+
+
+def _spy_windows(monkeypatch):
+    """Record the ``(lo, hi)`` cell range of every ``invert_cells`` call."""
+    windows = []
+    invert_cells = sl.InducedMarkovMap.invert_cells
+
+    def spy(self, ys, lo, hi):
+        windows.append((lo, hi))
+        return invert_cells(self, ys, lo, hi)
+
+    monkeypatch.setattr(sl.InducedMarkovMap, "invert_cells", spy)
+    return windows
 
 
 def _assert_same_operator(op, mat, row_deficit, flagged):
@@ -374,6 +399,22 @@ class TestStreamedUlamAssembly:
         if name == "overlap":
             _assert_same_operator(got, *_cell_by_cell_ulam(F, bins))
 
+    @pytest.mark.parametrize("name,bins,window,windows", [
+        ("quadratic tau=16", 4096, 0, 987),  # a window per cell
+        ("quadratic tau=16", 4096, 1 << 18, 16),  # 4.0 M edge preimages in all
+        ("quadratic tau=16", 4096, 1 << 30, 1),
+        ("overlap", 40, 0, 4),
+    ])
+    def test_window_boundaries_change_nothing(self, monkeypatch, name, bins, window, windows):
+        F = _overlapping_tower() if name == "overlap" else _suffix_tower(name)
+        monkeypatch.setattr(sl.measures, "_WINDOW", window)
+        seen = _spy_windows(monkeypatch)
+        op = sl.ulam_matrix(F, bins)
+        # consecutive runs of cells that cover the tower
+        assert [a for a, _ in seen] + [len(F.cells)] == [0] + [b for _, b in seen]
+        assert len(seen) == windows
+        _assert_same_operator(op, *_cell_by_cell_ulam(F, bins))
+
     @settings(max_examples=30, deadline=None)
     @given(m=_SMALL_MAPS, bins=st.integers(1, 2048))
     def test_tower_matches_the_forward_located_reference(self, m, bins):
@@ -405,8 +446,10 @@ class TestStreamedUlamAssembly:
     def test_peak_memory_stays_below_half_the_triplet_assembly(self):
         # Holding every cell's (row, column, length) triplets and converting
         # them at once peaked at 190.9 MB under tracemalloc on this tower
-        # (987 cells, 4096 bins, 1.8 M nonzeros); the streamed assembly
-        # measured 43.3 MB (Python 3.11, numpy 2.4, scipy 1.17).
+        # (987 cells, 4096 bins, 1.8 M nonzeros); streaming the rows while
+        # holding every cell's edge preimages, 43.4 MiB; the windowed
+        # assembly measured 32.5 MiB, 20.6 MiB of it the matrix (Python
+        # 3.11, numpy 2.4, scipy 1.17).
         F = _suffix_tower("quadratic tau=16")
         tracemalloc.start()
         try:
@@ -414,7 +457,23 @@ class TestStreamedUlamAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 95 * 2 ** 20
+        assert peak < 40 * 2 ** 20
+
+    def test_deep_tower_peak_follows_the_matrix_and_the_window(self):
+        # tau 18 at 2048 bins: 2,584 cells with 5.3 M edge preimages, 42.3 MB
+        # if held at once, and holding them peaked at 44.3 MiB under
+        # tracemalloc.  Windows of 2^19 preimages measured 15.8 MiB: the
+        # 6.7 MiB matrix, 4 MiB of window and 5.2 MiB of pending chunks and
+        # array growth (Python 3.11, numpy 2.4, scipy 1.17).
+        F = _suffix_tower("quadratic tau=18")
+        tracemalloc.start()
+        try:
+            mat = sl.ulam_matrix(F, 2048).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes + 8 * sl.measures._WINDOW
+        assert peak < held + 8 * 2 ** 20
 
 
 def _cylinder_locate(pts, n_theta, x_lo, x_hi, n_x):
