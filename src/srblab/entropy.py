@@ -13,12 +13,13 @@ Four independent routes to the metric entropy of an expanding map:
   against a tower-stationary density, rescaled by the mean return time;
 * ``entropy_smb`` — cylinder-counting along a single tower orbit.
 
-The base-map orbit loops, ``entropy_lyapunov_rows`` and the base loop of
-``lyapunov_quotient_check``, step in blocks: up to 256 steps of every
-orbit go into one (steps, orbits) buffer, and the log-derivatives of the
-whole block take one call each.  The buffer comes from the map's
-``orbit``, and the derivatives from the derivative interface of
-:class:`~srblab.maps.MapSystem`, so no estimator asks for the dimension.
+The one base-map orbit loop, ``entropy_lyapunov_rows``, steps in blocks:
+up to 256 steps of every orbit go into one (steps, orbits) buffer, and
+the log-derivatives of the whole block take one call each;
+``lyapunov_quotient_check`` takes its base exponent from it too.  The
+buffer comes from the map's ``orbit``, and the derivatives from the
+derivative interface of :class:`~srblab.maps.MapSystem`, so no estimator
+asks for the dimension.
 The block is summed row by row, so every orbit sum keeps its order and
 the numbers match a per-step loop bit for bit.  A sweep runs all its rows
 through one driver call: each block covers every row's orbits, with the
@@ -60,12 +61,6 @@ from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown
 _BLOCK_STEPS = 256
 #: Cap on steps x orbits of one buffered block (512 KiB of float64).
 _BLOCK_ELEMENTS = 1 << 16
-
-
-def _block_steps(orbits: int) -> int:
-    """Steps of one buffered block of ``orbits`` orbits: 256, fewer when
-    steps x orbits would pass 2^16."""
-    return max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // orbits))
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -186,7 +181,10 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
         cells.append(i)
         y = dither(np.clip(F.evaluate(i, y), lo, np.nextafter(hi, lo)), drng, lo, hi)
     if F.affine:
-        return sum(F.cells.log_slope[cells].tolist()) / n
+        total = 0.0
+        for term in F.cells.log_slope[cells].tolist():
+            total += term  # step by step, in orbit order
+        return total / n
 
     # pull the base interval back one cell at a time, from cell n-1 down to
     # the switch row k: the first row narrower than 1e-6 of the base
@@ -303,7 +301,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     steps = np.zeros(row.size, dtype=int)
     retries = np.zeros(row.size, dtype=int)
     failed = [None] * len(maps)
-    block = _block_steps(sample_size)
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // sample_size))
     while (live := np.flatnonzero(steps < n)).size:
         left = n - steps[live]
         step = first
@@ -391,6 +389,7 @@ class QuotientCheck:
     mean_return: float
     quotient: float
     lambda_f: float
+    lambda_f_se: float
 
     @property
     def gap(self) -> float:
@@ -409,17 +408,21 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     by a fresh uniform draw from the same stream).  Each tower step is one
     itinerary walk, giving the images and ``log |DF|`` of all orbits.
     The mean return time comes from the censored Kac integral of
-    ``mu_F``, and ``lambda_f`` is measured independently along base-map
-    orbits of matching length, stepped by the map's ``orbit`` and
-    differentiated a block of steps at a time.  These orbits are not
-    dithered: of the built-in families only maps of constant ``|f'|``
-    (power-of-two slopes) drain to a dyadic cycle, where the exponent is
-    still that constant.
+    ``mu_F``.  ``lambda_f`` and its standard error ``lambda_f_se`` are
+    the Lyapunov route, :func:`entropy_lyapunov` with ``sample`` orbits
+    and ``seed``, at matching length: as many base steps per orbit as the
+    tower orbits took on average.  So near-critical steps restart their
+    orbit as on that route.  These orbits are not dithered: of the
+    built-in families only maps of constant ``|f'|`` (power-of-two
+    slopes) drain to a dyadic cycle, where the exponent is still that
+    constant.
 
     Raises
     ------
     UnverifiedTowerError
         If the tower was never verified or failed verification.
+    NearCriticalError
+        If a base orbit slot exhausts its retry budget.
     """
     _require_verified(F)
     if sample < 1 or n < 1:
@@ -445,21 +448,9 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     lambda_F = total_logj / (sample * n)
     mean_return = kac_mass(F, mu_F)
     quotient = lambda_F / mean_return
-    # independent base-map measurement of matching orbit length, stepped
-    # and differentiated a block at a time
-    n_base = max(base_steps // sample, 1)
-    base_pts = np.array([r.uniform(m.domain.lo, m.domain.hi) for r in rngs])
-    base_sum = 0.0
-    done = 0
-    while done < n_base:
-        buf = m.orbit(base_pts, min(n_base - done, _block_steps(sample)))
-        done += len(buf) - 1
-        base_pts = buf[-1]
-        logs = np.log(np.maximum(np.abs(m.df_batch(buf[:-1])), NEAR_CRITICAL_FLOOR))
-        for term in logs.sum(axis=1).tolist():
-            base_sum += term  # row by row: the sum keeps its orbit order
-    lambda_f = base_sum / (sample * n_base)
-    return QuotientCheck(lambda_F, mean_return, quotient, lambda_f)
+    # the Lyapunov route at matching orbit length
+    lambda_f, lambda_f_se = entropy_lyapunov(m, sample, max(base_steps // sample, 1), seed=seed)
+    return QuotientCheck(lambda_F, mean_return, quotient, lambda_f, lambda_f_se)
 
 
 @dataclass(frozen=True)

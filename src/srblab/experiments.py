@@ -277,7 +277,7 @@ def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | s
         for route in rep.routes.values():
             row[route.name] = route.estimate
         row["lyapunov_se"] = rep.routes["lyapunov"].std_error
-        if m.dimension == 1 and rep.density is not None:
+        if rep.density is not None:
             row["density"] = rep.density
     except SrbLabError as exc:
         row = {"index": index, "parameter": value, "error": str(exc)}

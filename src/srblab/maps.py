@@ -657,6 +657,8 @@ class VianaMap(MapSystem):
                                 + (self.domain.hi - self.domain.lo) * u[:, 1]])
 
     def check_point(self, p):
+        if not Interval(0.0, 1.0).contains(float(p[0])):
+            raise DomainViolationError(f"base coordinate {p[0]} outside the circle [0, 1]")
         if not self.domain.contains(float(p[1])):
             raise DomainViolationError(
                 f"fibre coordinate {p[1]} outside [{self.domain.lo}, {self.domain.hi}]"

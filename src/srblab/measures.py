@@ -563,11 +563,12 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     map with a critical set, where the invariant density has inverse
     square-root spikes that a regular mesh resolves only slowly, and
     regular otherwise.  The cylinder skew product falls back to
-    stratified sampling (``_CYLINDER_SIDE^2`` points per bin) on a regular
-    grid since its bins are not intervals.  It samples chunks of whole
-    bins, at most ``_ASSEMBLY_CHUNK`` points and one map call each, and
-    converts each chunk's rows, which are complete, to CSR and into the
-    final arrays through :class:`_CsrWriter`, as the tower assembly does.
+    stratified sampling (``_CYLINDER_SIDE^2`` points per bin, the product
+    of the axes' ``bin_points``) on a regular grid since its bins are not
+    intervals.  It samples chunks of whole bins, at most
+    ``_ASSEMBLY_CHUNK`` points and one map call each, and converts each
+    chunk's rows, which are complete, to CSR and into the final arrays
+    through :class:`_CsrWriter`, as the tower assembly does.
     So working memory follows the chunk and the matrix, not the sample.
     Every entry is a sum of ``1 / _CYLINDER_SIDE^2``, a power of two, so
     the sums are exact in any order and the matrix equals a single
@@ -592,11 +593,8 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     n_x = max(bins // n_theta, 1)
     grid = Grid2D(Grid1D(0.0, 1.0, n_theta), Grid1D(m.domain.lo, m.domain.hi, n_x))
     nper = _CYLINDER_SIDE ** 2
-    # the strata are spaced by the differences of the edges, as the sampler's
-    # always were: off power-of-two bin counts they are an ulp off the axes'
-    # widths, and the matrix keeps its bits this way
-    ts, xs = (stratified_points(axis.edges[:-1], np.diff(axis.edges), _CYLINDER_SIDE)
-              for axis in grid.axes)
+    # each axis's own strata, as in the Pesin quadrature
+    ts, xs = (axis.bin_points(_CYLINDER_SIDE) for axis in grid.axes)
     chunk = max(_ASSEMBLY_CHUNK // nper, 1)
     out = _CsrWriter(grid.n)
     for b0 in range(0, grid.n, chunk):
@@ -671,27 +669,21 @@ def spread_measure(m: MapSystem, F, mu_F: GridDensity, bins: int) -> GridDensity
     still unaccounted for beyond ``tau_max`` is attached as
     ``truncation_bound``.
 
-    Each sliver of each bin is transported through ``_STRATA`` (16)
-    stratified sample points, deterministically, so results are
-    reproducible bit for bit.
+    The base interval is cut at the sorted cell ends into the cells and
+    the deficit gaps, and each piece takes its return time from
+    ``F.return_time``.  Each sliver of each bin is transported through
+    ``_STRATA`` (16) stratified sample points, deterministically, so
+    results are reproducible bit for bit.
     """
     F.check_density(mu_F)
     grid = Grid1D(m.domain.lo, m.domain.hi, bins)
     censor = F.tau_max + 1
-    # the cells and the deficit gaps in order: gap i ends where cell i
-    # starts, and the last gap where the base interval does
-    cells = F.cells
-    los, his = np.empty(2 * len(cells) + 1), np.empty(2 * len(cells) + 1)
-    los[0::2] = np.maximum.accumulate(np.append(F.delta.lo, cells.hi))
-    his[0::2] = np.append(cells.lo, F.delta.hi)
-    los[1::2], his[1::2] = cells.lo, cells.hi
-    keep = np.ones(los.size, dtype=bool)
-    keep[0::2] = his[0::2] - los[0::2] > 1e-15
-    taus = np.insert(cells.tau, np.arange(len(cells) + 1), censor)[keep]
-    owner, idx, starts, ends = bin_slivers(mu_F.grid, los[keep], his[keep])
+    # the pieces between consecutive cell ends: the cells and the deficit gaps
+    cuts = np.unique(np.concatenate([[F.delta.lo, F.delta.hi], F.cells.lo, F.cells.hi]))
+    owner, idx, starts, ends = bin_slivers(mu_F.grid, cuts[:-1], cuts[1:])
+    taus = F.return_time(0.5 * (cuts[:-1] + cuts[1:]), censor)[owner]
     lens = ends - starts
     weights = mu_F.values[idx] * lens
-    taus = taus[owner]
     pts = stratified_points(starts, lens).ravel()
     w = np.repeat(weights / _STRATA, _STRATA)
     t = np.repeat(taus, _STRATA)

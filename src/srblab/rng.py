@@ -19,7 +19,7 @@ class StreamKey:
     """First key of each kind of stream: no two kinds of work share one."""
 
     LYAPUNOV = 11    # orbit slot i of the Lyapunov route: (seed, LYAPUNOV, i)
-    QUOTIENT = 13    # tower and base orbits of lyapunov_quotient_check
+    QUOTIENT = 13    # tower orbits of lyapunov_quotient_check
     SMB_START = 17   # starting points of the SMB route in entropy_report
     SWEEP_ROW = 19   # per-row seeds of a sweep
     PROBE = 23       # the sample of ``srblab probe``

@@ -177,7 +177,9 @@ class InducedMarkovMap:
         self.cells = cells
         self.tau_max = int(tau_max)
         self.partial_mass = float(partial_mass)
-        covered = sum((cells.hi - cells.lo).tolist())  # cell by cell, in order
+        covered = 0.0
+        for width in (cells.hi - cells.lo).tolist():
+            covered += width  # cell by cell, in order
         self.deficit = max(delta.width - covered, 0.0)
         self.verification: VerificationReport | None = None
 
@@ -193,6 +195,11 @@ class InducedMarkovMap:
         clipped = np.maximum(idx, 0)
         ok = (idx >= 0) & (xs >= los[clipped]) & (xs < his[clipped])
         return np.where(ok, clipped, -1)
+
+    def return_time(self, xs: np.ndarray, censor: int) -> np.ndarray:
+        """Return times of many points: the cell's ``tau``, or ``censor`` in
+        the deficit."""
+        return np.append(self.cells.tau, censor)[self.cell_index_batch(xs)]
 
     # -- branch evaluation ---------------------------------------------------
 
@@ -599,8 +606,7 @@ def return_time_l1_distance(F1: InducedMarkovMap, F2: InducedMarkovMap) -> float
     pts = np.unique(np.concatenate([[F1.delta.lo, F1.delta.hi], F1.cells.lo, F1.cells.hi,
                                     F2.cells.lo, F2.cells.hi]))
     mids = 0.5 * (pts[:-1] + pts[1:])
-    # the deficit index -1 picks the appended censoring time
-    t1, t2 = (np.append(F.cells.tau, censor)[F.cell_index_batch(mids)] for F in (F1, F2))
+    t1, t2 = (F.return_time(mids, censor) for F in (F1, F2))
     total = 0.0
     for term in (np.abs(t1 - t2) * np.diff(pts)).tolist():
         total += term  # piece by piece: the sum keeps its order

@@ -508,6 +508,24 @@ class TestQuotientCheck:
         assert abs(qc.quotient - qc.lambda_f) < 5e-3
         assert qc.lambda_f == pytest.approx(LOG2, abs=1e-6)
 
+    def test_lambda_f_is_one_lyapunov_route_call(self, monkeypatch, quadratic_map,
+                                                 tower_quadratic, mu_quadratic):
+        calls = []
+
+        def driver(m, sample_size, n, seed=0, retry_budget=8):
+            calls.append((m, sample_size, n, seed))
+            return 0.625, 0.125
+
+        monkeypatch.setattr(sl.entropy, "entropy_lyapunov", driver)
+        qc = sl.lyapunov_quotient_check(quadratic_map, tower_quadratic, mu_quadratic,
+                                        sample=8, n=300, seed=3)
+        (m, sample_size, n_base, seed), = calls
+        assert (m, sample_size, seed) == (quadratic_map, 8, 3)
+        # as many base steps per orbit as the tower orbits took on average
+        assert 300 < n_base <= 300 * tower_quadratic.tau_max
+        assert (qc.lambda_f, qc.lambda_f_se) == (0.625, 0.125)
+        assert qc.gap == abs(qc.quotient - 0.625)
+
     def test_requires_a_verified_tower(self, doubling_map, mu_doubling12):
         F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 12)
         with pytest.raises(sl.UnverifiedTowerError):

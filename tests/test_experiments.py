@@ -391,8 +391,8 @@ class TestSweep:
         assert row["h_pesin"] == pytest.approx(0.34, abs=0.01)
         assert row["density_l1_prev"] == 0.0
 
-    def test_rows_without_a_density_or_tower_read_no_distance(self, tmp_path):
-        # cylinder maps have neither a 1D density nor a tower
+    def test_cylinder_rows_read_a_density_distance_and_no_tau_distance(self, tmp_path):
+        # cylinder maps have a 2D density but no tower
         cfg = sl.ExperimentConfig(family="viana", map_params={"alpha": 0.01},
                                   sweep_parameter="alpha", sweep_from=0.01,
                                   sweep_to=0.02, sweep_steps=2, bins=64,
@@ -401,9 +401,12 @@ class TestSweep:
         table = sl.run_sweep(cfg)
         assert [r["error"] for r in table.rows] == [None, None]
         comments, header, rows = sl.read_csv(table.csv_path)
-        for r in rows:
-            cells = dict(zip(header, r))
-            assert cells["density_l1_prev"] == "" and cells["tau_l1_prev"] == ""
+        cells = [dict(zip(header, r)) for r in rows]
+        assert cells[0]["density_l1_prev"] == format_real(0.0)
+        assert math.isfinite(float(cells[1]["density_l1_prev"]))
+        assert cells[1]["density_l1_prev"] == format_real(
+            sl.l1_distance(table.rows[1]["density"], table.rows[0]["density"]))
+        assert [c["tau_l1_prev"] for c in cells] == ["", ""]
 
     def test_viana_rows_equal_their_own_reports_for_any_worker_count(self, tmp_path):
         # the sweep runs the Lyapunov orbits of all rows in one driver call;

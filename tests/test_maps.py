@@ -286,6 +286,10 @@ def test_check_point_rejects_outside_domain(quadratic_map, viana_map):
         with pytest.raises(sl.DomainViolationError, match="fibre coordinate"):
             viana_map.check_point((0.3, x))
     viana_map.check_point((0.3, 1.75))
+    # and its base coordinate against the circle, as the 1D circle maps do
+    for theta in (float("nan"), 5.0):
+        with pytest.raises(sl.DomainViolationError, match="base coordinate"):
+            viana_map.check_point((theta, 0.3))
 
 
 def test_misiurewicz_parameter_lands_on_repelling_orbit():

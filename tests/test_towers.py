@@ -75,6 +75,13 @@ class TestTowerStructure:
         assert F.cell_index_batch(edge).tolist() == [0, 1]
         assert F.deficit == 0.48220895842227185  # the overlap is covered once
 
+    def test_deficit_is_the_ordered_sum_of_the_cell_widths(self, tower_quadratic, tower_tent17):
+        for F in (tower_quadratic, tower_tent17):
+            covered = 0.0
+            for lo, hi in zip(F.cells.lo.tolist(), F.cells.hi.tolist()):
+                covered += hi - lo
+            assert F.deficit == max(F.delta.width - covered, 0.0)
+
     def test_columns_are_read_only(self, tower_quadratic):
         c = tower_quadratic.cells
         for column in (c.lo, c.hi, c.tau, c.orientation, c.itineraries):
@@ -219,6 +226,16 @@ class TestTowerEvaluation:
         assert F.cell_index_batch(mids).tolist() == list(range(10))
         # the exact doubling deficit is the sliver left of the base's right edge
         assert tower_doubling12.cell_index_batch([0.5 - 2.0 ** -14]).tolist() == [-1]
+
+    def test_return_time_reads_the_cell_or_the_censor(self, tower_quadratic):
+        F = tower_quadratic
+        c = F.cells
+        mids = 0.5 * (c.lo + c.hi)
+        assert F.return_time(mids, 99).tolist() == c.tau.tolist()
+        gaps = np.flatnonzero(c.hi[:-1] < c.lo[1:])
+        assert gaps.size
+        deficit = np.append(0.5 * (c.hi[gaps] + c.lo[gaps + 1]), F.delta.hi)
+        assert F.return_time(deficit, 99).tolist() == [99] * deficit.size
 
     def test_log_jacobian_batch_matches_slopes(self, tower_doubling12):
         F = tower_doubling12
