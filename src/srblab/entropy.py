@@ -14,14 +14,15 @@ Four independent routes to the metric entropy of an expanding map:
 * ``entropy_smb`` — cylinder-counting along a single tower orbit.
 
 The one base-map orbit loop, ``entropy_lyapunov_rows``, steps in blocks:
-up to 256 steps of every orbit go into one (steps, orbits) buffer, and
-the log-derivatives of the whole block take one call each;
-``lyapunov_quotient_check`` takes its base exponent from it too.  The
-buffer comes from the map's ``orbit``, and the derivatives from the
-derivative interface of :class:`~srblab.maps.MapSystem`, so no estimator
-asks for the dimension.
-The block is summed row by row, so every orbit sum keeps its order and
-the numbers match a per-step loop bit for bit.  A sweep runs all its rows
+up to 256 steps of every orbit, and at most 2^15 values, go into one
+(steps, orbits) buffer, and the log-derivatives of the whole block take
+one call each; ``lyapunov_quotient_check`` takes its base exponent from
+it too.  The buffer comes from the map's ``orbit``, which writes each row
+in place, and the derivatives from the derivative interface of
+:class:`~srblab.maps.MapSystem`, so no estimator asks for the dimension.
+The logs go into a second buffer below the running sums, whose rows one
+accumulate adds in turn, so every orbit sum keeps its order and the
+numbers match a per-step loop bit for bit.  A sweep runs all its rows
 through one driver call: each block covers every row's orbits, with the
 swept parameter as a per-orbit column, and each row's result equals its
 one-row run bit for bit.  Tower orbits take one itinerary walk per step,
@@ -59,8 +60,12 @@ from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown
 
 #: Orbit steps an orbit loop buffers before it takes their log-derivatives.
 _BLOCK_STEPS = 256
-#: Cap on steps x orbits of one buffered block (512 KiB of float64).
-_BLOCK_ELEMENTS = 1 << 16
+#: Cap on steps x orbits of one buffered block (256 KiB of float64).  A
+#: block array above it comes back from the allocator as fresh pages on
+#: every block: on the 2-core Xeon host of the benchmark, the 352 KiB
+#: derivative block of a 176-orbit tent sweep took 144 page faults per
+#: block and twice the time per step of a 316 KiB one.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -257,19 +262,25 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     ``base_exponent``.
 
     The unfinished slots of all rows advance together in blocks of up to
-    256 steps (fewer when steps x ``sample_size`` would pass 2^16).  Each
+    256 steps, fewer when steps x unfinished slots would pass 2^15.  Each
     block is one ``orbit`` call on all of them, through a copy of the first
     map in which every parameter that differs between rows is a per-slot
     column.  The fibre derivative, the distance to the critical set (one
     ``crit_dist_batch`` call, for every map) and the logarithm then run
-    once per block, and the log rows are added one at a time, so each slot
-    sums its logs in orbit order.  A slot whose step has ``crit_dist <
-    NEAR_CRITICAL_FLOOR``, the test of
+    once per block.  The logs are written into one (steps + 1, slots)
+    buffer whose row 0 holds the running sums, and one
+    ``np.add.accumulate`` down its rows adds them one row at a time, so
+    each slot sums its logs in orbit order (``np.add.reduce`` would not:
+    it sums the contiguous column of a single slot pairwise).  A slot
+    whose step has ``crit_dist < NEAR_CRITICAL_FLOOR``, the test of
     :func:`~srblab.orbits.lyapunov_exponents`, drops its sum and, after
-    the block, restarts from a fresh draw of its own stream and row map, up to
-    ``retry_budget`` times.  Block lengths do not depend on the other
-    rows, so every row restarts at the same steps as in its one-row run
-    and gets that run's result bit for bit.
+    the block, restarts from a fresh draw of its own stream and row map,
+    up to ``retry_budget`` times; the per-slot masks for this, and for
+    slots that end inside the block, are built only in the blocks that
+    need them.  Results do not depend on the block length: each slot's
+    steps, logs and draws are the same at any length, so every row gets
+    its one-row run's result bit for bit.  Only the distance carried by
+    the error of a failed row may come from another of its slots.
 
     ``entropy_lyapunov_fast`` is a second name of this function: the stage
     tracer of ``perfbench/tracer.py`` wraps the driver under that name.
@@ -301,27 +312,37 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     steps = np.zeros(row.size, dtype=int)
     retries = np.zeros(row.size, dtype=int)
     failed = [None] * len(maps)
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // sample_size))
     while (live := np.flatnonzero(steps < n)).size:
         left = n - steps[live]
+        k = min(int(left.max()), _BLOCK_STEPS, max(1, _BLOCK_ELEMENTS // live.size))
         step = first
         if cols:
             step = copy.copy(first)
             for key, col in cols.items():
                 setattr(step, key, col[live])
         # row j holds the live slots' points after j more steps
-        buf = step.orbit(pts[live], min(int(left.max()), block))
-        k = len(buf) - 1
+        buf = step.orbit(pts[live], k)
         pts[live] = buf[k]
-        d = step.fibre_derivative_batch(buf[:k])
+        # row 0 carries the running sums, rows 1..k the block's logs
+        acc = np.empty((k + 1, live.size))
+        acc[0] = sums[live]
+        logs = acc[1:]
+        with np.errstate(divide="ignore"):  # log 0 falls on a near-critical step
+            np.log(step.fibre_derivative_batch(buf[:k]), out=logs)
         dist = step.crit_dist_batch(buf[:k])
+        near = dist < NEAR_CRITICAL_FLOOR
         rows = np.arange(k)[:, None]
-        bad = (dist < NEAR_CRITICAL_FLOOR) & (rows < left)
-        first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
-        # rows past a slot's end or first bad step add log 1 = 0, exactly
-        logs = np.log(np.where(rows < np.minimum(first_bad, left), d, 1.0))
+        first_bad = np.full(live.size, k)
+        if near.any():
+            bad = near & (rows < left)
+            first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
+        stop = np.minimum(first_bad, left)
+        if stop.min() < k:
+            # the logs past a slot's end or first bad step become 0.0 = log 1
+            logs[rows >= stop] = 0.0
         # accumulate adds one row at a time: every sum keeps its orbit order
-        sums[live] = np.add.accumulate(np.vstack([sums[live], logs]))[-1]
+        np.add.accumulate(acc, axis=0, out=acc)
+        sums[live] = acc[k]
         steps[live] += np.minimum(left, k)
         for j in np.flatnonzero(first_bad < k):
             i = live[j]

@@ -62,12 +62,18 @@ def _two_square(a):
     return p, ((ah * ah - p) + 2.0 * ah * al) + al * al
 
 
-def wrap_unit_batch(x: np.ndarray) -> np.ndarray:
-    """Reduce reals to [0, 1), sending an exact 1.0 to 0.0; 0-d input too."""
-    y = np.asarray(x - np.floor(x))
+def wrap_unit_batch(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reduce reals to [0, 1), sending an exact 1.0 to 0.0; 0-d input too.
+    Writes into ``out`` when one is given (it may be ``x`` itself)."""
+    y = np.asarray(np.subtract(x, np.floor(x), out=out))
     # floating point can round y up to 1.0; fold it back onto 0.0
-    y[y >= 1.0] = 0.0
+    np.copyto(y, 0.0, where=y >= 1.0)
     return y
+
+
+def _image(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``out``, or a new float array of the shape of ``x`` for an image."""
+    return np.empty(np.shape(x)) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,13 @@ class MapSystem:
     their ``params`` keys, and the batch methods broadcast them against
     the points: a copy holding a parameter as an array with one value per
     point (per column of a 2D array of 1D points) evaluates every point at
-    its own parameter value in one call.  :meth:`orbit` steps many orbits
-    at once; the base class calls ``f_batch`` once per step, and a family
-    may override it with a faster loop that gives the same values bit for
-    bit.
+    its own parameter value in one call.  ``f_batch(x, out=None)`` writes
+    the image into ``out`` when one is given (an array of the shape of
+    ``x`` that does not overlap it) and returns it, and allocates the
+    image otherwise; both give the same bits.  :meth:`orbit` steps many
+    orbits at once; the base class writes each row in place with one
+    ``f_batch(rows[j], out=rows[j + 1])`` call per step, and a family may
+    override it with a faster loop that gives the same values bit for bit.
 
     The derivative interface: ``base_exponent``, the exponent of an
     invariant base direction (0.0 in 1D), and, one value per point,
@@ -131,16 +140,17 @@ class MapSystem:
         self.params: dict = {}
 
     # -- evaluation ---------------------------------------------------
-    def f_batch(self, x: np.ndarray) -> np.ndarray:
+    def f_batch(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def orbit(self, x: np.ndarray, k: int) -> np.ndarray:
         """Rows ``x, f(x), ..., f^k(x)`` of the orbits of the points ``x``,
-        one ``f_batch`` call per row."""
+        one ``f_batch`` call per row, each writing its row in place."""
         buf = np.empty((k + 1,) + np.shape(x))
         buf[0] = x
+        rows = list(buf)
         for j in range(k):
-            buf[j + 1] = self.f_batch(buf[j])
+            self.f_batch(rows[j], out=rows[j + 1])
         return buf
 
     def df_batch(self, x: np.ndarray) -> np.ndarray:
@@ -255,8 +265,10 @@ class LinearCircleMap(MapSystem):
         self.params = {"d": d}
         self.domain = Interval(0.0, 1.0)
 
-    def f_batch(self, x):
-        return wrap_unit_batch(self.d * np.asarray(x, dtype=float))
+    def f_batch(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        y = np.multiply(self.d, x, out=_image(x, out))
+        return wrap_unit_batch(y, out=y)
 
     def df_batch(self, x):
         return np.full(np.shape(x), self.d, dtype=float)
@@ -336,8 +348,8 @@ class PerturbedDoublingMap(MapSystem):
     def _dlift(self, x, cos=np.cos):
         return 2.0 + self.t * cos(2.0 * np.pi * x)
 
-    def f_batch(self, x):
-        return wrap_unit_batch(self._lift(np.asarray(x, dtype=float)))
+    def f_batch(self, x, out=None):
+        return wrap_unit_batch(self._lift(np.asarray(x, dtype=float)), out=out)
 
     def df_batch(self, x):
         return self._dlift(np.asarray(x, dtype=float))
@@ -424,9 +436,11 @@ class TentMap(MapSystem):
         self.domain = Interval(0.0, 1.0)
         self.piecewise_affine = True
 
-    def f_batch(self, x):
+    def f_batch(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        return self.slope * np.minimum(x, 1.0 - x)
+        y = np.subtract(1.0, x, out=_image(x, out))
+        np.minimum(x, y, out=y)
+        return np.multiply(self.slope, y, out=y)
 
     def df_batch(self, x):
         x = np.asarray(x, dtype=float)
@@ -471,9 +485,10 @@ class QuadraticMap(MapSystem):
         self.params = {"a": a}
         self.domain = Interval(a - a * a, a)
 
-    def f_batch(self, x):
+    def f_batch(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        return self.a - x * x
+        y = np.multiply(x, x, out=_image(x, out))
+        return np.subtract(self.a, y, out=y)
 
     def df_batch(self, x):
         return -2.0 * np.asarray(x, dtype=float)
@@ -585,9 +600,9 @@ class VianaMap(MapSystem):
                 )
 
     # state is a pair (theta, x); batches are arrays of shape (n, 2)
-    def f_batch(self, p):
+    def f_batch(self, p, out=None):
         p = np.asarray(p, dtype=float)
-        out = np.empty_like(p)
+        out = np.empty_like(p) if out is None else out
         out[..., 0] = self.base_step(p[..., 0])
         self.fibre_steps([self.forcing(p[..., 0])], [p[..., 1], out[..., 1]])
         return out

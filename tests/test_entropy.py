@@ -158,8 +158,8 @@ class _Countdown(sl.MapSystem):
         self.params = {"drop": drop, "lo": lo}
         self.domain = sl.Interval(lo, 1.0)
 
-    def f_batch(self, x):
-        return x - self.drop
+    def f_batch(self, x, out=None):
+        return np.subtract(x, self.drop, out=out)
 
     def df_batch(self, x):
         return np.where(x >= 0, 1.0 + x, 0.0)
@@ -228,11 +228,16 @@ class TestLyapunovEstimator:
             assert sl.entropy_lyapunov(m, 8, 2000, seed=5) == _per_slot_reference(m, 8, 2000, 5)
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 3 * 256 + 7])
-    @pytest.mark.parametrize("sample_size", [1, 3, 64])
-    def test_blocks_match_the_reference_at_every_length(self, quadratic_map, n, sample_size):
-        # orbit lengths on both sides of the 256-step block
-        assert sl.entropy_lyapunov(quadratic_map, sample_size, n, seed=2) == \
-            _per_slot_reference(quadratic_map, sample_size, n, 2)
+    @pytest.mark.parametrize("family,params,sample_size", [
+        ("quadratic", {"a": 2.0}, 1), ("quadratic", {"a": 2.0}, 3), ("quadratic", {"a": 2.0}, 64),
+        ("tent", {"slope": 1.7}, 1), ("circle_perturbed", {"t": 0.3}, 1),
+    ])
+    def test_blocks_match_the_reference_at_every_length(self, family, params, sample_size, n):
+        # orbit lengths on both sides of the 256-step block; the block of one
+        # orbit is one contiguous column, which a pairwise sum would reorder
+        m = sl.make_map(family, **params)
+        assert sl.entropy_lyapunov(m, sample_size, n, seed=2) == \
+            _per_slot_reference(m, sample_size, n, 2)
 
     @pytest.mark.parametrize("sample_size,n", [(1, 300), (3, 300), (16, 520), (64, 450)])
     def test_near_critical_slots_restart_from_their_own_stream(self, sample_size, n):
@@ -292,9 +297,22 @@ class _CountingTent(TentMap):
 
     calls = []
 
-    def f_batch(self, x):
+    def f_batch(self, x, out=None):
         self.calls.append(len(x))
-        return super().f_batch(x)
+        return super().f_batch(x, out=out)
+
+
+class _BlockRecording(QuadraticMap):
+    """Quadratic map that records ``k * len(x)`` of every ``orbit`` call;
+    the copies the driver makes share the record."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.sizes = []
+
+    def orbit(self, x, k):
+        self.sizes.append(k * len(x))
+        return super().orbit(x, k)
 
 
 class TestLyapunovRows:
@@ -357,6 +375,17 @@ class TestLyapunovRows:
         _CountingTent.calls.clear()
         sl.entropy_lyapunov_rows(maps, 4, 600, [0, 1, 2, 3])
         assert _CountingTent.calls == [16] * 600
+
+    def test_a_block_holds_at_most_2_15_values_for_any_number_of_rows(self):
+        values = np.linspace(1.6, 2.0, 40)
+        maps = [_BlockRecording(a) for a in values]
+        rows = sl.entropy_lyapunov_rows(maps, 64, 500, list(range(40)))
+        sizes = maps[0].sizes
+        assert sizes[0] == 12 * 40 * 64  # 12-step blocks over the 2,560 slots
+        assert max(sizes) <= 1 << 15
+        # the one-row runs step in blocks of 256
+        assert rows == [sl.entropy_lyapunov(QuadraticMap(a), 64, 500, seed=s)
+                        for s, a in enumerate(values)]
 
     def test_rows_must_share_a_family(self):
         with pytest.raises(sl.ArgumentError):

@@ -256,12 +256,54 @@ def test_viana_orbit_equals_successive_steps_bit_for_bit(d, alpha, columns):
     assert np.array_equal(m.orbit(pts, 0)[0], pts)
 
 
-def test_base_class_orbit_is_successive_f_batch_calls(quadratic_map):
-    x = np.linspace(-1.9, 1.9, 17)
-    buf = quadratic_map.orbit(x, 50)
+_ONE_D = [("doubling", {}), ("circle_linear", {"d": 3}), ("circle_perturbed", {"t": 0.3}),
+          ("tent", {"slope": 1.7}), ("quadratic", {"a": 2.0})]
+
+
+@pytest.mark.parametrize("family,params", _ONE_D)
+def test_base_class_orbit_is_successive_f_batch_calls(family, params):
+    m = sl.make_map(family, **params)
+    x = np.linspace(m.domain.lo, m.domain.hi, 17)
+    buf = m.orbit(x, 50)
     for j in range(51):
         assert np.array_equal(buf[j], x)
-        x = quadratic_map.f_batch(x)
+        x = m.f_batch(x)
+
+
+def test_wrap_unit_batch_writes_into_out():
+    x = np.array([-1e-20, -0.25, 0.0, 0.5, 1.0, 2.75, np.nextafter(1.0, 0.0)])
+    want = wrap_unit_batch(x)
+    assert want.tolist() == [0.0, 0.75, 0.0, 0.5, 0.0, 0.75, np.nextafter(1.0, 0.0)]
+    out = np.full_like(x, np.nan)
+    assert wrap_unit_batch(x, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    y = x.copy()  # out may be the input itself
+    assert wrap_unit_batch(y, out=y) is y
+    assert y.tobytes() == want.tobytes()
+    assert wrap_unit_batch(np.float64(-1e-20)) == 0.0
+
+
+@pytest.mark.parametrize("columns", [False, True])
+@pytest.mark.parametrize("family,params,key,values", [
+    ("doubling", {}, "d", [2, 3, 5, 7]),
+    ("circle_linear", {"d": 3}, "d", [2, 3, 5, 7]),
+    ("circle_perturbed", {"t": 0.3}, "t", [0.0, 0.1, 0.3, 1.5]),
+    ("tent", {"slope": 1.7}, "slope", [1.5, 1.7, 1.9, 2.0]),
+    ("quadratic", {"a": 1.9}, "a", [1.6, 1.8, 1.9, 2.0]),
+    ("viana", {"alpha": 0.05, "d": 3}, "alpha", [0.0, 0.01, 0.05, 0.1]),
+])
+def test_f_batch_writes_its_image_into_out(family, params, key, values, columns):
+    m = sl.make_map(family, **params)
+    x = m.sample_uniform(np.random.default_rng(7), 64)
+    if columns:
+        # per-slot parameters, as the lockstep orbit driver sets them
+        m = copy.copy(m)
+        setattr(m, key, np.repeat(values, 16))
+    batches = [x] if m.dimension == 2 else [x, np.stack([x, x[::-1], 1.0 - x])]
+    for pts in batches:
+        out = np.full(pts.shape, np.nan)
+        assert m.f_batch(pts, out=out) is out
+        assert out.tobytes() == m.f_batch(pts).tobytes()
 
 
 @pytest.mark.parametrize("family,params", [
@@ -276,6 +318,9 @@ def test_f_batch_takes_a_0d_point(family, params, x):
     m = sl.make_map(family, **params)
     assert m.f_batch(x) == m.f_batch([x])[0]
     assert np.ndim(m.f_batch(x)) == 0
+    out = np.empty(())
+    assert m.f_batch(np.float64(x), out=out) is out
+    assert out.tobytes() == m.f_batch(np.array([x])).tobytes()
 
 
 def test_check_point_rejects_outside_domain(quadratic_map, viana_map):
