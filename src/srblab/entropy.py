@@ -20,8 +20,9 @@ one call each; ``lyapunov_quotient_check`` takes its base exponent from
 it too.  The buffer comes from the map's ``orbit``, which writes each row
 in place, and the derivatives from the derivative interface of
 :class:`~srblab.maps.MapSystem`, so no estimator asks for the dimension.
-The logs go into a second buffer below the running sums, whose rows one
-accumulate adds in turn, so every orbit sum keeps its order and the
+The derivatives are written in place into a second buffer below the
+running sums, their logs taken in place, and one accumulate adds its
+rows in turn, so every orbit sum keeps its order and the
 numbers match a per-step loop bit for bit.  A sweep runs all its rows
 through one driver call: each block covers every row's orbits, with the
 swept parameter as a per-orbit column, and each row's result equals its
@@ -267,8 +268,9 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     map in which every parameter that differs between rows is a per-slot
     column.  The fibre derivative, the distance to the critical set (one
     ``crit_dist_batch`` call, for every map) and the logarithm then run
-    once per block.  The logs are written into one (steps + 1, slots)
-    buffer whose row 0 holds the running sums, and one
+    once per block.  The derivatives are written into one (steps + 1,
+    slots) buffer whose row 0 holds the running sums
+    (``fibre_derivative_batch(x, out=)``), their logs taken in place, and one
     ``np.add.accumulate`` down its rows adds them one row at a time, so
     each slot sums its logs in orbit order (``np.add.reduce`` would not:
     it sums the contiguous column of a single slot pairwise).  A slot
@@ -327,8 +329,9 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
         acc = np.empty((k + 1, live.size))
         acc[0] = sums[live]
         logs = acc[1:]
+        step.fibre_derivative_batch(buf[:k], out=logs)
         with np.errstate(divide="ignore"):  # log 0 falls on a near-critical step
-            np.log(step.fibre_derivative_batch(buf[:k]), out=logs)
+            np.log(logs, out=logs)
         dist = step.crit_dist_batch(buf[:k])
         near = dist < NEAR_CRITICAL_FLOOR
         rows = np.arange(k)[:, None]

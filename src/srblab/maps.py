@@ -128,6 +128,9 @@ class MapSystem:
     ``fibre_derivative_batch`` (the other direction's expansion),
     ``abs_det_batch`` and the least and largest singular values of ``Df``,
     ``conorm_batch`` and ``norm_batch``; in 1D all four are ``|f'|``.
+    ``fibre_derivative_batch(x, out=None)`` takes ``out`` as ``f_batch``
+    does (an array of one value per point that does not overlap ``x``),
+    with the same bits as its allocating call.
     """
 
     dimension = 1
@@ -156,8 +159,8 @@ class MapSystem:
     def df_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def fibre_derivative_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(self.df_batch(x))
+    def fibre_derivative_batch(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.abs(self.df_batch(x), out=out)
 
     abs_det_batch = conorm_batch = norm_batch = fibre_derivative_batch
 
@@ -354,6 +357,15 @@ class PerturbedDoublingMap(MapSystem):
     def df_batch(self, x):
         return self._dlift(np.asarray(x, dtype=float))
 
+    def fibre_derivative_batch(self, x, out=None):
+        # |_dlift| in place, in its order of operations
+        x = np.asarray(x, dtype=float)
+        y = np.multiply(2.0 * np.pi, x, out=_image(x, out))
+        np.cos(y, out=y)
+        np.multiply(self.t, y, out=y)
+        np.add(2.0, y, out=y)
+        return np.abs(y, out=y)
+
     @property
     def n_branches(self):
         return 2
@@ -446,6 +458,12 @@ class TentMap(MapSystem):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.5, self.slope, -self.slope)
 
+    def fibre_derivative_batch(self, x, out=None):
+        # |f'| is the slope everywhere
+        out = _image(x, out)
+        out[...] = self.slope
+        return out
+
     @property
     def n_branches(self):
         return 2
@@ -492,6 +510,11 @@ class QuadraticMap(MapSystem):
 
     def df_batch(self, x):
         return -2.0 * np.asarray(x, dtype=float)
+
+    def fibre_derivative_batch(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        y = np.multiply(-2.0, x, out=_image(x, out))
+        return np.abs(y, out=y)
 
     def crit_dist_batch(self, x):
         return np.abs(np.asarray(x, dtype=float))
@@ -645,8 +668,10 @@ class VianaMap(MapSystem):
         return (float(self.d), self.alpha * 2 * np.pi * np.cos(2 * np.pi * p[..., 0]),
                 -2.0 * p[..., 1])
 
-    def fibre_derivative_batch(self, p):
-        return np.abs(2.0 * np.asarray(p, dtype=float)[..., 1])
+    def fibre_derivative_batch(self, p, out=None):
+        x = np.asarray(p, dtype=float)[..., 1]
+        y = np.multiply(2.0, x, out=_image(x, out))
+        return np.abs(y, out=y)
 
     def abs_det_batch(self, p):
         return np.abs(self.d * (-2.0 * np.asarray(p, dtype=float)[..., 1]))

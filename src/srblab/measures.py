@@ -13,16 +13,19 @@ whose ``(i, j)`` entry is the Lebesgue fraction of bin ``i`` sent into
 bin ``j``, assembled from the exact inverse branches of the map
 (``MapSystem.branch_inverse``) or of the tower's cells; rows under an
 induced map sum to one minus the local mass deficit.  Each monotone
-piece is cut at the preimages of the grid edges, whose order also gives
-every sliver its target bin, and the slivers stream into CSR rows that
-are converted as soon as they are complete; the sampled cylinder matrix
-is converted likewise, one chunk of bins at a time.  Each converted
-chunk is copied into the final CSR arrays at once, and a tower's cells
-are inverted a window at a time, so the assembly holds the matrix, one
-chunk and one window of edge preimages, never cells x bins.  Stationary
-densities are found by one lazy iteration started from Lebesgue, which
-cannot stall on maps that swap bands, and never by dense factorisation,
-so towers with thousands of bins stay cheap.
+piece is cut at the preimages of the grid edges, merged with the grid
+edges inside it without a sort, and the order of those preimages also
+gives every sliver its target bin.  The slivers stream into CSR rows
+that are written as soon as they are complete, each entry the sum of
+its slivers in piece order; the sampled cylinder matrix is written
+likewise, one chunk of bins at a time.  Each chunk is copied into the
+final CSR arrays at once, and a tower's cells are inverted a window at
+a time, so the assembly holds the matrix, one chunk and one window of
+edge preimages, never cells x bins.  scipy holds the finished matrix
+and multiplies by it.  Stationary densities are found by one lazy
+iteration started from Lebesgue, which cannot stall on maps that swap
+bands, and never by dense factorisation, so towers with thousands of
+bins stay cheap.
 
 Integrals and transports share one stratification in both dimensions:
 an interval is cut into its slivers with :func:`bin_slivers`, and each
@@ -57,7 +60,7 @@ _CYLINDER_SIDE = 16
 _GRADING_POWER = 2
 _POSTCRITICAL_DEPTH = 3
 
-# pending slivers past which the Ulam assembly converts its complete rows;
+# pending slivers past which the Ulam assembly writes its complete rows;
 # also the most sample points of one chunk of the cylinder assembly
 _ASSEMBLY_CHUNK = 1 << 16
 # edge preimages held at once by the tower Ulam assembly: the cells are
@@ -129,13 +132,13 @@ class Grid1D:
         x = np.asarray(x)
         if not self.regular:
             idx = np.searchsorted(self.edges, x, side="right") - 1
-            return np.clip(idx, 0, self.n - 1)
+            return np.minimum(np.maximum(idx, 0), self.n - 1)
         w = (self.hi - self.lo) / self.n
-        idx = np.clip(np.floor((x - self.lo) / w).astype(int), 0, self.n - 1)
+        idx = np.minimum(np.maximum(np.floor((x - self.lo) / w).astype(int), 0), self.n - 1)
         # the rounded quotient can be one bin off next to an edge (an inner
         # edge itself may fall below it); the edges settle it
         idx = idx + (x >= self.edges[idx + 1]) - (x < self.edges[idx])
-        return np.clip(idx, 0, self.n - 1)
+        return np.minimum(np.maximum(idx, 0), self.n - 1)
 
     def bin_points(self, strata: int) -> np.ndarray:
         """The :func:`stratified_points` of every bin, shape ``(n, strata)``."""
@@ -346,46 +349,60 @@ def _piece_slivers(grid: Grid1D, xlo: float, xhi: float, cuts: np.ndarray, k0: i
 
     ``cuts`` are the grid edges inside the piece and ``pre`` the piece
     preimages of the edges ``edges[k0:k0 + len(pre)]`` inside its image
-    (both by :func:`_inner_edges`).  A sliver's source bin is the bin of
-    its midpoint; its target bin is read off from where the midpoint falls
-    among those preimages, which the piece orders like the edges
-    (``increasing``) or in reverse, so the piece map is never evaluated.
+    (both by :func:`_inner_edges`).  Clipped into the piece, the
+    preimages are monotone, ordered like the edges (``increasing``) or in
+    reverse, so one ``searchsorted`` merges the cuts into them, no sort:
+    the slivers run between consecutive points of ``xlo``, the merged
+    points and ``xhi``, and those no longer than 1e-15 are dropped.  A
+    sliver's target bin follows from the number of preimages up to its
+    start, so the piece map is never evaluated; its source bin is the bin
+    of its midpoint, or the piece's one bin when both ends lie in it.
     Returns each sliver's source bin, target bin and length, as (rows,
-    columns, lengths) with the narrowest index type.
+    columns, lengths) with the narrowest index type, in increasing order.
 
     Raises
     ------
     ConstructionError
         If the preimages, clipped into the piece, are not monotone.
     """
-    pre = np.clip(pre, xlo, xhi)
+    pre = np.minimum(np.maximum(pre, xlo), xhi)
     steps = np.diff(pre)
     if (steps < 0).any() if increasing else (steps > 0).any():
         raise ConstructionError(f"{name} [{xlo!r}, {xhi!r}): the preimages of the grid edges "
                                 f"are not monotone")
-    cutpoints = np.unique(np.concatenate([[xlo, xhi], pre, cuts]))
-    starts, ends = cutpoints[:-1], cutpoints[1:]
-    keep = ends - starts > 1e-15
+    if not increasing:
+        pre = pre[::-1]
+    at = np.searchsorted(pre, cuts)
+    points = np.concatenate([[xlo], np.insert(pre, at, cuts), [xhi]])
+    at += np.arange(1, cuts.size + 1)  # the places of the cuts among the points
+    starts, ends = points[:-1], points[1:]
+    keep = np.flatnonzero(ends - starts > 1e-15)
     starts, ends = starts[keep], ends[keep]
-    mids = 0.5 * (starts + ends)
-    if increasing:  # the number of edges below a midpoint's image
-        below = np.searchsorted(pre, mids, side="right")
-    else:
-        below = np.searchsorted(-pre, -mids, side="left")
+    # the preimages among points[1 .. j] for a sliver starting at point j:
+    # those no greater than its start, so no greater than its midpoint
+    below = keep - np.searchsorted(at, keep, side="right")
+    if not increasing:  # the preimages above the midpoint of a sliver
+        below = pre.size - below
     index = np.int32 if grid.n < 2 ** 31 else np.int64
-    return (grid.locate(mids).astype(index),
-            np.clip(k0 - 1 + below, 0, grid.n - 1).astype(index), ends - starts)
+    columns = np.minimum(np.maximum(below + (k0 - 1), 0), grid.n - 1).astype(index)
+    first, last = grid.locate(np.array([xlo, xhi]))
+    if first == last:
+        rows = np.full(keep.size, first, dtype=index)
+    else:
+        rows = grid.locate(0.5 * (starts + ends)).astype(index)
+    return rows, columns, ends - starts
 
 
 class _CsrWriter:
     """The CSR arrays of an ``n x n`` matrix, written in blocks of complete rows.
 
-    Each block goes through scipy's COO -> CSR conversion on its own and
-    is copied into ``indices`` and ``data``, which are allocated once,
-    grown in place (``ndarray.resize``) and trimmed to the entries before
-    :meth:`matrix` hands them to the CSR constructor (which copies arrays
-    more than twice their used length).  No block outlives its copy, and
-    the whole matrix is never copied.
+    Each block is put in CSR order on its own, its duplicates added up in
+    the order they arrive (:meth:`write`), and copied into ``indices`` and
+    ``data``, which are allocated once, grown in place
+    (``ndarray.resize``) and trimmed to the entries before :meth:`matrix`
+    hands them to the CSR constructor (which copies arrays more than
+    twice their used length).  No block outlives its copy, and the whole
+    matrix is never copied.
     """
 
     def __init__(self, n: int):
@@ -396,16 +413,32 @@ class _CsrWriter:
 
     def write(self, src, dst, val, lo: int, hi: int) -> None:
         """Append rows ``lo .. hi - 1`` from their (row, column, value)
-        entries, every entry of those rows and no other."""
-        block = sp.coo_matrix((val, (src - lo, dst)), shape=(hi - lo, self.n)).tocsr()
-        end = self.nnz + block.nnz
+        entries, every entry of those rows and no other.
+
+        A stable sort orders the entries by row and column, so the entries
+        of one (row, column) keep their input order, and ``np.bincount``
+        over the runs of equal keys adds each run up from left to right
+        into the one stored value of that (row, column).
+        """
+        n = self.n
+        key = (src - lo).astype(np.int32 if (hi - lo) * n < 2 ** 31 else np.int64)
+        key *= n
+        key += dst  # in place: the key keeps its narrow type
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        data = np.bincount(np.cumsum(first) - 1, weights=val[order])
+        key = key[first]
+        end = self.nnz + key.size
         if end > self.data.size:
             size = max(end, self.data.size * 3 // 2)
             self.indices.resize(size, refcheck=False)  # no views of them exist
             self.data.resize(size, refcheck=False)
-        self.indices[self.nnz:end] = block.indices
-        self.data[self.nnz:end] = block.data
-        self.indptr[lo + 1:hi + 1] = block.indptr[1:] + self.nnz
+        self.indices[self.nnz:end] = key % n
+        self.data[self.nnz:end] = data
+        self.indptr[lo + 1:hi + 1] = np.searchsorted(key, np.arange(1, hi - lo + 1) * n) + self.nnz
         self.nnz = end
 
     def matrix(self) -> sp.csr_matrix:
@@ -414,14 +447,19 @@ class _CsrWriter:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-def _write_rows(out: _CsrWriter, pending, lo: int, hi: int):
+def _write_rows(out: _CsrWriter, pending, lo: int, hi: int, widths, covered):
     """Write the pending slivers of rows ``lo .. hi - 1`` (every sliver of
-    those rows) to ``out``; returns the slivers left."""
-    src, dst, val = (np.concatenate(part) for part in zip(*pending))
+    those rows) to ``out`` and add their lengths up into ``covered``, each
+    row in sliver order; returns the slivers left."""
+    src, dst, ln = (np.concatenate(part) for part in zip(*pending))
     ready = src < hi
-    out.write(src[ready], dst[ready], val[ready], lo, hi)
-    ready = ~ready
-    return [(src[ready], dst[ready], val[ready])]
+    left = [(src[~ready], dst[~ready], ln[~ready])]
+    # rebound, so the concatenations are freed before the write
+    src, dst, ln = src[ready], dst[ready], ln[ready]
+    covered[lo:hi] = np.bincount(src - lo, weights=ln, minlength=hi - lo)
+    ln /= widths[src]  # in place: the lengths become the entries
+    out.write(src, dst, ln, lo, hi)
+    return left
 
 
 def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
@@ -431,14 +469,12 @@ def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
     (:func:`_piece_slivers`), with the pieces' left ends ``lo``
     nondecreasing, so every row below the bin of ``lo`` is complete when a
     piece arrives.  Once more than ``_ASSEMBLY_CHUNK`` slivers are pending,
-    the complete rows go through scipy's COO -> CSR conversion and are
-    copied into the final arrays by :class:`_CsrWriter`: working memory
-    follows the chunk and the matrix, not the slivers of all pieces.  The
-    bits follow the whole matrix's conversion, since that conversion works
-    row by row: it sorts a row's column indices (an introsort for rows of
-    more than 16 entries, which is not stable) and then adds up duplicates
-    in sorted order.  So each row reaches scipy whole and in piece order,
-    and the sums of ``covered`` run in piece order too.
+    the complete rows are put in CSR order and copied into the final
+    arrays by :class:`_CsrWriter`: working memory follows the chunk and
+    the matrix, not the slivers of all pieces.  Each entry and each row's
+    ``covered`` length add up their slivers in piece order (and in
+    increasing order within a piece) from left to right, the order of a
+    cell-by-cell loop, so chunk boundaries change no bit.
     """
     widths = grid.widths
     covered = np.zeros(grid.n)
@@ -447,15 +483,13 @@ def _assemble_rows(grid: Grid1D, pieces) -> UlamOperator:
     pending, size, done = [(empty, empty, np.empty(0))], 0, 0
     for lo, src, dst, ln in pieces:
         if size > _ASSEMBLY_CHUNK and (boundary := int(grid.locate(lo))) > done:
-            pending = _write_rows(out, pending, done, boundary)
+            pending = _write_rows(out, pending, done, boundary, widths, covered)
             size, done = pending[0][0].size, boundary
         if src.size == 0:
             continue
-        np.add.at(covered, src, ln)
-        ln /= widths[src]  # in place: the lengths become the entries
         pending.append((src, dst, ln))
         size += src.size
-    _write_rows(out, pending, done, grid.n)
+    _write_rows(out, pending, done, grid.n, widths, covered)
     frac = covered / widths
     row_deficit = np.clip(1.0 - frac, 0.0, 1.0)
     flagged = frac < 1e-9
@@ -566,12 +600,12 @@ def one_step_ulam(m: MapSystem, bins: int) -> UlamOperator:
     stratified sampling (``_CYLINDER_SIDE^2`` points per bin, the product
     of the axes' ``bin_points``) on a regular grid since its bins are not
     intervals.  It samples chunks of whole bins, at most
-    ``_ASSEMBLY_CHUNK`` points and one map call each, and converts each
-    chunk's rows, which are complete, to CSR and into the final arrays
-    through :class:`_CsrWriter`, as the tower assembly does.
-    So working memory follows the chunk and the matrix, not the sample.
-    Every entry is a sum of ``1 / _CYLINDER_SIDE^2``, a power of two, so
-    the sums are exact in any order and the matrix equals a single
+    ``_ASSEMBLY_CHUNK`` points and one map call each, and writes each
+    chunk's rows, which are complete, into the final CSR arrays through
+    :class:`_CsrWriter`, as the tower assembly does.  So working memory
+    follows the chunk and the matrix, not the sample.  Every entry is a
+    sum of ``1 / _CYLINDER_SIDE^2``, a power of two, so the sums are
+    exact in any order and the matrix equals a single COO -> CSR
     conversion of all points bit for bit.
     """
     if bins < 1:

@@ -283,8 +283,8 @@ def test_wrap_unit_batch_writes_into_out():
     assert wrap_unit_batch(np.float64(-1e-20)) == 0.0
 
 
-@pytest.mark.parametrize("columns", [False, True])
-@pytest.mark.parametrize("family,params,key,values", [
+# a map of every family, and a parameter the lockstep driver may sweep
+_SWEPT = pytest.mark.parametrize("family,params,key,values", [
     ("doubling", {}, "d", [2, 3, 5, 7]),
     ("circle_linear", {"d": 3}, "d", [2, 3, 5, 7]),
     ("circle_perturbed", {"t": 0.3}, "t", [0.0, 0.1, 0.3, 1.5]),
@@ -292,18 +292,40 @@ def test_wrap_unit_batch_writes_into_out():
     ("quadratic", {"a": 1.9}, "a", [1.6, 1.8, 1.9, 2.0]),
     ("viana", {"alpha": 0.05, "d": 3}, "alpha", [0.0, 0.01, 0.05, 0.1]),
 ])
-def test_f_batch_writes_its_image_into_out(family, params, key, values, columns):
+
+
+def _swept_map(family, params, key, values, columns):
+    """The map and 64 sample points; with ``columns``, a copy holding the
+    swept parameter as a per-slot column, as the lockstep orbit driver
+    sets it."""
     m = sl.make_map(family, **params)
     x = m.sample_uniform(np.random.default_rng(7), 64)
     if columns:
-        # per-slot parameters, as the lockstep orbit driver sets them
         m = copy.copy(m)
         setattr(m, key, np.repeat(values, 16))
+    return m, x
+
+
+@pytest.mark.parametrize("columns", [False, True])
+@_SWEPT
+def test_f_batch_writes_its_image_into_out(family, params, key, values, columns):
+    m, x = _swept_map(family, params, key, values, columns)
     batches = [x] if m.dimension == 2 else [x, np.stack([x, x[::-1], 1.0 - x])]
     for pts in batches:
         out = np.full(pts.shape, np.nan)
         assert m.f_batch(pts, out=out) is out
         assert out.tobytes() == m.f_batch(pts).tobytes()
+
+
+@pytest.mark.parametrize("columns", [False, True])
+@_SWEPT
+def test_fibre_derivative_writes_into_out(family, params, key, values, columns):
+    # the orbit driver writes a block's |f'| straight into its log buffer
+    m, x = _swept_map(family, params, key, values, columns)
+    for pts in (x, m.orbit(x, 3)[:3]):
+        out = np.full(pts.shape[:pts.ndim - m.dimension + 1], np.nan)
+        assert m.fibre_derivative_batch(pts, out=out) is out
+        assert out.tobytes() == m.fibre_derivative_batch(pts).tobytes()
 
 
 @pytest.mark.parametrize("family,params", [

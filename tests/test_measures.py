@@ -7,14 +7,14 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
 import srblab as sl
 from srblab.maps import PerturbedDoublingMap
-from srblab.measures import bin_slivers, postcritical_grid
+from srblab.measures import _inner_edges, _piece_slivers, bin_slivers, postcritical_grid
 
 
 def _dense(op):
@@ -201,7 +201,25 @@ def _suffix_tower(name):
     return sl.first_return_map(m, sl.Interval(0.0, float(np.sqrt(2.0))), int(name.split("=")[1]))
 
 
-def _cell_by_cell_ulam(F, bins):
+def _cell_order_csr(rows, cols, vals, bins):
+    """CSR matrix of (row, column, value) triplets given in cell order, each
+    entry adding up its values in that order: ``np.add.at`` over the
+    triplets grouped by ``np.unique``."""
+    keys, group = np.unique(rows.astype(np.int64) * bins + cols, return_inverse=True)
+    data = np.zeros(keys.size)
+    np.add.at(data, group, vals)
+    indptr = np.searchsorted(keys, np.arange(bins + 1) * bins).astype(np.int32)
+    return sp.csr_matrix((data, (keys % bins).astype(np.int32), indptr), shape=(bins, bins))
+
+
+def _scipy_csr(rows, cols, vals, bins):
+    """scipy's COO -> CSR conversion of the same triplets, which sorts each
+    row's columns with an introsort (not stable past 16 entries) before it
+    adds up duplicates."""
+    return sp.coo_matrix((vals, (rows, cols)), shape=(bins, bins)).tocsr()
+
+
+def _cell_by_cell_ulam(F, bins, convert=_cell_order_csr):
     """The tower Ulam matrix with every cell inverting the grid edges inside
     its image through its own whole itinerary (``F.invert``), assembled
     cell by cell: the reference for the suffix-trie assembly."""
@@ -226,8 +244,7 @@ def _cell_by_cell_ulam(F, bins):
         cols.append(grid.locate(F.evaluate(i, mids)))
         vals.append((ends - starts) / widths[src])
         np.add.at(covered, src, ends - starts)
-    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(bins, bins)).tocsr()
+    mat = convert(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), bins)
     frac = covered / widths
     return mat, np.clip(1.0 - frac, 0.0, 1.0), frac < 1e-9
 
@@ -302,9 +319,9 @@ def _assert_same_operator(op, mat, row_deficit, flagged):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def _forward_one_step_ulam(m, bins):
+def _forward_one_step_ulam(m, bins, convert=_cell_order_csr):
     """The 1D one-step Ulam matrix with every sliver's target bin located
-    from its forward image, assembled as one COO -> CSR conversion."""
+    from its forward image, assembled branch by branch."""
     grid = postcritical_grid(m, bins)
     edges, widths = grid.edges, grid.widths
     rows, cols, vals = [], [], []
@@ -325,8 +342,7 @@ def _forward_one_step_ulam(m, bins):
         cols.append(grid.locate(m.branch_lift(i, mids)))
         vals.append((ends - starts) / widths[src])
         np.add.at(covered, src, ends - starts)
-    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(bins, bins)).tocsr()
+    mat = convert(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), bins)
     frac = covered / widths
     return mat, np.clip(1.0 - frac, 0.0, 1.0), frac < 1e-9
 
@@ -382,6 +398,63 @@ def _overlapping_tower():
     return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 1)
 
 
+def _sorted_cut(grid, xlo, xhi, cuts, k0, increasing, pre):
+    """The cut of a monotone piece by sorting: ``np.unique`` of its ends,
+    preimages and cuts, each sliver's target bin from a ``searchsorted``
+    of its midpoint among the preimages and its source bin from a
+    ``locate`` of that midpoint.  The reference for :func:`_piece_slivers`."""
+    pre = np.clip(pre, xlo, xhi)
+    cutpoints = np.unique(np.concatenate([[xlo, xhi], pre, cuts]))
+    starts, ends = cutpoints[:-1], cutpoints[1:]
+    keep = ends - starts > 1e-15
+    starts, ends = starts[keep], ends[keep]
+    mids = 0.5 * (starts + ends)
+    if increasing:
+        below = np.searchsorted(pre, mids, side="right")
+    else:
+        below = np.searchsorted(-pre, -mids, side="left")
+    index = np.int32 if grid.n < 2 ** 31 else np.int64
+    return (grid.locate(mids).astype(index),
+            np.clip(k0 - 1 + below, 0, grid.n - 1).astype(index), ends - starts)
+
+
+# offsets of a piece end from a grid edge: on it, or within 1e-15 of it
+_NUDGES = st.sampled_from([0.0, 2.2e-16, -2.2e-16, 5e-16, -5e-16, 1e-15, -1e-15, 1.5e-15])
+
+
+@st.composite
+def _cut_cases(draw):
+    """A grid (regular, or the postcritical grid of a quadratic map) and a
+    monotone piece on it: ends on, within 1e-15 of, or away from the grid
+    edges, and preimages of the edges inside its image that repeat, fall
+    on grid edges and fall outside the piece (so they are clipped)."""
+    if draw(st.booleans()):
+        m = sl.make_map("quadratic", a=draw(st.floats(1.5, 2.0)))
+        grid = postcritical_grid(m, draw(st.integers(8, 96)))
+    else:
+        lo = draw(st.floats(-2.0, 1.0))
+        grid = sl.Grid1D(lo, lo + draw(st.floats(0.01, 3.0)), draw(st.integers(1, 96)))
+    edges = grid.edges
+
+    def point():
+        if draw(st.booleans()):
+            return float(edges[draw(st.integers(0, grid.n))] + draw(_NUDGES))
+        return draw(st.floats(grid.lo, grid.hi))
+
+    xlo, xhi = sorted((point(), point()))
+    assume(xhi - xlo > 1e-15)
+    k0, k1 = (int(k) for k in _inner_edges(grid, point(), point()))
+    span = xhi - xlo
+    inside = edges[(edges > xlo) & (edges < xhi)]
+    value = st.one_of(st.integers(-2, 10).map(lambda i: xlo + span * i / 8),
+                      st.floats(xlo - span / 4, xhi + span / 4),
+                      st.sampled_from(inside.tolist() or [xlo]))
+    pre = np.sort(draw(st.lists(value, min_size=k1 - k0, max_size=k1 - k0)))
+    increasing = draw(st.booleans())
+    j0, j1 = _inner_edges(grid, xlo, xhi)
+    return grid, xlo, xhi, edges[j0:j1], k0, increasing, pre if increasing else pre[::-1]
+
+
 class TestStreamedUlamAssembly:
     """The tower and 1D one-step assemblies take target bins from the order
     of the edge preimages and convert complete rows in chunks."""
@@ -425,6 +498,50 @@ class TestStreamedUlamAssembly:
     @given(m=_SMALL_MAPS, bins=st.integers(1, 2048))
     def test_one_step_matches_the_forward_located_reference(self, m, bins):
         _assert_same_operator(sl.one_step_ulam(m, bins), *_forward_one_step_ulam(m, bins))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_cut_cases())
+    @example(case=(sl.Grid1D(0.0, 1.0, 4), 0.25 - 5e-16, 0.75 + 1e-15, np.array([0.5]), 1, False,
+                   np.array([0.9, 0.75, 0.5, 0.5, 0.3, 0.25, 0.1])))
+    def test_the_merged_cut_matches_the_sorted_cut(self, case):
+        grid, xlo, xhi, cuts, k0, increasing, pre = case
+        got = _piece_slivers(grid, xlo, xhi, cuts, k0, increasing, pre.copy(), "piece")
+        want = _sorted_cut(grid, xlo, xhi, cuts, k0, increasing, pre)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("case", [
+        "circle t=0.05 tower", "circle t=0.4 tower", "tent 1.8 tower", "tent 2 tower",
+        "quadratic one-step", "tent one-step", "circle one-step", "doubling one-step",
+        "cylinder",
+    ])
+    def test_piece_order_sums_equal_scipys_conversion_here(self, case):
+        # on these operators no row's duplicate entries reach scipy's
+        # conversion in an order that its introsort changes (the cylinder's
+        # sums of 1/256 are exact in any order), so adding them up in piece
+        # order gives scipy's bits
+        name, _, kind = case.rpartition(" ")
+        if kind == "tower":
+            family, value = name.split(" ")
+            m = (sl.make_map("circle_perturbed", t=float(value.split("=")[1]))
+                 if family == "circle" else sl.make_map("tent", slope=float(value)))
+            F = sl.first_return_map(m, sl.Interval(0.0, 0.5), 20 if family == "circle" else 16)
+            bins = 4096 if family == "circle" else 1024
+            _assert_same_operator(sl.ulam_matrix(F, bins),
+                                  *_cell_by_cell_ulam(F, bins, convert=_scipy_csr))
+        elif kind == "one-step":
+            family, params = {"quadratic": ("quadratic", {"a": 1.8}),
+                              "tent": ("tent", {"slope": 1.7}),
+                              "circle": ("circle_perturbed", {"t": 0.3}),
+                              "doubling": ("doubling", {})}[name]
+            m = sl.make_map(family, **params)
+            _assert_same_operator(sl.one_step_ulam(m, 4096),
+                                  *_forward_one_step_ulam(m, 4096, convert=_scipy_csr))
+        else:
+            m = sl.make_map("viana", alpha=0.05, d=3)
+            op = sl.one_step_ulam(m, 4096)
+            _assert_same_operator(op, _cylinder_coo_ulam(m, 4096), np.zeros(op.grid.n),
+                                  np.zeros(op.grid.n, dtype=bool))
 
     def test_preimages_out_of_order_are_refused(self):
         m = _ShuffledQuadratic(2.0)
