@@ -105,9 +105,12 @@ def _cmd_induce(args) -> int:
     print(f"{F!r}")
     print(f"cells = {len(F.cells)}, deficit = {_fmt(F.deficit)}, "
           f"partial = {_fmt(F.partial_mass)}")
-    print(f"markov defect = {_fmt(ver.markov_defect)} ({'ok' if ver.markov_ok else 'FAIL'})")
-    print(f"kappa = {_fmt(ver.kappa)} ({'ok' if ver.expansion_ok else 'FAIL'})")
-    print(f"distortion = {_fmt(ver.distortion)} ({'ok' if ver.distortion_ok else 'FAIL'})")
+    for name, value, ok, cell in (
+            ("markov defect", ver.markov_defect, ver.markov_ok, ver.defect_cell),
+            ("kappa", ver.kappa, ver.expansion_ok, ver.kappa_cell),
+            ("distortion", ver.distortion, ver.distortion_ok, ver.distortion_cell)):
+        print(f"{name} = {_fmt(value)} ({'ok' if ok else 'FAIL'}) at cell {cell} "
+              f"[{_fmt(F.cells.lo[cell])}, {_fmt(F.cells.hi[cell])})")
     print(f"comparison constant = {_fmt(ver.comparison_constant)}")
     return 0
 
@@ -156,9 +159,13 @@ def _cmd_probe(args) -> int:
     pts = m.sample_uniform(stream(config.seed, StreamKey.PROBE), args.points)
     rep = nondegeneracy_probe(m, args.constant, args.exponent, pts)
     print(f"B = {_fmt(rep.B)}, beta = {_fmt(rep.beta)}")
-    print(f"derivative lower bound ratio: {_fmt(rep.norm_ratio)}")
-    print(f"inverse-log Lipschitz ratio:  {_fmt(rep.lipschitz_inv_ratio)}")
-    print(f"det-log Lipschitz ratio:      {_fmt(rep.lipschitz_det_ratio)}")
+    for label, ratio, points in (  # each ratio with the point(s) where it is worst
+            ("derivative lower bound ratio:", rep.norm_ratio, [rep.norm_witness]),
+            ("inverse-log Lipschitz ratio: ", rep.lipschitz_inv_ratio, rep.lipschitz_inv_witness),
+            ("det-log Lipschitz ratio:     ", rep.lipschitz_det_ratio, rep.lipschitz_det_witness)):
+        at = " and ".join("(" + ", ".join(map(_fmt, p)) + ")" for p in points)
+        at = f" at {at}" if any(points) else ""
+        print(f"{label} {_fmt(ratio)}{at}")
     print("probe passed" if rep.passed else "probe FAILED (ratios above 1)")
     return 0
 

@@ -14,11 +14,12 @@ Four independent routes to the metric entropy of an expanding map:
 * ``entropy_smb`` — cylinder-counting along a single tower orbit.
 
 The one base-map orbit loop, ``entropy_lyapunov_rows``, steps in blocks:
-up to 256 steps of every orbit, and at most 2^15 values, go into one
-(steps, orbits) buffer, and the log-derivatives of the whole block take
-one call each; ``lyapunov_quotient_check`` takes its base exponent from
-it too.  The buffer comes from the map's ``orbit``, which writes each row
-in place, and the derivatives from the derivative interface of
+as many steps of every orbit as ``MapSystem.block_steps`` allows (2^15
+values, points x coordinates) go into one (steps, orbits) buffer, and
+the log-derivatives of the whole block take one call each;
+``lyapunov_quotient_check`` takes its base exponent from it too.  The
+buffer comes from the map's ``orbit``, which writes each row in place,
+and the derivatives from the derivative interface of
 :class:`~srblab.maps.MapSystem`, so no estimator asks for the dimension.
 The derivatives are written in place into a second buffer below the
 running sums, their logs taken in place, and one accumulate adds its
@@ -54,19 +55,10 @@ from .errors import (ArgumentError, CensoredOrbitError, ConstructionError,
                      NearCriticalError, SrbLabError, UnverifiedTowerError)
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
 from .measures import (_STRATA, GridDensity, bin_slivers, interval_measure, one_step_ulam,
-                       stationary_density, stratified_points, ulam_matrix)
+                       ordered_sum, stationary_density, stratified_points, ulam_matrix)
 from .rng import StreamKey, dither, stream
 from .towers import (CELL_SAMPLES, InducedMarkovMap, cell_samples, kac_breakdown, kac_mass,
                      verify_axioms)
-
-#: Orbit steps an orbit loop buffers before it takes their log-derivatives.
-_BLOCK_STEPS = 256
-#: Cap on steps x orbits of one buffered block (256 KiB of float64).  A
-#: block array above it comes back from the allocator as fresh pages on
-#: every block: on the 2-core Xeon host of the benchmark, the 352 KiB
-#: derivative block of a 176-orbit tent sweep took 144 page faults per
-#: block and twice the time per step of a 316 KiB one.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def _require_verified(F: InducedMarkovMap) -> None:
@@ -104,10 +96,7 @@ def entropy_induced(F: InducedMarkovMap, mu_F: GridDensity) -> float:
         pts = stratified_points(a, b - a).ravel()
         logj = F.evaluate(np.repeat(owner, _STRATA), pts, jacobian=True)[1]
         terms = mu_F.values[idx] * (b - a) * logj.reshape(-1, _STRATA).mean(axis=1)
-    total = 0.0
-    for term in terms.tolist():
-        total += term  # term by term: the sum keeps its order
-    return total
+    return ordered_sum(terms)
 
 
 def entropy_truncation_bound(F: InducedMarkovMap, mu_F: GridDensity) -> float:
@@ -177,7 +166,6 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     if n < 1:
         raise ArgumentError("cylinder depth n must be at least 1")
     drng = stream(int(np.float64(x).view(np.uint64)), StreamKey.SMB_DITHER)
-    lo, hi = F.delta.lo, F.delta.hi
     cells = []
     y = np.array([x], dtype=float)
     for k in range(n):
@@ -185,12 +173,9 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
         if i < 0:
             raise CensoredOrbitError(k)
         cells.append(i)
-        y = dither(np.clip(F.evaluate(i, y), lo, np.nextafter(hi, lo)), drng, lo, hi)
+        y = dither(F.evaluate(i, y), drng, F.delta.lo, F.delta.hi)
     if F.affine:
-        total = 0.0
-        for term in F.cells.log_slope[cells].tolist():
-            total += term  # step by step, in orbit order
-        return total / n
+        return ordered_sum(F.cells.log_slope[cells]) / n
 
     # pull the base interval back one cell at a time, from cell n-1 down to
     # the switch row k: the first row narrower than 1e-6 of the base
@@ -208,10 +193,8 @@ def entropy_smb(F: InducedMarkovMap, x: float, n: int) -> float:
     for j in range(k - 1, -1, -1):
         anchor = F.invert(cells[j], anchor)
         anchors[j] = anchor[0]
-    log_extra = 0.0  # log of the width shrinkage past the switch point
     _, logj, _ = F.evaluate(np.array(cells[:k], dtype=int), anchors, jacobian=True)
-    for term in logj[::-1].tolist():
-        log_extra -= term
+    log_extra = ordered_sum(-logj[::-1])  # log of the width shrinkage past the switch point
     if not width > 0.0:
         raise ConstructionError("tracked cylinder collapsed below float resolution")
     log_mass = math.log(width) + log_extra - math.log(F.delta.width)
@@ -262,8 +245,8 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     ``fibre_derivative_batch``, clipped at 0, and the row adds the map's
     ``base_exponent``.
 
-    The unfinished slots of all rows advance together in blocks of up to
-    256 steps, fewer when steps x unfinished slots would pass 2^15.  Each
+    The unfinished slots of all rows advance together in blocks of
+    ``block_steps(slots)`` steps, 2^15 values of orbit buffer.  Each
     block is one ``orbit`` call on all of them, through a copy of the first
     map in which every parameter that differs between rows is a per-slot
     column.  The fibre derivative, the distance to the critical set (one
@@ -316,7 +299,7 @@ def entropy_lyapunov_rows(maps: list[MapSystem], sample_size: int, n: int,
     failed = [None] * len(maps)
     while (live := np.flatnonzero(steps < n)).size:
         left = n - steps[live]
-        k = min(int(left.max()), _BLOCK_STEPS, max(1, _BLOCK_ELEMENTS // live.size))
+        k = min(int(left.max()), first.block_steps(live.size))
         step = first
         if cols:
             step = copy.copy(first)
@@ -455,10 +438,9 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
     drng = stream(seed, StreamKey.QUOTIENT, sample)
     lo, hi = F.delta.lo, F.delta.hi
     pts = np.array([r.uniform(lo, hi) for r in rngs])
-    top = np.nextafter(hi, lo)  # images are clipped into [lo, hi)
-    total_logj = 0.0
+    step_logj = np.empty(n)  # the log |DF| of all orbits at each step
     base_steps = 0
-    for _ in range(n):
+    for s in range(n):
         idx = F.cell_index_batch(pts)
         while (missed := np.flatnonzero(idx < 0)).size:
             for i in missed:
@@ -466,10 +448,10 @@ def lyapunov_quotient_check(m: MapSystem, F: InducedMarkovMap, mu_F: GridDensity
             idx = F.cell_index_batch(pts)
         # one walk gives the images and log |DF| of every point
         ys, logj, _ = F.evaluate(idx, pts, jacobian=True)
-        total_logj += float(logj.sum())
+        step_logj[s] = logj.sum()
         base_steps += int(F.cells.tau[idx].sum())
-        pts = dither(np.clip(ys, lo, top), drng, lo, hi)
-    lambda_F = total_logj / (sample * n)
+        pts = dither(ys, drng, lo, hi)
+    lambda_F = ordered_sum(step_logj) / (sample * n)
     mean_return = kac_mass(F, mu_F)
     quotient = lambda_F / mean_return
     # the Lyapunov route at matching orbit length
@@ -500,15 +482,14 @@ def majorant_check(F: InducedMarkovMap) -> MajorantCheck:
     Jacobian inconsistency (the mutation this check is designed to catch).
     """
     m = F.base
-    dense = np.linspace(m.domain.lo, m.domain.hi, 4096)
-    sup_det = float(np.abs(m.df_batch(dense)).max())
+    sup_det = float(m.abs_det_batch(np.linspace(m.domain.lo, m.domain.hi, 4096)).max())
     top = np.empty(len(F.cells))  # largest sampled log |DF| of each cell
     for cells, first, rows, xs in cell_samples(F, np.full(len(F.cells), CELL_SAMPLES)):
         top[cells] = np.maximum.reduceat(F.evaluate(rows, xs, jacobian=True)[1], first)
         ys, taus = xs, F.cells.tau[rows]
         for j in range(int(taus.max())):
             ys, taus = ys[taus > j], taus[taus > j]
-            sup_det = max(sup_det, float(np.abs(m.df_batch(ys)).max()))
+            sup_det = max(sup_det, float(m.abs_det_batch(ys).max()))
             ys = m.f_batch(ys)
     C = math.log(sup_det)
     if C <= 0:

@@ -94,15 +94,19 @@ def _row_seed(seed: int, index: int) -> int:
         StreamKey.SWEEP_ROW, int(index))).generate_state(1)[0])
 
 
+def _report(m: MapSystem, F: InducedMarkovMap | None, config: ExperimentConfig, seed: int,
+            lyapunov: tuple | str | None = None) -> EntropyReport:
+    """:func:`~srblab.entropy.entropy_report` with the config's route settings."""
+    return entropy_report(m, F, bins=config.bins, n_orbits=config.sample_size,
+                          n_iters=config.n_iters, smb_depth=config.smb_depth, seed=seed,
+                          ulam_max_iters=config.ulam_max_iters, lyapunov=lyapunov)
+
+
 def run_entropy(config: ExperimentConfig) -> EntropyReport:
     """Build the system and tower, run all entropy routes, emit entropy.csv."""
     config.validate()
     m = build_system(config)
-    F = build_tower(m, config)
-    rep = entropy_report(
-        m, F, bins=config.bins, n_orbits=config.sample_size,
-        n_iters=config.n_iters, smb_depth=config.smb_depth, seed=config.seed,
-        ulam_max_iters=config.ulam_max_iters)
+    rep = _report(m, build_tower(m, config), config, config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     write_entropy_csv(os.path.join(config.out_dir, "entropy.csv"), rep)
     return rep
@@ -270,10 +274,7 @@ def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | s
             row["kappa"] = ver.kappa
             row["distortion"] = ver.distortion
             row["tower"] = F
-        rep = entropy_report(
-            m, F, bins=cfg.bins, n_orbits=cfg.sample_size, n_iters=cfg.n_iters,
-            smb_depth=cfg.smb_depth, seed=_row_seed(cfg.seed, index),
-            ulam_max_iters=cfg.ulam_max_iters, lyapunov=lyapunov)
+        rep = _report(m, F, cfg, _row_seed(cfg.seed, index), lyapunov)
         for route in rep.routes.values():
             row[route.name] = route.estimate
         row["lyapunov_se"] = rep.routes["lyapunov"].std_error

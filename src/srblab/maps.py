@@ -15,10 +15,10 @@ differences.  Jacobians are guarded near the critical set: below
 overflowing.
 
 Each family writes its formula once, in batch methods (``f_batch``,
-``df_batch``, ``crit_dist_batch``, ``orbit``, ...), the only way to evaluate
-a map: one point goes in as a batch of shape (1,), or (1, 2) on the cylinder.
-Every question about the derivative goes through the derivative interface
-of :class:`MapSystem`, which :class:`VianaMap` answers from its Jacobian.
+``fibre_derivative_batch``, ``crit_dist_batch``, ``orbit``, ...), the only
+way to evaluate a map: one point goes in as a batch of shape (1,), or
+(1, 2) on the cylinder.  Every derivative question goes through the
+derivative interface of :class:`MapSystem`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ from .errors import ArgumentError, DomainViolationError, MapParameterError
 NEAR_CRITICAL_FLOOR = 1e-15
 
 _DOMAIN_SLACK = 1e-12
+
+#: Values (points x coordinates) of one orbit block, 256 KiB of float64: on the
+#: benchmark's 2-core Xeon a 352 KiB tent-sweep block came back from the allocator
+#: as fresh pages every block (144 faults) and took twice the time per step.
+ORBIT_BLOCK_VALUES = 1 << 15
 
 
 # Compensated arithmetic: a value is carried as an unevaluated sum hi + lo
@@ -127,10 +132,10 @@ class MapSystem:
     invariant base direction (0.0 in 1D), and, one value per point,
     ``fibre_derivative_batch`` (the other direction's expansion),
     ``abs_det_batch`` and the least and largest singular values of ``Df``,
-    ``conorm_batch`` and ``norm_batch``; in 1D all four are ``|f'|``.
-    ``fibre_derivative_batch(x, out=None)`` takes ``out`` as ``f_batch``
-    does (an array of one value per point that does not overlap ``x``),
-    with the same bits as its allocating call.
+    ``conorm_batch`` and ``norm_batch``; in 1D all four are ``|f'|``, which
+    a 1D family writes once, as ``fibre_derivative_batch(x, out=None)``.
+    That takes ``out`` as ``f_batch`` does (an array of one value per point
+    that does not overlap ``x``), with the same bits as its allocating call.
     """
 
     dimension = 1
@@ -156,13 +161,17 @@ class MapSystem:
             self.f_batch(rows[j], out=rows[j + 1])
         return buf
 
-    def df_batch(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def block_steps(self, points: int) -> int:
+        """Steps of an orbit block of ``points`` orbits (at least one)."""
+        return max(1, ORBIT_BLOCK_VALUES // (points * self.dimension))
 
     def fibre_derivative_batch(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.abs(self.df_batch(x), out=out)
+        raise NotImplementedError
 
-    abs_det_batch = conorm_batch = norm_batch = fibre_derivative_batch
+    def abs_det_batch(self, x: np.ndarray) -> np.ndarray:
+        return self.fibre_derivative_batch(x)
+
+    conorm_batch = norm_batch = abs_det_batch
 
     # -- critical set -------------------------------------------------
     def crit_dist_batch(self, x: np.ndarray) -> np.ndarray:
@@ -228,10 +237,7 @@ class MapSystem:
 
     def interior_cuts(self) -> np.ndarray:
         """Sorted interior branch endpoints (monotonicity/continuity cuts)."""
-        cuts = []
-        for i in range(self.n_branches - 1):
-            cuts.append(self.branch_bounds(i)[1])
-        return np.asarray(cuts)
+        return np.array([self.branch_bounds(i)[1] for i in range(self.n_branches - 1)])
 
     # -- sampling -----------------------------------------------------
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -273,8 +279,11 @@ class LinearCircleMap(MapSystem):
         y = np.multiply(self.d, x, out=_image(x, out))
         return wrap_unit_batch(y, out=y)
 
-    def df_batch(self, x):
-        return np.full(np.shape(x), self.d, dtype=float)
+    def fibre_derivative_batch(self, x, out=None):
+        # |f'| is d everywhere
+        out = _image(x, out)
+        out[...] = self.d
+        return out
 
     @property
     def n_branches(self):
@@ -354,9 +363,6 @@ class PerturbedDoublingMap(MapSystem):
     def f_batch(self, x, out=None):
         return wrap_unit_batch(self._lift(np.asarray(x, dtype=float)), out=out)
 
-    def df_batch(self, x):
-        return self._dlift(np.asarray(x, dtype=float))
-
     def fibre_derivative_batch(self, x, out=None):
         # |_dlift| in place, in its order of operations
         x = np.asarray(x, dtype=float)
@@ -379,7 +385,7 @@ class PerturbedDoublingMap(MapSystem):
         return y if i == 0 else y - 1.0
 
     def branch_dlift(self, i, x):
-        return self.df_batch(x)
+        return self._dlift(np.asarray(x, dtype=float))
 
     def branch_inverse(self, i, y):
         # Newton on the increasing lift (derivative >= 2 - t > 0), started
@@ -454,10 +460,6 @@ class TentMap(MapSystem):
         np.minimum(x, y, out=y)
         return np.multiply(self.slope, y, out=y)
 
-    def df_batch(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.5, self.slope, -self.slope)
-
     def fibre_derivative_batch(self, x, out=None):
         # |f'| is the slope everywhere
         out = _image(x, out)
@@ -507,9 +509,6 @@ class QuadraticMap(MapSystem):
         x = np.asarray(x, dtype=float)
         y = np.multiply(x, x, out=_image(x, out))
         return np.subtract(self.a, y, out=y)
-
-    def df_batch(self, x):
-        return -2.0 * np.asarray(x, dtype=float)
 
     def fibre_derivative_batch(self, x, out=None):
         x = np.asarray(x, dtype=float)
@@ -674,7 +673,7 @@ class VianaMap(MapSystem):
         return np.abs(y, out=y)
 
     def abs_det_batch(self, p):
-        return np.abs(self.d * (-2.0 * np.asarray(p, dtype=float)[..., 1]))
+        return self.d * self.fibre_derivative_batch(p)
 
     def conorm_batch(self, p):
         return _op_norms_2x2_lower(*self.jac_entries_batch(p))[1]

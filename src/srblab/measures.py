@@ -271,6 +271,12 @@ def l1_distance(d1: GridDensity, d2: GridDensity) -> float:
     return float((diff * d1.grid.widths).sum())
 
 
+def ordered_sum(values) -> float:
+    """``values`` added left to right from +0.0, as a ``+=`` loop adds them; ``np.sum``
+    adds pairwise, and the builtin ``sum`` compensates from Python 3.12 on."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 def interval_measure(density: GridDensity, lo, hi):
     """Mass the density assigns to ``[lo, hi]`` (1D grids); arrays of ends
     share one cumulative sum and one grid search."""

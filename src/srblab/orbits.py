@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ArgumentError, InsufficientDataError, NearCriticalError
 from .maps import NEAR_CRITICAL_FLOOR, MapSystem
+from .measures import ordered_sum
 from .rng import StreamKey, stream
 
 _LOG_CLAMP = 1e-300
@@ -34,8 +35,8 @@ def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
 
     The average of ``log`` of the map's ``fibre_derivative_batch`` over the
     first ``n`` orbit points, and, when the map has a base direction, its
-    ``base_exponent``.  The sum keeps orbit order: this is the per-orbit
-    reference of :func:`~srblab.entropy.entropy_lyapunov_rows`.
+    ``base_exponent``.  The sum keeps orbit order across ``block_steps`` blocks:
+    this is the per-orbit reference of :func:`~srblab.entropy.entropy_lyapunov_rows`.
 
     Raises
     ------
@@ -47,17 +48,16 @@ def lyapunov_exponents(m: MapSystem, x, n: int) -> list[float]:
     m.check_point(x)
     total = 0.0
     cur = np.asarray([x], dtype=float)
-    for start in range(0, n, 2 ** 16):  # one orbit call per 2^16 iterates
-        buf = m.orbit(cur, min(n - start, 2 ** 16))
+    block = m.block_steps(1)
+    for start in range(0, n, block):
+        buf = m.orbit(cur, min(n - start, block))
         cur, pts = buf[-1], buf[:-1, 0]
         dist = m.crit_dist_batch(pts)
         if (bad := dist < NEAR_CRITICAL_FLOOR).any():
             j = int(bad.argmax())
             raise NearCriticalError(float(dist[j]),
                                     f"orbit hit the critical set at iterate {start + j}")
-        logs = np.log(m.fibre_derivative_batch(pts))
-        # cumsum adds one term at a time: the sum keeps its orbit order
-        total = float(np.cumsum(np.append(total, logs))[-1])
+        total = ordered_sum(np.append(total, np.log(m.fibre_derivative_batch(pts))))
     mean = total / n
     return sorted([mean, m.base_exponent]) if m.base_exponent else [mean]
 

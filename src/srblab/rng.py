@@ -58,18 +58,19 @@ def dither(x: np.ndarray, rng: np.random.Generator, lo: float, hi: float) -> np.
     must exceed the worst single-step bit consumption (slopes up to
     ``2**26``), and sits far below every tolerance in the package.
 
-    Points that the refresh would push to ``hi`` or beyond are left
-    unchanged.
+    The points are first clipped into ``[lo, hi)``; a clipped point that
+    the refresh would push to ``hi`` or beyond is left as it is.
 
     Parameters
     ----------
     x : ndarray
-        Points in ``[lo, hi)``; one point goes in as an array of one.
+        Points; one point goes in as an array of one.
     rng : numpy.random.Generator
         Stream supplying the refresh bits.
     lo, hi : float
         Interval bounds.
     """
+    x = np.clip(x, lo, np.nextafter(hi, lo))
     q = (hi - lo) * DITHER_SCALE
     y = lo + (np.floor((x - lo) / q) + rng.uniform(size=np.shape(x))) * q
     return np.where(y < hi, y, x)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (ArgumentError, ConstructionError, VerificationError)
 from .maps import Interval, MapSystem
-from .measures import GridDensity, Grid1D, interval_measure
+from .measures import GridDensity, Grid1D, interval_measure, ordered_sum
 
 _MAX_SEGMENTS = 200_000
 _BLOCK = 1 << 12
@@ -56,14 +56,13 @@ _DISTORTION_CAP = 1e6
 class CellTable:
     """The monotone first-return branches of a tower, one column each.
 
-    Row ``i`` is the cell ``[lo[i], hi[i])`` with return time ``tau[i]``
-    and orientation +1 or -1.  ``slope``/``intercept`` hold the exact
-    affine data ``F(x) = slope*x + intercept`` (``slope`` is signed), and
-    are ``None`` on non-affine tables.  Row ``i`` of the padded
-    ``itineraries`` matrix lists the base branches of ``x, f x, ...,
-    f^(tau-1) x`` for ``x`` in the cell, ``-1`` after its end; a non-affine
-    cell is evaluated and inverted through it, so it must have ``tau``
-    entries.  The rows are sorted by ``lo`` (stably) and the columns are
+    Row ``i`` is the cell ``[lo[i], hi[i])`` with return time ``tau[i]``.
+    ``slope``/``intercept`` hold the exact affine data ``F(x) = slope*x +
+    intercept`` (``slope`` is signed), and are ``None`` on non-affine
+    tables.  Row ``i`` of the padded ``itineraries`` matrix lists the base
+    branches of ``x, f x, ..., f^(tau-1) x`` for ``x`` in the cell, ``-1``
+    after its end; a non-affine cell is evaluated and inverted through it,
+    so it must have ``tau`` entries.  The rows are sorted by ``lo`` (stably) and the columns are
     read-only.  Neighbouring cells that overlap by at most 1e-12 are
     trimmed so that the later one owns the overlap: every point lies in
     one cell at most.
@@ -77,15 +76,14 @@ class CellTable:
     lo: np.ndarray
     hi: np.ndarray
     tau: np.ndarray
-    orientation: np.ndarray
     slope: np.ndarray | None = None
     intercept: np.ndarray | None = None
     itineraries: np.ndarray | None = None
 
     def __post_init__(self):
         order = np.argsort(np.asarray(self.lo, dtype=float), kind="stable")
-        for name, dtype in (("lo", float), ("hi", float), ("tau", int), ("orientation", int),
-                            ("slope", float), ("intercept", float), ("itineraries", None)):
+        for name, dtype in (("lo", float), ("hi", float), ("tau", int), ("slope", float),
+                            ("intercept", float), ("itineraries", None)):
             column = getattr(self, name)
             if column is not None:
                 column = np.asarray(column, dtype=dtype)[order]
@@ -177,10 +175,7 @@ class InducedMarkovMap:
         self.cells = cells
         self.tau_max = int(tau_max)
         self.partial_mass = float(partial_mass)
-        covered = 0.0
-        for width in (cells.hi - cells.lo).tolist():
-            covered += width  # cell by cell, in order
-        self.deficit = max(delta.width - covered, 0.0)
+        self.deficit = max(delta.width - ordered_sum(cells.hi - cells.lo), 0.0)
         self.verification: VerificationReport | None = None
 
     # -- lookup ------------------------------------------------------------
@@ -282,10 +277,10 @@ class InducedMarkovMap:
 
 
 def _table(rows, affine: bool) -> CellTable:
-    """The cell table of ``(lo, hi, tau, orientation, slope, intercept,
-    itinerary)`` rows, with the affine columns only if ``affine``."""
-    lo, hi, tau, orientation, slope, intercept, itineraries = zip(*rows) if rows else ((),) * 7
-    return CellTable(lo, hi, tau, orientation, slope if affine else None,
+    """The cell table of ``(lo, hi, tau, slope, intercept, itinerary)``
+    rows, with the affine columns only if ``affine``."""
+    lo, hi, tau, slope, intercept, itineraries = zip(*rows) if rows else ((),) * 6
+    return CellTable(lo, hi, tau, slope if affine else None,
                      intercept if affine else None, _pad(itineraries))
 
 
@@ -402,9 +397,9 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int) -> InducedMark
     affine = m.piecewise_affine
     xtol = 1e-14
 
-    cells = []  # (lo, hi, tau, orientation, slope, intercept, itinerary)
-    returns = []  # (tau, orientation, itinerary) of the non-affine cells
-    partial_mass = 0.0
+    cells = []  # (lo, hi, tau, slope, intercept, itinerary)
+    returns = []  # (tau, itinerary) of the non-affine cells
+    partial = []  # the Lebesgue mass of each partial return
     # segment = (xl, xh, yl, yh, orient, slope, itinerary): f^k maps [xl,xh]
     # onto [yl,yh] through the k base branches listed in the itinerary
     segments = [(dlo, dhi, dlo, dhi, 1, 1.0 if affine else None, ())]
@@ -455,15 +450,15 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int) -> InducedMark
                 _, ilo, ihi, _ = targets.tolist()
                 p = _pull_back(piece, targets, xs)
                 if covers and new_slope is None:
-                    returns.append((k, new_orient, piece[6]))
+                    returns.append((k, piece[6]))
                 elif covers:
                     clo, chi = sorted((float(p[1]), float(p[2])))
                     if chi - clo > 1e-15:
                         target = dlo if new_slope > 0 else dhi
-                        cells.append((clo, chi, k, new_orient, new_slope,
-                                      target - new_slope * clo, piece[6]))
+                        cells.append((clo, chi, k, new_slope, target - new_slope * clo,
+                                      piece[6]))
                 else:
-                    partial_mass += abs(float(p[2]) - float(p[1]))
+                    partial.append(abs(float(p[2]) - float(p[1])))
                 # the parts clear of delta keep going either way
                 for wlo, whi, ol, oh in ((iyl, ilo, p[0], p[1]), (ihi, iyh, p[2], p[3])):
                     if whi - wlo > xtol:
@@ -479,13 +474,13 @@ def first_return_map(m: MapSystem, delta: Interval, tau_max: int) -> InducedMark
         if not segments:
             break
     if returns:
-        ends = _walk(m, _pad([r[2] for r in returns]), np.repeat(np.arange(len(returns)), 2),
+        ends = _walk(m, _pad([r[1] for r in returns]), np.repeat(np.arange(len(returns)), 2),
                      np.tile([dlo, dhi], len(returns)), inverse=True, dd=True)
-        for (k, orient, itinerary), (cl, ch) in zip(returns, ends.reshape(-1, 2)):
+        for (k, itinerary), (cl, ch) in zip(returns, ends.reshape(-1, 2)):
             clo, chi = (cl, ch) if cl <= ch else (ch, cl)
             if chi - clo > 1e-15:
-                cells.append((float(clo), float(chi), k, orient, None, None, itinerary))
-    return InducedMarkovMap(m, delta, _table(cells, affine), tau_max, partial_mass)
+                cells.append((float(clo), float(chi), k, None, None, itinerary))
+    return InducedMarkovMap(m, delta, _table(cells, affine), tau_max, ordered_sum(partial))
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +602,7 @@ def return_time_l1_distance(F1: InducedMarkovMap, F2: InducedMarkovMap) -> float
                                     F2.cells.lo, F2.cells.hi]))
     mids = 0.5 * (pts[:-1] + pts[1:])
     t1, t2 = (F.return_time(mids, censor) for F in (F1, F2))
-    total = 0.0
-    for term in (np.abs(t1 - t2) * np.diff(pts)).tolist():
-        total += term  # piece by piece: the sum keeps its order
-    return total
+    return ordered_sum(np.abs(t1 - t2) * np.diff(pts))
 
 
 def kac_breakdown(F: InducedMarkovMap, mu: GridDensity) -> tuple[float, float]:
@@ -620,11 +612,8 @@ def kac_breakdown(F: InducedMarkovMap, mu: GridDensity) -> tuple[float, float]:
     region is weighed with the censoring time ``tau_max + 1``.
     """
     F.check_density(mu)
-    covered = 0.0
-    covered_measure = 0.0
-    for tau, w in zip(F.cells.tau.tolist(), interval_measure(mu, F.cells.lo, F.cells.hi).tolist()):
-        covered += tau * w
-        covered_measure += w
+    w = interval_measure(mu, F.cells.lo, F.cells.hi)
+    covered, covered_measure = ordered_sum(F.cells.tau * w), ordered_sum(w)
     censored = (F.tau_max + 1) * max(1.0 - covered_measure, 0.0)
     return covered, censored
 

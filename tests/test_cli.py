@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import srblab as sl
+from srblab.reporting import format_real
 
 CLI = [sys.executable, "-m", "srblab.cli"]
 
@@ -66,6 +67,21 @@ def test_induce_subcommand(tmp_path):
     assert "cells" in out.stdout
 
 
+def test_induce_names_the_cell_where_each_axiom_is_worst(tmp_path):
+    path = write_cfg(tmp_path, family="quadratic", map_params={"a": 2.0}, induce_lo=0.0,
+                     induce_hi=math.sqrt(2.0), out_dir=str(tmp_path / "out"), tau_max=8)
+    out = run_cli("induce", "--config", path)
+    assert out.returncode == 0, out.stderr
+    F = sl.first_return_map(sl.make_map("quadratic", a=2.0),
+                            sl.Interval(0.0, math.sqrt(2.0)), 8)
+    ver = sl.verify_axioms(F)
+    lines = {line.split(" = ")[0]: line for line in out.stdout.splitlines()}
+    for name, cell in (("markov defect", ver.defect_cell), ("kappa", ver.kappa_cell),
+                       ("distortion", ver.distortion_cell)):
+        span = f"[{format_real(F.cells.lo[cell])}, {format_real(F.cells.hi[cell])})"
+        assert lines[name].endswith(f"(ok) at cell {cell} {span}"), lines[name]
+
+
 def test_density_subcommand(tmp_path):
     path = write_cfg(tmp_path, family="tent", map_params={"slope": 2.0},
                      out_dir=str(tmp_path / "out"), bins=128, tau_max=10, seed=0)
@@ -112,6 +128,25 @@ def test_probe_subcommand(tmp_path):
                      out_dir=str(tmp_path / "out"), sample_size=64, seed=0)
     out = run_cli("probe", "--config", path)
     assert out.returncode == 0, out.stderr
+
+
+def test_probe_prints_a_witness_for_each_ratio(tmp_path):
+    path = write_cfg(tmp_path, family="viana", map_params={"alpha": 0.01, "d": 16},
+                     out_dir=str(tmp_path / "out"), seed=0)
+    out = run_cli("probe", "--config", path, "--points", "64")
+    assert out.returncode == 0, out.stderr
+    m = sl.make_map("viana", alpha=0.01, d=16)
+    rep = sl.nondegeneracy_probe(m, 4.0, 1.0, m.sample_uniform(sl.stream(0, 23), 64))
+    lines = out.stdout.splitlines()
+    assert lines[1].endswith(f" at ({', '.join(map(format_real, rep.norm_witness))})")
+    for line, (x, y) in zip(lines[2:4], (rep.lipschitz_inv_witness,
+                                         rep.lipschitz_det_witness)):
+        pair = " and ".join(f"({', '.join(map(format_real, p))})" for p in (x, y))
+        assert line.endswith(f" at {pair}"), line
+    # without a critical set the ratios are 0 and there is no witness
+    tent = write_cfg(tmp_path, family="tent", out_dir=str(tmp_path / "out"))
+    lines = run_cli("probe", "--config", tent).stdout.splitlines()
+    assert all(line.endswith(" 0") and " at " not in line for line in lines[1:4])
 
 
 def test_seed_flag_overrides_the_config(tmp_path):

@@ -1,15 +1,17 @@
 """The demos and the README's Python blocks use only names srblab exports,
-the README's config blocks parse, every export is used outside the tests,
-and the README quick start gives the values its comments state.
+the README's config blocks parse, every export and every public method of
+the map families is used outside the tests, and the README quick start
+gives the values its comments state.
 
 Apart from the quick start, which runs in about a second, each file is
 parsed with ``ast``, not run, so the checks cost milliseconds; they fail
 as soon as a name a demo reads as ``sl.<name>`` moves or goes, a key the
-README shows in a config is retired, or an export is left that only its
-own tests call.
+README shows in a config is retired, or an export or a map method is left
+that only its own tests call.
 """
 
 import ast
+import inspect
 import math
 import pathlib
 import re
@@ -77,17 +79,35 @@ def _read_names(path: pathlib.Path) -> set:
     return names
 
 
+INIT = ROOT / "src" / "srblab" / "__init__.py"
+
+
+def _read_outside_the_tests() -> set:
+    """The names that the package (less its ``__init__``), the demos and
+    ``perfbench`` read."""
+    code = [path for path in INIT.parent.glob("*.py") if path != INIT]
+    code += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    return set().union(*map(_read_names, code))
+
+
 def test_every_export_is_used_outside_the_tests():
-    init = ROOT / "src" / "srblab" / "__init__.py"
-    tree = ast.parse(init.read_text(encoding="utf-8"))
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
     exports = {alias.asname or alias.name for node in tree.body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    code = [path for path in init.parent.glob("*.py") if path != init]
-    code += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
-    read = set().union(*map(_read_names, code))
+    read = _read_outside_the_tests()
     assert set(TEST_REFERENCES) <= exports
     assert sorted(name for name in exports - read - set(TEST_REFERENCES)
                   if not re.search(rf"\b{name}\b", README)) == []
+
+
+def test_every_public_map_method_is_used_outside_the_tests():
+    # the methods and properties of MapSystem and the built-in families,
+    # aliases included: one that only the tests call is dead code
+    names = {name for cls in (sl.MapSystem, *sl.maps._FAMILIES.values())
+             for name, value in vars(cls).items() if not name.startswith("_")
+             and (inspect.isfunction(value) or isinstance(value, (property, staticmethod)))}
+    assert {"f_batch", "orbit", "block_steps", "norm_batch", "critical_points"} <= names
+    assert sorted(names - _read_outside_the_tests()) == []
 
 
 def test_readme_quick_start_gives_its_commented_values():

@@ -161,11 +161,11 @@ class _Countdown(sl.MapSystem):
     def f_batch(self, x, out=None):
         return np.subtract(x, self.drop, out=out)
 
-    def df_batch(self, x):
-        return np.where(x >= 0, 1.0 + x, 0.0)
+    def fibre_derivative_batch(self, x, out=None):
+        return np.abs(np.where(x >= 0, 1.0 + x, 0.0), out=out)
 
     def crit_dist_batch(self, x):
-        return self.df_batch(x)
+        return self.fibre_derivative_batch(x)
 
 
 class _Pinned(QuadraticMap):
@@ -236,6 +236,23 @@ class TestLyapunovEstimator:
         # orbit lengths on both sides of the 256-step block; the block of one
         # orbit is one contiguous column, which a pairwise sum would reorder
         m = sl.make_map(family, **params)
+        assert sl.entropy_lyapunov(m, sample_size, n, seed=2) == \
+            _per_slot_reference(m, sample_size, n, 2)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("family,params,sample_size,block", [
+        ("quadratic", {"a": 2.0}, 1, 2 ** 15), ("quadratic", {"a": 2.0}, 3, 10922),
+        ("quadratic", {"a": 2.0}, 64, 512), ("tent", {"slope": 1.7}, 1, 2 ** 15),
+        ("circle_perturbed", {"t": 0.3}, 1, 2 ** 15),
+        ("viana", {"alpha": 0.01, "d": 16}, 64, 256),
+    ])
+    def test_blocks_match_the_reference_on_both_sides_of_a_block(self, family, params,
+                                                                  sample_size, block, offset):
+        # a block holds 2^15 values, orbits x coordinates: these lengths end
+        # one step before, at and one step after the end of the first block
+        m = sl.make_map(family, **params)
+        assert m.block_steps(sample_size) == block
+        n = block + offset
         assert sl.entropy_lyapunov(m, sample_size, n, seed=2) == \
             _per_slot_reference(m, sample_size, n, 2)
 
@@ -383,9 +400,12 @@ class TestLyapunovRows:
         sizes = maps[0].sizes
         assert sizes[0] == 12 * 40 * 64  # 12-step blocks over the 2,560 slots
         assert max(sizes) <= 1 << 15
-        # the one-row runs step in blocks of 256
+        # the one-row runs step in blocks of 512
         assert rows == [sl.entropy_lyapunov(QuadraticMap(a), 64, 500, seed=s)
                         for s, a in enumerate(values)]
+        one = _BlockRecording(2.0)
+        sl.entropy_lyapunov(one, 64, 1000, seed=0)
+        assert one.sizes == [512 * 64, 488 * 64]
 
     def test_rows_must_share_a_family(self):
         with pytest.raises(sl.ArgumentError):

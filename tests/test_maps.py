@@ -74,14 +74,14 @@ def test_an_integral_float_degree_is_accepted(family):
 def test_doubling_values(x, fx):
     m = sl.make_map("doubling")
     assert m.f_batch([x])[0] == pytest.approx(fx, abs=1e-15)
-    assert m.df_batch([x])[0] == 2.0
+    assert m.branch_dlift(m.branch_containing(x), np.array([x]))[0] == 2.0
 
 
 def test_circle_linear_values():
     m = sl.make_map("circle_linear", d=3)
     xs = np.array([0.1, 0.4, 0.8])
     np.testing.assert_allclose(m.f_batch(xs), (3 * xs) % 1.0, atol=1e-15)
-    np.testing.assert_allclose(m.df_batch(xs), 3.0)
+    np.testing.assert_allclose([m.branch_dlift(m.branch_containing(x), x) for x in xs], 3.0)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.05, 0.1])
@@ -90,7 +90,8 @@ def test_circle_perturbed_values(t):
     xs = np.linspace(0.01, 0.99, 17)
     want = (2 * xs + t * np.sin(2 * np.pi * xs) / (2 * np.pi)) % 1.0
     np.testing.assert_allclose(m.f_batch(xs), want, atol=1e-14)
-    np.testing.assert_allclose(m.df_batch(xs), 2 + t * np.cos(2 * np.pi * xs), atol=1e-14)
+    np.testing.assert_allclose([m.branch_dlift(m.branch_containing(x), x) for x in xs],
+                               2 + t * np.cos(2 * np.pi * xs), atol=1e-14)
 
 
 def test_perturbed_with_zero_t_matches_doubling():
@@ -105,8 +106,9 @@ def test_tent_values(slope):
     m = sl.make_map("tent", slope=slope)
     assert m.f_batch([0.25])[0] == pytest.approx(slope * 0.25)
     assert m.f_batch([0.75])[0] == pytest.approx(slope * 0.25)
-    assert abs(m.df_batch([0.2])[0]) == pytest.approx(slope)
-    assert abs(m.df_batch([0.8])[0]) == pytest.approx(slope)
+    for x in (0.2, 0.8):
+        assert abs(m.branch_dlift(m.branch_containing(x), np.array([x]))[0]) == \
+            pytest.approx(slope)
 
 
 def test_quadratic_values(quadratic_map):
@@ -114,7 +116,8 @@ def test_quadratic_values(quadratic_map):
     assert (m.domain.lo, m.domain.hi) == (-2.0, 2.0)
     for x in (-1.5, 0.3, 1.2):
         assert m.f_batch([x])[0] == pytest.approx(2.0 - x * x)
-        assert m.df_batch([x])[0] == pytest.approx(-2.0 * x)
+        assert m.branch_dlift(m.branch_containing(x), np.array([x]))[0] == \
+            pytest.approx(-2.0 * x)
 
 
 def test_quadratic_critical_set(quadratic_map):
@@ -142,7 +145,7 @@ def test_crit_dist_of_an_orbit_block_has_one_value_per_point(family, params):
 def test_critical_points_are_zeros_of_the_derivative(quadratic_map, doubling_map,
                                                      tent17_map):
     np.testing.assert_array_equal(quadratic_map.critical_points, [0.0])
-    assert quadratic_map.df_batch([0.0])[0] == 0.0
+    assert quadratic_map.branch_dlift(0, np.array([0.0]))[0] == 0.0
     assert doubling_map.critical_points.size == 0
     assert tent17_map.critical_points.size == 0
 
@@ -523,10 +526,49 @@ _INTERFACE = ("fibre_derivative_batch", "abs_det_batch", "conorm_batch", "norm_b
 @given(m=_ONE_D_MAPS, us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
 def test_one_dimensional_derivative_interface_is_abs_df(m, us):
     x = m.domain.lo + m.domain.width * np.array(us)
-    want = np.abs(m.df_batch(x)).tobytes()
+    # |f'| from the lift of the branch that holds each point
+    branch = np.searchsorted(m.interior_cuts(), x)
+    want = np.empty(x.shape)
+    for i in np.unique(branch).tolist():
+        want[branch == i] = np.abs(m.branch_dlift(i, x[branch == i]))
+    want = want.tobytes()
     for name in _INTERFACE:
         assert getattr(m, name)(x).tobytes() == want, name
     assert m.base_exponent == 0.0
+
+
+class _KernelOnly(sl.MapSystem):
+    """1D test family that writes only the ``|f'|`` kernel, ``1 + x``."""
+
+    def __init__(self):
+        super().__init__()
+        self.domain = sl.Interval(0.0, 1.0)
+
+    def fibre_derivative_batch(self, x, out=None):
+        return np.add(1.0, x, out=out)
+
+
+@pytest.mark.parametrize("cls,params", [
+    (_KernelOnly, {}), (sl.maps.DoublingMap, {}), (sl.maps.LinearCircleMap, {"d": 3}),
+    (PerturbedDoublingMap, {"t": 0.3}), (sl.maps.TentMap, {"slope": 1.7}),
+    (sl.maps.QuadraticMap, {"a": 1.9}),
+])
+def test_every_one_dimensional_family_answers_through_its_kernel(cls, params):
+    # abs_det_batch, conorm_batch and norm_batch call the family's own
+    # fibre_derivative_batch, once each
+    calls = []
+
+    class Counting(cls):
+        def fibre_derivative_batch(self, x, out=None):
+            calls.append(np.shape(x))
+            return super().fibre_derivative_batch(x, out=out)
+
+    m = Counting(**params)
+    x = m.domain.lo + m.domain.width * np.array([0.1, 0.45, 0.9])
+    want = m.fibre_derivative_batch(x).tobytes()
+    for name in _INTERFACE[1:]:
+        assert getattr(m, name)(x).tobytes() == want, name
+    assert calls == [(3,)] * 4
 
 
 # results below the normal range carry fewer than 52 bits, so no

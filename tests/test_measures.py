@@ -14,7 +14,8 @@ import scipy.sparse as sp
 
 import srblab as sl
 from srblab.maps import PerturbedDoublingMap
-from srblab.measures import _inner_edges, _piece_slivers, bin_slivers, postcritical_grid
+from srblab.measures import (_inner_edges, _piece_slivers, bin_slivers, ordered_sum,
+                             postcritical_grid)
 
 
 def _dense(op):
@@ -393,7 +394,7 @@ def _overlapping_tower():
              (0.31, 0.8, 0.7, 0.0), (0.8, 1.0, 1.0, 0.0)]
     lo, hi, rise, y0 = (np.array(c) for c in zip(*spans))
     slope = rise / (hi - lo)
-    cells = sl.CellTable(lo, hi, np.ones(4), np.sign(rise), slope, y0 - slope * lo,
+    cells = sl.CellTable(lo, hi, np.ones(4), slope, y0 - slope * lo,
                          np.zeros((4, 1), dtype=int))
     return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 1)
 
@@ -795,7 +796,7 @@ def _cell_loop_spread(m, F, mu_F, bins):
 def _nested_tower():
     """Cells of return time 1 and 2 where the second ends inside the first,
     within the 1e-12 overlap a cell table accepts."""
-    cells = sl.CellTable([0.0, 0.5 - 2e-13, 0.5], [0.5, 0.5 - 1e-13, 1.0], [1, 2, 1], [1, 1, 1],
+    cells = sl.CellTable([0.0, 0.5 - 2e-13, 0.5], [0.5, 0.5 - 1e-13, 1.0], [1, 2, 1],
                          [2.0, 1.0, 2.0], [0.0, 0.0, -1.0])
     return sl.InducedMarkovMap(sl.make_map("doubling"), sl.Interval(0.0, 1.0), cells, 2)
 
@@ -1018,3 +1019,40 @@ class TestCylinderGrid:
             assert pts[b, :, 0].tolist() == np.repeat(ts[it], 4).tolist()
             assert pts[b, :, 1].tolist() == np.tile(xs[ix], 4).tolist()
         assert np.all(grid.locate(pts.reshape(-1, 2)) == np.repeat(np.arange(6), 16))
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("values", [
+    [1e16, 1.0, -1e16],            # compensated and pairwise sums give 1.0
+    [1.0, 1e100, 1.0, -1e100],     # the builtin sum of Python 3.12 gives 2.0
+    [0.1] * 10,
+    [1e16] + [1.0] * 9,            # pairwise: 1e16 + 8
+])
+def test_ordered_sum_adds_left_to_right(values):
+    want = _left_to_right(values)
+    got = ordered_sum(np.array(values))
+    assert type(got) is float and got == want and ordered_sum(values) == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_ordered_sum_differs_from_a_pairwise_sum():
+    values = np.array([1e16] + [1.0] * 9)
+    assert float(np.sum(values)) != _left_to_right(values) == ordered_sum(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), max_size=40))
+def test_ordered_sum_is_the_loop_on_any_terms(values):
+    assert ordered_sum(values) == _left_to_right(values)
+
+
+@pytest.mark.parametrize("values", [[], [-0.0], [-0.0, -0.0]])
+def test_ordered_sum_of_nothing_is_positive_zero(values):
+    got = ordered_sum(np.array(values, dtype=float))
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0

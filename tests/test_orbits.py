@@ -45,15 +45,40 @@ def test_viana_exponents_are_the_fibre_mean_and_log_d(d, alpha):
     assert fibre == total / 3000
 
 
-def test_lyapunov_exponent_sums_in_orbit_order_across_blocks():
-    # 2^16 + 3 points take two orbit blocks; the sum runs on in orbit order
-    m = sl.make_map("quadratic", a=2.0)
-    n = 2 ** 16 + 3
-    xs = m.orbit(np.array([0.3123]), n)[:n, 0]
+def _ordered_quadratic_exponent(n):
+    """The quadratic exponent from 0.3123 over ``n`` points, summed in a loop."""
+    xs = sl.make_map("quadratic", a=2.0).orbit(np.array([0.3123]), n)[:n, 0]
     total = 0.0
-    for v in np.log(np.abs(m.df_batch(xs))):
+    for v in np.log(np.abs(-2.0 * xs)):
         total += v
-    assert sl.lyapunov_exponents(m, 0.3123, n) == [total / n]
+    return total / n
+
+
+def test_lyapunov_exponent_sums_in_orbit_order_across_blocks():
+    # one orbit steps in blocks of 2^15: 2 * 2^15 + 3 points take three
+    # of them, and the sum runs on in orbit order
+    m = sl.make_map("quadratic", a=2.0)
+    n = 2 * 2 ** 15 + 3
+    assert sl.lyapunov_exponents(m, 0.3123, n) == [_ordered_quadratic_exponent(n)]
+
+
+@pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+def test_lyapunov_exponent_sums_in_orbit_order_at_the_block_end(n):
+    m = sl.make_map("quadratic", a=2.0)
+    assert m.block_steps(1) == 2 ** 15
+    assert sl.lyapunov_exponents(m, 0.3123, n) == [_ordered_quadratic_exponent(n)]
+
+
+@pytest.mark.parametrize("n", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1])
+def test_viana_exponent_sums_in_orbit_order_across_blocks(n):
+    # a cylinder point has two coordinates: its orbit steps in blocks of 2^14
+    m = sl.make_map("viana", alpha=0.01, d=16)
+    assert m.block_steps(1) == 2 ** 14
+    xs = m.orbit(np.array([[0.2, 0.3]]), n)[:n, 0, 1]
+    total = 0.0
+    for v in np.log(np.abs(2.0 * xs)):
+        total += v
+    assert sl.lyapunov_exponents(m, (0.2, 0.3), n) == sorted([total / n, math.log(16)])
 
 
 def test_lyapunov_exponents_stop_at_the_first_near_critical_point():
@@ -200,7 +225,7 @@ def _summand_matrices(m, pts, delta, n_max):
     cur = pts.copy()
     for j in range(n_max):
         if m.dimension == 1:
-            d = np.abs(m.df_batch(cur))
+            d = np.abs(m.branch_dlift(0, cur))  # -2x on both branches
         else:
             a, c, e = m.jac_entries_batch(cur)
             _, d = sl.maps._op_norms_2x2_lower(a, c, e)

@@ -64,6 +64,15 @@ def test_dither_stays_in_the_interval_within_one_grid_step(lo, hi):
     assert np.array_equal(y, dither(x, stream(2, 1), lo, hi))
 
 
+@pytest.mark.parametrize("lo,hi", _INTERVALS)
+def test_dither_clips_its_points_into_the_interval_first(lo, hi):
+    top = np.nextafter(hi, lo)
+    x = np.array([lo - 0.5, lo, 0.5 * (lo + hi), top, hi, hi + 0.5])
+    y = dither(x, stream(4, 0), lo, hi)
+    assert np.all((lo <= y) & (y < hi))
+    assert np.array_equal(y, dither(np.clip(x, lo, top), stream(4, 0), lo, hi))
+
+
 @pytest.mark.parametrize("shape", [(1,), (3, 4)])
 def test_dither_draws_one_double_per_point(shape):
     x = np.full(shape, 0.5)

@@ -84,7 +84,7 @@ class TestTowerStructure:
 
     def test_columns_are_read_only(self, tower_quadratic):
         c = tower_quadratic.cells
-        for column in (c.lo, c.hi, c.tau, c.orientation, c.itineraries):
+        for column in (c.lo, c.hi, c.tau, c.itineraries):
             with pytest.raises(ValueError):
                 column[0] = 0
 
@@ -96,13 +96,13 @@ class TestExactDoublingTower:
         # once and then the right one until it returns
         F = sl.first_return_map(doubling_map, sl.Interval(0.0, 0.5), 4)
         c = F.cells
-        got = list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(), c.orientation.tolist(),
+        got = list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(),
                        c.slope.tolist(), c.intercept.tolist(), c.itineraries.tolist()))
         want = [
-            (0.0, 0.25, 1, 1, 2.0, 0.0, [0, -1, -1, -1]),
-            (0.25, 0.375, 2, 1, 4.0, -1.0, [0, 1, -1, -1]),
-            (0.375, 0.4375, 3, 1, 8.0, -3.0, [0, 1, 1, -1]),
-            (0.4375, 0.46875, 4, 1, 16.0, -7.0, [0, 1, 1, 1]),
+            (0.0, 0.25, 1, 2.0, 0.0, [0, -1, -1, -1]),
+            (0.25, 0.375, 2, 4.0, -1.0, [0, 1, -1, -1]),
+            (0.375, 0.4375, 3, 8.0, -3.0, [0, 1, 1, -1]),
+            (0.4375, 0.46875, 4, 16.0, -7.0, [0, 1, 1, 1]),
         ]
         assert got == want
 
@@ -308,7 +308,7 @@ class TestTowerEvaluation:
         F = tower_quadratic
         c = F.cells
         with pytest.raises(sl.ConstructionError, match="itinerary"):
-            sl.CellTable(c.lo[:1], c.hi[:1], c.tau[:1], c.orientation[:1])
+            sl.CellTable(c.lo[:1], c.hi[:1], c.tau[:1])
         with pytest.raises(sl.ConstructionError, match="itinerary"):
             replace(c, itineraries=c.itineraries[:, :1])
 
@@ -357,11 +357,11 @@ def _per_piece_first_return(m, delta, tau_max, tol=1e-12):
                 ilo, ihi = (dlo, dhi) if covers else (olo, ohi)
                 p = pull_back(piece, np.array([iyl, ilo, ihi, iyh]))
                 if covers and s is None:
-                    returns.append((k, o, piece[6]))
+                    returns.append((k, piece[6]))
                 elif covers:
                     clo, chi = sorted((float(p[1]), float(p[2])))
                     if chi - clo > 1e-15:
-                        cells.append((clo, chi, k, o, piece[6]))
+                        cells.append((clo, chi, k, piece[6]))
                 else:
                     partial += abs(float(p[2]) - float(p[1]))
                 for wlo, whi, ol, oh in ((iyl, ilo, p[0], p[1]), (ihi, iyh, p[2], p[3])):
@@ -371,14 +371,14 @@ def _per_piece_first_return(m, delta, tau_max, tol=1e-12):
         segments = new_segments
         if not segments:
             break
-    for k, o, itinerary in returns:
+    for k, itinerary in returns:
         # the cell ends in double-double arithmetic, as every tower takes them
         hi, lo = np.array([dlo, dhi]), np.zeros(2)
         for branch in reversed(itinerary):
             hi, lo = m.branch_inverse_dd(branch, hi, lo)
         clo, chi = sorted((hi + lo).tolist())
         if chi - clo > 1e-15:
-            cells.append((clo, chi, k, o, itinerary))
+            cells.append((clo, chi, k, itinerary))
     cells.sort(key=lambda c: c[0])
     return cells, partial, max(delta.width - sum(c[1] - c[0] for c in cells), 0.0)
 
@@ -415,7 +415,7 @@ class TestFirstReturnChains:
         F = sl.first_return_map(m, delta, tau_max)
         cells, partial, deficit = _per_piece_first_return(m, delta, tau_max)
         c = F.cells
-        assert list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(), c.orientation.tolist(),
+        assert list(zip(c.lo.tolist(), c.hi.tolist(), c.tau.tolist(),
                         (tuple(r[:t]) for r, t in zip(c.itineraries.tolist(),
                                                       c.tau.tolist())))) == cells
         assert F.partial_mass == partial and F.deficit == deficit
