@@ -508,7 +508,8 @@ def majorant_check(F: InducedMarkovMap) -> MajorantCheck:
 
 @dataclass
 class Route:
-    """One route's outcome; its fields are the columns of entropy.csv.
+    """One route's outcome; its fields are the columns of entropy.csv, and
+    :func:`~srblab.reporting.report_columns` names them in sweep.csv.
 
     ``estimate`` is NaN while the route is unavailable.  ``truncation_bound``
     is the censoring bound on the tower rows (the abramov row repeats the

@@ -27,8 +27,8 @@ from .maps import Interval, MapSystem, make_map
 from .measures import (l1_distance, one_step_ulam, spread_measure, stationary_density,
                        ulam_matrix)
 from .orbits import TailParams, TailProfile, fit_tail_decay, tail_profile
-from .reporting import (emit_svg, read_csv, write_density_csv, write_entropy_csv,
-                        write_sweep_csv, write_tail_csv, write_tower_csv)
+from .reporting import (emit_svg, read_csv, report_columns, write_density_csv,
+                        write_entropy_csv, write_sweep_csv, write_tail_csv, write_tower_csv)
 from .rng import StreamKey
 from .towers import (InducedMarkovMap, first_return_map, return_time_l1_distance,
                      verify_axioms)
@@ -275,9 +275,7 @@ def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | s
             row["distortion"] = ver.distortion
             row["tower"] = F
         rep = _report(m, F, cfg, _row_seed(cfg.seed, index), lyapunov)
-        for route in rep.routes.values():
-            row[route.name] = route.estimate
-        row["lyapunov_se"] = rep.routes["lyapunov"].std_error
+        row.update(report_columns(rep))
         if rep.density is not None:
             row["density"] = rep.density
     except SrbLabError as exc:
@@ -335,19 +333,15 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
 
     prev = None
     for row in results:
-        row["density_l1_prev"] = None
-        row["tau_l1_prev"] = None
+        row["density_l1_prev"] = row["tau_l1_prev"] = None
         if row["error"] is None:
-            if prev is None:
-                row["density_l1_prev"] = 0.0 if row.get("density") is not None else None
-                row["tau_l1_prev"] = 0.0 if row.get("tower") is not None else None
-            else:
-                mu, mu_prev = row.get("density"), prev.get("density")
-                if mu is not None and mu_prev is not None and mu.grid == mu_prev.grid:
-                    row["density_l1_prev"] = l1_distance(mu, mu_prev)
-                F, F_prev = row.get("tower"), prev.get("tower")
-                if F is not None and F_prev is not None and F.delta == F_prev.delta:
-                    row["tau_l1_prev"] = return_time_l1_distance(F_prev, F)
+            prev = prev or row  # the first good row is at distance 0 from itself
+            mu, mu_prev = row.get("density"), prev.get("density")
+            if mu is not None and mu_prev is not None and mu.grid == mu_prev.grid:
+                row["density_l1_prev"] = l1_distance(mu, mu_prev)
+            F, F_prev = row.get("tower"), prev.get("tower")
+            if F is not None and F_prev is not None and F.delta == F_prev.delta:
+                row["tau_l1_prev"] = return_time_l1_distance(F_prev, F)
             prev = row
 
     table = SweepTable(config.family, config.sweep_parameter, config.seed,
@@ -358,8 +352,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     write_sweep_csv(table.csv_path, table)
     series = {}
     for key in ("h_pesin", "h_abramov", "h_lyapunov"):
-        ys = [r.get(key) if r.get(key) is not None else math.nan for r in results]
-        arr = np.array(ys, dtype=float)
+        arr = np.array([r.get(key, math.nan) for r in results], dtype=float)
         if np.isfinite(arr).any():
             series[key] = arr
     if series:

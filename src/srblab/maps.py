@@ -856,16 +856,13 @@ def nondegeneracy_probe(m: MapSystem, B: float, beta: float, points) -> Nondegen
     if pts.shape[0] == 0:
         raise ArgumentError("all probe points sit on the critical set")
     step = 0.4 * np.minimum(dist, m.domain.width)
-    if m.dimension == 1:
-        # pair partner: step 0.4 dist towards the domain centre
-        centre = 0.5 * (m.domain.lo + m.domain.hi)
-        ys = pts + np.where(pts <= centre, step, -step)
-        sep = np.abs(pts - ys)
-    else:
-        # perturb the fibre coordinate away from {x = 0}
-        ys = pts.copy()
-        ys[:, 1] += np.where(pts[:, 1] >= 0, step, -step)
-        sep = step
+    # pair partner: the x (fibre) coordinate steps 0.4 dist towards the
+    # domain centre, so it stays in the domain
+    centre = 0.5 * (m.domain.lo + m.domain.hi)
+    ys = pts.copy()
+    x, y = (pts, ys) if m.dimension == 1 else (pts[:, 1], ys[:, 1])
+    y += np.where(x <= centre, step, -step)
+    sep = np.abs(x - y)
     norm = m.norm_batch(pts)
     dfinv, ydfinv = 1.0 / m.conorm_batch(pts), 1.0 / m.conorm_batch(ys)
     detinv, ydetinv = 1.0 / m.abs_det_batch(pts), 1.0 / m.abs_det_batch(ys)

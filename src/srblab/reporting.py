@@ -12,7 +12,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -162,13 +162,9 @@ def write_density_csv(path: str, density: GridDensity) -> None:
         comments.insert(0, (f"grid = cylinder theta_n={t.n} "
                             f"x=[{format_real(x.lo)}, {format_real(x.hi)}] n={x.n}"))
         header = ["bin_index", "theta_left", "theta_right", "x_left", "x_right", "value"]
-        te, xe = t.edges, x.edges
-        rows = []
-        for it in range(t.n):
-            for ix in range(x.n):
-                flat = it * x.n + ix
-                rows.append([flat, te[it], te[it + 1], xe[ix], xe[ix + 1],
-                             density.values[flat]])
+        it, ix = np.divmod(np.arange(t.n * x.n), x.n)
+        columns = (t.edges[it], t.edges[it + 1], x.edges[ix], x.edges[ix + 1], density.values)
+        rows = [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
     else:
         raise ArgumentError("unsupported grid type")
     if density.excluded is not None and density.excluded.any():
@@ -190,18 +186,37 @@ def write_entropy_csv(path: str, report) -> None:
     write_csv(path, comments, header, (astuple(r) for r in report.routes.values()))
 
 
+def report_columns(report) -> dict:
+    """The sweep-row columns of an entropy report, route by route: the
+    route's ``name`` (``h_<method>``, or ``kac_mass``) holds its estimate,
+    NaN included; ``<method>_<field>`` each other :class:`~srblab.entropy.Route`
+    field that is set; and ``error_<method>`` why the route failed."""
+    columns = {}
+    for route in report.routes.values():
+        columns[route.name] = route.estimate
+        columns.update((f"{route.method}_{k}", v) for k, v in asdict(route).items()
+                       if k not in ("method", "estimate") and v is not None)
+        if route.name in report.errors:
+            columns[f"error_{route.method}"] = report.errors[route.name]
+    return columns
+
+
 def write_sweep_csv(path: str, table) -> None:
-    """Emit a parameter sweep, one row per parameter value."""
+    """Emit a parameter sweep, one row per parameter value.
+
+    The columns are the keys of the rows, ``parameter`` first and the
+    rest in the order the rows first hold them; the row index, tower and
+    density are not written, and a key a row lacks leaves its cell blank.
+    ``error`` is the row's own failure, ``error_<method>`` a route's
+    (:func:`report_columns`)."""
     comments = [
         f"family = {table.family}",
         f"parameter = {table.parameter}",
         f"steps = {len(table.rows)}",
         f"seed = {table.seed}",
     ]
-    header = ["parameter", "h_lyapunov", "lyapunov_se", "h_pesin", "h_induced",
-              "h_abramov", "kac_mass", "kappa", "distortion",
-              "density_l1_prev", "tau_l1_prev", "error"]
-    # the columns are sweep-row keys; a key the row lacks leaves its cell blank
+    keys = dict.fromkeys(["parameter", *(k for r in table.rows for k in r)])
+    header = [k for k in keys if k not in ("index", "tower", "density")]
     write_csv(path, comments, header, ([r.get(k) for k in header] for r in table.rows))
 
 
@@ -212,12 +227,6 @@ def write_sweep_csv(path: str, table) -> None:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 36, 56
-
-
-def _ticks(lo: float, hi: float, k: int = 5) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, k)
 
 
 def emit_svg(path: str, x, series: dict, xlabel: str = "", ylabel: str = "",
@@ -274,13 +283,13 @@ def emit_svg(path: str, x, series: dict, xlabel: str = "", ylabel: str = "",
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for tv in _ticks(xlo, xhi):
+    for tv in np.linspace(xlo, xhi, 5):
         X = sx(tv)
         parts.append(f'<line x1="{X:.2f}" y1="{_H - _MB}" x2="{X:.2f}" '
                      f'y2="{_H - _MB + 5}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{X:.2f}" y="{_H - _MB + 20}" font-size="11" '
                      f'text-anchor="middle">{tv:.4g}</text>')
-    for tv in _ticks(ylo, yhi):
+    for tv in np.linspace(ylo, yhi, 5):
         Y = sy(tv)
         parts.append(f'<line x1="{_ML - 5}" y1="{Y:.2f}" x2="{_ML}" '
                      f'y2="{Y:.2f}" stroke="black" stroke-width="1"/>')

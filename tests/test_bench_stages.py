@@ -29,8 +29,9 @@ def test_traced_stage_resolves(module, function):
 def test_traced_benchmark_run_reads_its_counters(tmp_path):
     # traced CLI runs through the benchmark's child process: the tracer
     # reads srblab's results (the tower's cell count, the entropy report's
-    # tau_cap and errors, the tail profile's params), so an API change that
-    # breaks those reads fails here and not only in the benchmark
+    # tau_cap and errors, the tail profile's params, the sweep rows), so an
+    # API change that breaks those reads fails here and not only in the
+    # benchmark
     counters = _traced_run(tmp_path, "entropy",
                            "map.family = tent\nmap.slope = 2.0\nulam.bins = 256\n"
                            "induce.tau_max = 12\norbit.sample_size = 4\n"
@@ -45,6 +46,13 @@ def test_traced_benchmark_run_reads_its_counters(tmp_path):
                            "tail.lam = 0.3\ntail.eps = 0.075\ntail.delta = 1e-06\n"
                            "tail.n_max = 20\ntail.sample_size = 200\n")
     assert counters["orbits.tail_profile.point_steps"] == 4000
+    # a sweep run: the tracer observes every _sweep_row result
+    counters = _traced_run(tmp_path, "sweep",
+                           "map.family = tent\nsweep.parameter = slope\n"
+                           "sweep.from = 1.8\nsweep.to = 2.0\nsweep.steps = 2\n"
+                           "ulam.bins = 256\ninduce.tau_max = 8\norbit.sample_size = 4\n"
+                           "orbit.n_iters = 200\n")
+    assert counters["towers.cells"] > 0
 
 
 def _traced_run(tmp_path, command, config_text):

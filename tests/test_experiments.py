@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srblab as sl
+from srblab import experiments
 from srblab.cli import main
 from srblab.experiments import _row_seed
 from srblab.reporting import format_real
@@ -344,7 +345,7 @@ class TestSweep:
             cells = dict(zip(header, r))
             for method in ("lyapunov", "pesin", "induced", "abramov"):
                 assert cells[f"h_{method}"] == format_real(rep.routes[method].estimate)
-            assert cells["lyapunov_se"] == format_real(rep.routes["lyapunov"].std_error)
+            assert cells["lyapunov_std_error"] == format_real(rep.routes["lyapunov"].std_error)
             assert cells["kac_mass"] == format_real(rep.routes["kac_mass"].estimate) != ""
 
     def test_worker_count_does_not_change_the_bytes(self, tent_sweep_cfg):
@@ -357,7 +358,8 @@ class TestSweep:
     def test_a_failed_pesin_solve_leaves_the_other_routes(self, tmp_path):
         # at 256 bins the Misiurewicz-parameter one-step solve needs 145
         # iterations and the tau-8 tower 56, so a budget of 100 fails only
-        # the former; only h_pesin may go blank
+        # the former; the tower fails its axioms and the SMB orbit is
+        # censored besides, and each route's column names its own reason
         cfg = sl.ExperimentConfig(family="quadratic",
                                   map_params={"a": sl.misiurewicz_parameter()},
                                   sweep_parameter="a", sweep_from=sl.misiurewicz_parameter(),
@@ -379,6 +381,36 @@ class TestSweep:
         assert cells["h_pesin"] == "" and cells["error"] == ""
         assert cells["density_l1_prev"] == "" and cells["tau_l1_prev"] != ""
         assert cells["h_lyapunov"] and cells["kappa"] and cells["distortion"]
+        with pytest.raises(sl.ConvergenceError) as solve:
+            sl.stationary_density(sl.one_step_ulam(sl.make_map(
+                "quadratic", a=sl.misiurewicz_parameter()), 256), max_iters=100)
+        assert cells["error_pesin"] == row["error_pesin"] == str(solve.value)
+        assert "failed axiom verification" in cells["error_induced"]
+        assert "censored" in cells["error_smb"]
+        assert "error_lyapunov" not in header
+
+    def test_a_route_field_reaches_both_csvs_with_no_writer_edit(self, tmp_path,
+                                                                 monkeypatch):
+        # no route sets a Pesin standard error yet; set one, and both
+        # entropy.csv and sweep.csv must carry it
+        report = experiments._report
+
+        def with_pesin_error_bar(*args, **kwargs):
+            rep = report(*args, **kwargs)
+            rep.routes["pesin"].std_error = 0.125
+            return rep
+
+        monkeypatch.setattr(experiments, "_report", with_pesin_error_bar)
+        cfg = sl.ExperimentConfig(family="tent", map_params={"slope": 2.0},
+                                  sweep_parameter="slope", sweep_from=1.8, sweep_to=2.0,
+                                  sweep_steps=2, bins=64, sample_size=4, n_iters=200,
+                                  smb_depth=4, tau_max=8, seed=0, out_dir=str(tmp_path))
+        sl.run_entropy(cfg)
+        _, header, rows = sl.read_csv(str(tmp_path / "entropy.csv"))
+        pesin = dict(zip(header, next(r for r in rows if r[0] == "pesin")))
+        assert pesin["std_error"] == "0.125"
+        _, header, rows = sl.read_csv(sl.run_sweep(cfg, workers=1).csv_path)
+        assert [dict(zip(header, r))["pesin_std_error"] for r in rows] == ["0.125"] * 2
 
     def test_the_band_swapping_row_solves_with_the_default_budget(self, tmp_path):
         cfg = sl.ExperimentConfig(family="quadratic",
@@ -430,7 +462,7 @@ class TestSweep:
             assert cells["error"] == ""
             lyapunov = rep.routes["lyapunov"]
             assert cells["h_lyapunov"] == format_real(lyapunov.estimate)
-            assert cells["lyapunov_se"] == format_real(lyapunov.std_error)
+            assert cells["lyapunov_std_error"] == format_real(lyapunov.std_error)
             assert cells["h_pesin"] == format_real(rep.routes["pesin"].estimate)
 
     def test_sweeps_into_a_directory_a_config_file_cannot_name(self, tmp_path,

@@ -405,3 +405,12 @@ def test_nondegeneracy_probe_reports_finite_ratios(viana_map):
     assert rep.lipschitz_inv_ratio > 0
     assert rep.lipschitz_det_ratio > 0
     assert np.isfinite(rep.lipschitz_inv_ratio)
+
+
+def test_nondegeneracy_probe_partners_stay_in_the_fibre_interval(viana_map):
+    # a point near the fibre end gets its partner towards the centre, not
+    # beyond the end
+    rep = sl.nondegeneracy_probe(viana_map, B=4.0, beta=1.0, points=[[0.4, 1.74]])
+    for point, partner in (rep.lipschitz_inv_witness, rep.lipschitz_det_witness):
+        assert point == (0.4, 1.74) and partner[0] == 0.4
+        assert viana_map.domain.contains(partner[1]) and 0 < partner[1] < 1.74
