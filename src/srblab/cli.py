@@ -144,7 +144,7 @@ def _cmd_sweep(args) -> int:
     failures = sum(1 for r in table.rows if r.get("error"))
     print(f"{table.family}.{table.parameter}: {len(table.rows)} rows, "
           f"{failures} failed")
-    print(f"wrote {table.csv_path} and {table.svg_path}")
+    print("wrote " + " and ".join(path for path in (table.csv_path, table.svg_path) if path))
     return 0
 
 

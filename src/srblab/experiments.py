@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .entropy import EntropyReport, entropy_lyapunov_rows, entropy_report
-from .errors import ArgumentError, ConfigError, MapParameterError, SrbLabError
+from .errors import ArgumentError, ConfigError, ConstructionError, MapParameterError, SrbLabError
 from .maps import Interval, MapSystem, make_map
 from .measures import (l1_distance, one_step_ulam, spread_measure, stationary_density,
                        ulam_matrix)
@@ -94,19 +94,26 @@ def _row_seed(seed: int, index: int) -> int:
         StreamKey.SWEEP_ROW, int(index))).generate_state(1)[0])
 
 
-def _report(m: MapSystem, F: InducedMarkovMap | None, config: ExperimentConfig, seed: int,
-            lyapunov: tuple | str | None = None) -> EntropyReport:
-    """:func:`~srblab.entropy.entropy_report` with the config's route settings."""
-    return entropy_report(m, F, bins=config.bins, n_orbits=config.sample_size,
-                          n_iters=config.n_iters, smb_depth=config.smb_depth, seed=seed,
-                          ulam_max_iters=config.ulam_max_iters, lyapunov=lyapunov)
+def _report(m: MapSystem, config: ExperimentConfig, seed: int, lyapunov: tuple | str | None = None
+            ) -> tuple[InducedMarkovMap | None, EntropyReport]:
+    """:func:`build_tower` (None if it fails: that fails only the routes that need
+    it) and :func:`~srblab.entropy.entropy_report` with the config's route settings."""
+    try:
+        F, errors = build_tower(m, config), {}
+    except (ArgumentError, ConstructionError) as exc:
+        F, errors = None, dict.fromkeys(("h_induced", "h_smb"), str(exc))
+    rep = entropy_report(m, F, bins=config.bins, n_orbits=config.sample_size,
+                         n_iters=config.n_iters, smb_depth=config.smb_depth, seed=seed,
+                         ulam_max_iters=config.ulam_max_iters, lyapunov=lyapunov)
+    rep.errors.update(errors)
+    return F, rep
 
 
 def run_entropy(config: ExperimentConfig) -> EntropyReport:
     """Build the system and tower, run all entropy routes, emit entropy.csv."""
     config.validate()
     m = build_system(config)
-    rep = _report(m, build_tower(m, config), config, config.seed)
+    _, rep = _report(m, config, config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     write_entropy_csv(os.path.join(config.out_dir, "entropy.csv"), rep)
     return rep
@@ -268,13 +275,10 @@ def _sweep_row(payload: tuple[ExperimentConfig, int, float, MapSystem, tuple | s
     cfg, index, value, m, lyapunov = payload
     row = {"index": index, "parameter": value, "error": None}
     try:
-        F = build_tower(m, cfg)
+        F, rep = _report(m, cfg, _row_seed(cfg.seed, index), lyapunov)
         if F is not None:
-            ver = verify_axioms(F)
-            row["kappa"] = ver.kappa
-            row["distortion"] = ver.distortion
-            row["tower"] = F
-        rep = _report(m, F, cfg, _row_seed(cfg.seed, index), lyapunov)
+            ver = F.verification or verify_axioms(F)  # the report's, unless verifying raised
+            row.update(kappa=ver.kappa, distortion=ver.distortion, tower=F)
         row.update(report_columns(rep))
         if rep.density is not None:
             row["density"] = rep.density
@@ -348,14 +352,14 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
                        [float(v) for v in values], results)
     os.makedirs(config.out_dir, exist_ok=True)
     table.csv_path = os.path.join(config.out_dir, "sweep.csv")
-    table.svg_path = os.path.join(config.out_dir, "sweep.svg")
     write_sweep_csv(table.csv_path, table)
     series = {}
     for key in ("h_pesin", "h_abramov", "h_lyapunov"):
         arr = np.array([r.get(key, math.nan) for r in results], dtype=float)
         if np.isfinite(arr).any():
             series[key] = arr
-    if series:
+    if series:  # with no finite estimate there is no plot, and no path names one
+        table.svg_path = os.path.join(config.out_dir, "sweep.svg")
         emit_svg(table.svg_path, values, series, xlabel=config.sweep_parameter,
                  ylabel="entropy estimate",
                  title=f"{config.family}: entropy vs {config.sweep_parameter}")

@@ -15,14 +15,16 @@ differences.  Jacobians are guarded near the critical set: below
 overflowing.
 
 Each family writes its formula once, in batch methods (``f_batch``,
-``fibre_derivative_batch``, ``crit_dist_batch``, ``orbit``, ...), the only
-way to evaluate a map: one point goes in as a batch of shape (1,), or
-(1, 2) on the cylinder.  Every derivative question goes through the
-derivative interface of :class:`MapSystem`.
+``fibre_derivative_batch``, ``crit_dist_batch``, ``orbit``, ...), the only way
+to evaluate a map: one point goes in as a batch of shape (1,), or (1, 2) on the
+cylinder.  Every derivative question goes through the derivative interface of
+:class:`MapSystem`.  A 1D family writes ``f_batch``, its ``|f'|`` kernel,
+``branch_lift``, ``branch_inverse``, ``branch_edges`` and ``branch_signs``.
 """
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import math
 import numbers
@@ -113,6 +115,9 @@ class MapSystem:
         Parameters the instance was built with.
     domain : Interval
         Ambient domain (the x-interval; circle maps use [0, 1)).
+    branch_edges, branch_signs : tuple
+        1D only: the edges ``domain.lo < ... < domain.hi`` of the maximal
+        monotone branches, and each branch's orientation, +1 or -1.
 
     The batch methods are the only way to evaluate a map; one point goes
     in as a batch of shape (1,), or (1, 2) on the cylinder.  Each family
@@ -136,6 +141,11 @@ class MapSystem:
     a 1D family writes once, as ``fibre_derivative_batch(x, out=None)``.
     That takes ``out`` as ``f_batch`` does (an array of one value per point
     that does not overlap ``x``), with the same bits as its allocating call.
+
+    A 1D family writes ``f_batch``, that kernel, ``branch_lift``,
+    ``branch_inverse``, ``branch_edges`` and ``branch_signs``; the base
+    class derives ``n_branches``, ``branch_bounds``, ``interior_cuts``,
+    ``branch_containing`` and ``branch_dlift`` (sign times ``|f'|``).
     """
 
     dimension = 1
@@ -183,7 +193,7 @@ class MapSystem:
 
     @property
     def has_critical_set(self) -> bool:
-        return False
+        return self.critical_points.size > 0
 
     @property
     def critical_points(self) -> np.ndarray:
@@ -193,17 +203,18 @@ class MapSystem:
     # -- branches (1D only) -------------------------------------------
     @property
     def n_branches(self) -> int:
-        raise NotImplementedError
+        return len(self.branch_signs)
 
     def branch_bounds(self, i: int) -> tuple[float, float]:
-        raise NotImplementedError
+        return self.branch_edges[i], self.branch_edges[i + 1]
 
     def branch_lift(self, i: int, x):
         """Continuous monotone extension of the map on branch ``i``."""
         raise NotImplementedError
 
     def branch_dlift(self, i: int, x):
-        raise NotImplementedError
+        """Derivative of :meth:`branch_lift`: the branch sign times ``|f'|``."""
+        return self.branch_signs[i] * self.fibre_derivative_batch(x)
 
     def branch_inverse(self, i: int, y):
         """Inverse of :meth:`branch_lift` on branch ``i``, vectorised over ``y``.
@@ -228,16 +239,15 @@ class MapSystem:
         return x, lo / self.branch_dlift(i, x)
 
     def branch_containing(self, y: float) -> int:
-        """Index of the branch whose interior or closure holds ``y``."""
-        for i in range(self.n_branches):
-            lo, hi = self.branch_bounds(i)
-            if lo <= y <= hi:
-                return i
-        raise DomainViolationError(f"{y} outside every branch of {self.family}")
+        """Index of the branch whose closure holds ``y`` (the lower one on an edge)."""
+        edges = self.branch_edges
+        if not edges[0] <= y <= edges[-1]:
+            raise DomainViolationError(f"{y} outside every branch of {self.family}")
+        return bisect.bisect_left(edges, y, 1) - 1
 
     def interior_cuts(self) -> np.ndarray:
         """Sorted interior branch endpoints (monotonicity/continuity cuts)."""
-        return np.array([self.branch_bounds(i)[1] for i in range(self.n_branches - 1)])
+        return np.array(self.branch_edges[1:-1])
 
     # -- sampling -----------------------------------------------------
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -273,6 +283,8 @@ class LinearCircleMap(MapSystem):
         self.d = d
         self.params = {"d": d}
         self.domain = Interval(0.0, 1.0)
+        self.branch_edges = tuple(i / d for i in range(d + 1))
+        self.branch_signs = (1,) * d
 
     def f_batch(self, x, out=None):
         x = np.asarray(x, dtype=float)
@@ -285,18 +297,8 @@ class LinearCircleMap(MapSystem):
         out[...] = self.d
         return out
 
-    @property
-    def n_branches(self):
-        return self.d
-
-    def branch_bounds(self, i):
-        return (i / self.d, (i + 1) / self.d)
-
     def branch_lift(self, i, x):
         return self.d * np.asarray(x, dtype=float) - i
-
-    def branch_dlift(self, i, x):
-        return np.full(np.shape(x), self.d, dtype=float)
 
     def branch_inverse(self, i, y):
         return (np.asarray(y, dtype=float) + i) / self.d
@@ -350,6 +352,9 @@ class PerturbedDoublingMap(MapSystem):
         self.t = t
         self.params = {"t": t}
         self.domain = Interval(0.0, 1.0)
+        # the lift crosses 1 exactly at x = 1/2 (sin(pi) = 0) for every t
+        self.branch_edges = (0.0, 0.5, 1.0)
+        self.branch_signs = (1, 1)
         self.piecewise_affine = t == 0.0
 
     # the formulas take their sin/cos so that numpy arrays and Python
@@ -372,20 +377,8 @@ class PerturbedDoublingMap(MapSystem):
         np.add(2.0, y, out=y)
         return np.abs(y, out=y)
 
-    @property
-    def n_branches(self):
-        return 2
-
-    def branch_bounds(self, i):
-        # the lift crosses 1 exactly at x = 1/2 (sin(pi) = 0) for every t
-        return (0.0, 0.5) if i == 0 else (0.5, 1.0)
-
     def branch_lift(self, i, x):
-        y = self._lift(np.asarray(x, dtype=float))
-        return y if i == 0 else y - 1.0
-
-    def branch_dlift(self, i, x):
-        return self._dlift(np.asarray(x, dtype=float))
+        return self._lift(np.asarray(x, dtype=float)) - i
 
     def branch_inverse(self, i, y):
         # Newton on the increasing lift (derivative >= 2 - t > 0), started
@@ -452,6 +445,8 @@ class TentMap(MapSystem):
         self.slope = slope
         self.params = {"slope": slope}
         self.domain = Interval(0.0, 1.0)
+        self.branch_edges = (0.0, 0.5, 1.0)
+        self.branch_signs = (1, -1)
         self.piecewise_affine = True
 
     def f_batch(self, x, out=None):
@@ -466,20 +461,9 @@ class TentMap(MapSystem):
         out[...] = self.slope
         return out
 
-    @property
-    def n_branches(self):
-        return 2
-
-    def branch_bounds(self, i):
-        return (0.0, 0.5) if i == 0 else (0.5, 1.0)
-
     def branch_lift(self, i, x):
         x = np.asarray(x, dtype=float)
         return self.slope * x if i == 0 else self.slope * (1.0 - x)
-
-    def branch_dlift(self, i, x):
-        s = self.slope if i == 0 else -self.slope
-        return np.full(np.shape(x), s)
 
     def branch_inverse(self, i, y):
         y = np.asarray(y, dtype=float)
@@ -504,6 +488,8 @@ class QuadraticMap(MapSystem):
         self.a = a
         self.params = {"a": a}
         self.domain = Interval(a - a * a, a)
+        self.branch_edges = (self.domain.lo, 0.0, a)
+        self.branch_signs = (1, -1)
 
     def f_batch(self, x, out=None):
         x = np.asarray(x, dtype=float)
@@ -519,26 +505,11 @@ class QuadraticMap(MapSystem):
         return np.abs(np.asarray(x, dtype=float))
 
     @property
-    def has_critical_set(self):
-        return True
-
-    @property
     def critical_points(self):
         return np.zeros(1)
 
-    @property
-    def n_branches(self):
-        return 2
-
-    def branch_bounds(self, i):
-        return (self.domain.lo, 0.0) if i == 0 else (0.0, self.domain.hi)
-
     def branch_lift(self, i, x):
-        x = np.asarray(x, dtype=float)
-        return self.a - x * x
-
-    def branch_dlift(self, i, x):
-        return -2.0 * np.asarray(x, dtype=float)
+        return self.f_batch(x)
 
     def branch_inverse(self, i, y):
         root = np.sqrt(np.maximum(self.a - np.asarray(y, dtype=float), 0.0))

@@ -223,6 +223,8 @@ def test_degenerate_induction_exits_3(tmp_path):
     ("sweep", {"family": "tent", "sweep_parameter": "slope", "sweep_from": 1.8,
                "sweep_to": 2.0, "sweep_steps": 2, "induce_lo": 0.0, "induce_hi": 5.0},
      "induce.lo and induce.hi must lie in the tent domain [0, 1]"),
+    ("entropy", {"family": "quadratic", "map_params": {"a": 1.3}, "induce_lo": 0.0,
+                 "induce_hi": 1.4}, "induce.lo and induce.hi must lie in the quadratic domain"),
 ])
 def test_map_parameter_errors_exit_2_before_any_work(tmp_path, command, overrides, message):
     path = write_cfg(tmp_path, out_dir=str(tmp_path / "out"), seed=0, **overrides)
@@ -319,3 +321,37 @@ def test_a_value_out_of_range_on_one_sweep_row_stays_a_row_error(tmp_path):
     _, header, rows = sl.read_csv(str(tmp_path / "out" / "sweep.csv"))
     errors = [row[header.index("error")] for row in rows]
     assert errors[0] == "" and "slope in (1, 2]" in errors[1]
+
+
+def test_a_sweep_whose_every_row_fails_names_no_svg(tmp_path):
+    path = write_cfg(tmp_path, family="tent", sweep_parameter="slope", sweep_from=2.5,
+                     sweep_to=3.0, sweep_steps=3, out_dir=str(tmp_path / "out"), seed=0)
+    out = run_cli("sweep", "--config", path)
+    assert out.returncode == 0, out.stderr
+    assert "tent.slope: 3 rows, 3 failed" in out.stdout
+    assert out.stdout.splitlines()[-1] == f"wrote {tmp_path / 'out' / 'sweep.csv'}"
+    assert os.listdir(tmp_path / "out") == ["sweep.csv"]
+
+
+# the default base [0, sqrt 2) leaves the quadratic's domain [a - a^2, a] at a = 1.3
+_OFF_BASE = {"family": "quadratic", "map_params": {"a": 1.3}, "bins": 256, "sample_size": 4,
+             "n_iters": 2000, "smb_depth": 4, "tau_max": 8, "seed": 1}
+
+
+def test_a_tower_that_cannot_be_built_fails_only_the_tower_routes(tmp_path):
+    path = write_cfg(tmp_path, out_dir=str(tmp_path / "out"), **_OFF_BASE)
+    out = run_cli("entropy", "--config", path)
+    assert out.returncode == 0, out.stderr
+    message = "induction interval must sit inside the map domain"
+    assert f"unavailable h_induced: {message}" in out.stdout
+    assert f"unavailable h_smb: {message}" in out.stdout
+    comments, header, rows = sl.read_csv(str(tmp_path / "out" / "entropy.csv"))
+    estimates = {r[0]: r[header.index("estimate")] for r in rows}
+    assert math.isfinite(float(estimates["lyapunov"]))
+    assert math.isfinite(float(estimates["pesin"]))
+    assert estimates["induced"] == estimates["smb"] == ""
+    assert [c for c in comments if c.startswith("error.")] == [
+        f"error.h_induced = {message}", f"error.h_smb = {message}"]
+    # a command that needs the tower still fails
+    out = run_cli("induce", "--config", path)
+    assert out.returncode == 3 and message in out.stderr

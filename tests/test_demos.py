@@ -1,7 +1,8 @@
 """The demos and the README's Python blocks use only names srblab exports,
 the README's config blocks parse, every export and every public method of
-the map families is used outside the tests, and the README quick start
-gives the values its comments state.
+the map families is used outside the tests, no built-in family writes a
+method that the base class derives from its branch data, and the README
+quick start gives the values its comments state.
 
 Apart from the quick start, which runs in about a second, each file is
 parsed with ``ast``, not run, so the checks cost milliseconds; they fail
@@ -108,6 +109,22 @@ def test_every_public_map_method_is_used_outside_the_tests():
              and (inspect.isfunction(value) or isinstance(value, (property, staticmethod)))}
     assert {"f_batch", "orbit", "block_steps", "norm_batch", "critical_points"} <= names
     assert sorted(names - _read_outside_the_tests()) == []
+
+
+#: what MapSystem derives from a family's branch_edges, branch_signs, |f'|
+#: kernel and critical_points
+DERIVED_MAP_METHODS = {"n_branches", "branch_bounds", "branch_dlift", "interior_cuts",
+                       "branch_containing", "has_critical_set"}
+
+
+def test_no_built_in_family_writes_what_the_base_class_derives():
+    # the cylinder's critical set is a curve, not critical_points
+    exempt = {("VianaMap", "has_critical_set")}
+    assert DERIVED_MAP_METHODS <= set(vars(sl.MapSystem))
+    written = {(cls.__name__, name) for cls in sl.maps._FAMILIES.values()
+               for name in DERIVED_MAP_METHODS & set(vars(cls))}
+    assert exempt <= written
+    assert sorted(written - exempt) == []
 
 
 def test_readme_quick_start_gives_its_commented_values():

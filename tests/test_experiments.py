@@ -396,9 +396,9 @@ class TestSweep:
         report = experiments._report
 
         def with_pesin_error_bar(*args, **kwargs):
-            rep = report(*args, **kwargs)
+            F, rep = report(*args, **kwargs)
             rep.routes["pesin"].std_error = 0.125
-            return rep
+            return F, rep
 
         monkeypatch.setattr(experiments, "_report", with_pesin_error_bar)
         cfg = sl.ExperimentConfig(family="tent", map_params={"slope": 2.0},
@@ -482,6 +482,33 @@ class TestSweep:
         cfg = sl.ExperimentConfig(family="tent", out_dir=str(tmp_path))
         with pytest.raises(sl.ConfigError):
             sl.run_sweep(cfg)
+
+    def test_a_sweep_whose_every_row_fails_has_no_svg(self, tmp_path):
+        cfg = sl.ExperimentConfig(family="tent", sweep_parameter="slope", sweep_from=2.5,
+                                  sweep_to=3.0, sweep_steps=3, out_dir=str(tmp_path), seed=0)
+        table = sl.run_sweep(cfg, workers=1)
+        assert all("slope in (1, 2]" in row["error"] for row in table.rows)
+        assert table.csv_path == str(tmp_path / "sweep.csv") and table.svg_path == ""
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+
+    def test_a_row_whose_tower_cannot_be_built_keeps_its_ambient_routes(self, tmp_path):
+        # the default base [0, sqrt 2) leaves the domain [a - a^2, a] at a = 1.3
+        cfg = sl.ExperimentConfig(family="quadratic", sweep_parameter="a", sweep_from=1.3,
+                                  sweep_to=2.0, sweep_steps=2, out_dir=str(tmp_path), seed=0,
+                                  bins=256, sample_size=4, n_iters=2000, smb_depth=4,
+                                  tau_max=8)
+        low, high = sl.run_sweep(cfg, workers=1).rows
+        assert low["error"] is None and high["error"] is None
+        assert math.isfinite(low["h_lyapunov"]) and math.isfinite(low["h_pesin"])
+        message = "induction interval must sit inside the map domain"
+        assert low["error_induced"] == low["error_smb"] == message
+        assert "kappa" not in low and "tower" not in low
+        assert "error_induced" not in high and "kappa" in high
+        # the Lyapunov route of the row is its own one-row run's
+        rep = sl.run_entropy(dataclasses.replace(cfg, map_params={"a": 1.3},
+                                                 sweep_parameter=None, seed=_row_seed(0, 0)))
+        assert rep.routes["lyapunov"].estimate == low["h_lyapunov"]
+        assert rep.errors == {"h_induced": message, "h_smb": message}
 
 
 class TestSvg:

@@ -512,29 +512,59 @@ def test_closed_form_inverse_branches():
 
 # -- derivative interface ----------------------------------------------------
 
-_ONE_D_MAPS = st.one_of(
-    st.just(sl.make_map("doubling")),
-    st.integers(2, 7).map(lambda d: sl.make_map("circle_linear", d=d)),
-    st.floats(0.0, 1.9).map(lambda t: sl.make_map("circle_perturbed", t=t)),
-    st.floats(1.0, 2.0, exclude_min=True).map(lambda s: sl.make_map("tent", slope=s)),
-    st.floats(1.0, 2.0, exclude_min=True).map(lambda a: sl.make_map("quadratic", a=a)),
+#: the five 1D families on random parameters, each with its closed-form f'
+_ONE_D_CASES = st.one_of(
+    st.just((sl.make_map("doubling"), lambda x: np.full(x.shape, 2.0))),
+    st.integers(2, 7).map(lambda d: (sl.make_map("circle_linear", d=d),
+                                     lambda x: np.full(x.shape, float(d)))),
+    st.floats(0.0, 1.9).map(lambda t: (sl.make_map("circle_perturbed", t=t),
+                                       lambda x: 2.0 + t * np.cos(2.0 * np.pi * x))),
+    st.floats(1.0, 2.0, exclude_min=True).map(lambda s: (sl.make_map("tent", slope=s),
+                                                         lambda x: np.where(x <= 0.5, s, -s))),
+    st.floats(1.0, 2.0, exclude_min=True).map(lambda a: (sl.make_map("quadratic", a=a),
+                                                         lambda x: -2.0 * x)),
 )
+_ONE_D_MAPS = _ONE_D_CASES.map(lambda case: case[0])
 _INTERFACE = ("fibre_derivative_batch", "abs_det_batch", "conorm_batch", "norm_batch")
+
+
+def _domain_points(m, us):
+    """``lo + width u`` for each ``u``, clipped to the domain that rounding can leave."""
+    return np.clip(m.domain.lo + m.domain.width * np.array(us), m.domain.lo, m.domain.hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_ONE_D_CASES, us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_one_dimensional_derivative_interface_is_abs_df(case, us):
+    m, fprime = case
+    x = _domain_points(m, us)
+    want = np.abs(fprime(x)).tobytes()
+    for name in _INTERFACE:
+        assert getattr(m, name)(x).tobytes() == want, name
+    # the branch that holds each point lifts with the signed f'
+    branch = np.searchsorted(m.interior_cuts(), x)
+    for i in np.unique(branch).tolist():
+        assert np.array_equal(m.branch_dlift(i, x[branch == i]), fprime(x[branch == i]))
+    assert m.base_exponent == 0.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(m=_ONE_D_MAPS, us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-def test_one_dimensional_derivative_interface_is_abs_df(m, us):
-    x = m.domain.lo + m.domain.width * np.array(us)
-    # |f'| from the lift of the branch that holds each point
-    branch = np.searchsorted(m.interior_cuts(), x)
-    want = np.empty(x.shape)
-    for i in np.unique(branch).tolist():
-        want[branch == i] = np.abs(m.branch_dlift(i, x[branch == i]))
-    want = want.tobytes()
-    for name in _INTERFACE:
-        assert getattr(m, name)(x).tobytes() == want, name
-    assert m.base_exponent == 0.0
+def test_branch_data_cuts_the_domain_into_monotone_branches(m, us):
+    edges, signs = m.branch_edges, m.branch_signs
+    assert edges[0] == m.domain.lo and edges[-1] == m.domain.hi
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    assert len(signs) == len(edges) - 1 == m.n_branches
+    for i, sign in enumerate(signs):
+        assert m.branch_bounds(i) == edges[i:i + 2]
+        # in double-double: near a = 1 the quadratic's left branch [a - a^2, 0]
+        # is so short that its plain lift rounds both ends to a
+        hi, lo = m.branch_lift_dd(i, np.array(edges[i:i + 2]), np.zeros(2))
+        assert sign * ((hi[1] - hi[0]) + (lo[1] - lo[0])) > 0
+    assert m.interior_cuts().tolist() == list(edges[1:-1])
+    # a point on an edge belongs to the lower branch, as searchsorted puts it
+    for x in [*_domain_points(m, us).tolist(), *edges]:
+        assert m.branch_containing(x) == np.searchsorted(edges[1:-1], x)
 
 
 class _KernelOnly(sl.MapSystem):
